@@ -31,14 +31,13 @@ _EXPORTS = {
         "funk_hecke_apply",
     ],
     "krawtchouk": [
-        "DiscreteMeasure", "JacobiMatrix", "KrawtchoukFamily", "kraw_eval",
+        "DiscreteMeasure", "JacobiMatrix", "kraw_eval",
         "kraw_step_bound_check", "least_root", "levenshtein_phi",
         "limit_poly_eval",
     ],
     "outer_hierarchy": [
-        "OuterBoundResult", "SdpProblem", "SdpSolution", "SolverError",
-        "SolverOptions", "outer_cube", "outer_matrix", "solve_sdp",
-        "verify_sos_certificate",
+        "OuterBoundResult", "SdpSolution", "SolverError", "SolverOptions",
+        "outer_cube", "outer_matrix", "verify_sos_certificate",
     ],
     "qary": ["QaryPolynomial", "qary_brute_min", "qary_inner_symmetrized"],
 }

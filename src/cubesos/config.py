@@ -1,4 +1,4 @@
-"""Runtime configuration: enumeration and solver size caps.
+"""Runtime configuration: the enumeration cap.
 
 Resolution order for every knob: explicit function argument > environment
 variable (prefix ``CUBESOS_``) > built-in default.
@@ -14,10 +14,6 @@ from dataclasses import dataclass
 class Config:
     # Largest n for which 2^n enumeration (brute force, transforms) is allowed.
     max_n: int = 24
-    # Largest matrix order the dense SDP solver will accept.
-    sdp_max_size: int = 2000
-    # Largest constraint count for the dense SDP solver.
-    sdp_max_constraints: int = 4096
 
     @staticmethod
     def from_env() -> "Config":
@@ -25,11 +21,7 @@ class Config:
             raw = os.environ.get(name)
             return default if raw is None else int(raw)
 
-        return Config(
-            max_n=geti("CUBESOS_MAX_N", Config.max_n),
-            sdp_max_size=geti("CUBESOS_SDP_MAX_SIZE", Config.sdp_max_size),
-            sdp_max_constraints=geti("CUBESOS_SDP_MAX_CONSTRAINTS", Config.sdp_max_constraints),
-        )
+        return Config(max_n=geti("CUBESOS_MAX_N", Config.max_n))
 
 
 def enumeration_cap(explicit: int | None = None) -> int:

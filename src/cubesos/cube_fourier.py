@@ -29,6 +29,7 @@ __all__ = [
     "evaluate",
     "value_table",
     "from_values",
+    "rounding_floor",
     "fourier_transform",
     "fourier_to_values",
     "inverse_fourier",
@@ -97,39 +98,6 @@ def _lex_keys(masks: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # fast Walsh-Hadamard transform
 
-_JIT_THRESHOLD = 1 << 18
-_jit_fwht = None
-_jit_unavailable = False
-
-
-def _numba_fwht():
-    # compiled butterfly, picked up lazily so short runs never pay for numba
-    global _jit_fwht, _jit_unavailable
-    if _jit_fwht is not None or _jit_unavailable:
-        return _jit_fwht
-    try:
-        import numba
-
-        @numba.njit(cache=False)
-        def kernel(a):
-            m = a.size
-            h = 1
-            while h < m:
-                step = 2 * h
-                for start in range(0, m, step):
-                    for i in range(start, start + h):
-                        x = a[i]
-                        y = a[i + h]
-                        a[i] = x + y
-                        a[i + h] = x - y
-                h = step
-
-        kernel(np.zeros(4))
-        _jit_fwht = kernel
-    except Exception:
-        _jit_unavailable = True
-    return _jit_fwht
-
 
 def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform: out[a] = sum_x (-1)^{a.x} in[x].
@@ -140,11 +108,6 @@ def fwht(values: np.ndarray) -> np.ndarray:
     m = a.size
     if m & (m - 1):
         raise ValueError("length must be a power of two")
-    if m >= _JIT_THRESHOLD:
-        kernel = _numba_fwht()
-        if kernel is not None:
-            kernel(a)
-            return a
     h = 1
     while h < m:
         a = a.reshape(-1, 2, h)
@@ -311,6 +274,12 @@ def from_values(n: int, values: np.ndarray, prune_tol: float = 0.0) -> CubePolyn
     return CubePolynomial(n, {int(m): float(a[m]) for m in keep})
 
 
+def rounding_floor(n: int, values: np.ndarray) -> float:
+    """Coefficients this small, from the transforms of a 2^n value table,
+    are rounding noise."""
+    return 16.0 * max(n, 1) * np.finfo(np.float64).eps * max(np.max(np.abs(values)), 1e-300)
+
+
 def fourier_transform(p: CubePolynomial, cap: int | None = None) -> FourierPolynomial:
     """Fourier coefficients p_hat(a) = 2^{-n} sum_x p(x) (-1)^{a.x}.
 
@@ -320,8 +289,7 @@ def fourier_transform(p: CubePolynomial, cap: int | None = None) -> FourierPolyn
     """
     vals = value_table(p, cap)
     coeffs = fwht(vals) / vals.size
-    tol = 16.0 * max(p.n, 1) * np.finfo(np.float64).eps * max(np.max(np.abs(vals)), 1e-300)
-    keep = np.flatnonzero(np.abs(coeffs) > tol)
+    keep = np.flatnonzero(np.abs(coeffs) > rounding_floor(p.n, vals))
     return FourierPolynomial(p.n, {int(a): float(coeffs[a]) for a in keep})
 
 

@@ -26,15 +26,14 @@ from .config import check_cap
 from .cube_fourier import (
     CubePolynomial,
     brute_force_min,
+    from_values,
     fwht,
-    harmonic_parts,
-    inverse_fourier,
-    FourierPolynomial,
     mask_to_bitstring,
     bitstring_to_mask,
     mask_to_point,
     point_to_mask,
     popcount_table,
+    rounding_floor,
     sup_norm,
     translate_to_zero,
     value_table,
@@ -136,16 +135,14 @@ def funk_hecke_apply(
     deg = p.degree
     if deg > 2 * spec.r:
         raise ValueError("polynomial degree exceeds the kernel's reach")
-    parts = harmonic_parts(p, cap)
     lam = spec.lambdas[: deg + 1]
     if invert and np.any(np.abs(lam) < 1e-14):
         raise SingularOperatorError("cannot invert: some eigenvalue is zero")
-    coeffs: dict[int, float] = {}
-    for k, part in enumerate(parts.parts):
-        factor = (1.0 / lam[k]) if invert else lam[k]
-        for a, c in part.coeffs.items():
-            coeffs[a] = coeffs.get(a, 0.0) + factor * c
-    return inverse_fourier(FourierPolynomial(p.n, coeffs), cap)
+    factors = np.zeros(p.n + 1)
+    factors[: deg + 1] = 1.0 / lam if invert else lam
+    values = _apply_by_weight(factors, value_table(p, cap), p.n)
+    # pruning at the rounding floor keeps the result's degree at most deg
+    return from_values(p.n, values, prune_tol=rounding_floor(p.n, values))
 
 
 @dataclass(frozen=True)

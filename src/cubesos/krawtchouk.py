@@ -29,7 +29,6 @@ from scipy.stats import binom as _binom
 
 __all__ = [
     "DiscreteMeasure",
-    "KrawtchoukFamily",
     "JacobiMatrix",
     "RootCrossCheckError",
     "kraw_int",
@@ -160,29 +159,6 @@ def orthonormal_table(n: int, kmax: int, q: int = 2, t=None) -> np.ndarray:
     return kraw_hat_table(n, kmax, q, t) * scale[:, None]
 
 
-@dataclass(frozen=True)
-class KrawtchoukFamily:
-    """Precomputed family data shared by the hierarchy solvers."""
-
-    n: int
-    q: int
-    max_degree: int
-
-    @property
-    def measure(self) -> DiscreteMeasure:
-        return DiscreteMeasure(self.n, self.q)
-
-    @property
-    def norms_sq(self) -> np.ndarray:
-        return np.array([kraw_norm_sq(self.n, self.q, k) for k in range(self.max_degree + 1)])
-
-    def normalized_values(self) -> np.ndarray:
-        return kraw_hat_table(self.n, self.max_degree, self.q)
-
-    def orthonormal_values(self) -> np.ndarray:
-        return orthonormal_table(self.n, self.max_degree, self.q)
-
-
 # ---------------------------------------------------------------------------
 # Jacobi matrices and extremal roots
 
@@ -197,13 +173,6 @@ class JacobiMatrix:
     order: int
     diag: np.ndarray
     offdiag: np.ndarray
-
-    def dense(self) -> np.ndarray:
-        A = np.diag(self.diag)
-        idx = np.arange(self.order - 1)
-        A[idx, idx + 1] = self.offdiag
-        A[idx + 1, idx] = self.offdiag
-        return A
 
     def eigenvalues(self) -> np.ndarray:
         if self.order == 1:

@@ -11,10 +11,17 @@ y_0 = 1). Both are solved together by the embedded dense primal-dual
 interior-point method with Nesterov-Todd scaling and Mehrotra
 predictor-corrector steps.
 
+Matrix-valued input F (k x k) uses the same program over a k x k block Gram
+matrix G: the class-c constraint of entry (i, j) sits in blocks (i, j) and
+(j, i); the class-0 constraints of the diagonal blocks, which carry lambda,
+become the k - 1 rows tr G_ii - tr G_00 = fhat_ii(0) - fhat_00(0), and
+lambda = (sum_i fhat_ii(0) - tr G) / k.
+
 The constraint map aggregates matrix entries by the XOR of their character
-indices, so the interior-point Schur complement is an XOR autocorrelation of
-the scaling matrix and is formed with Walsh-Hadamard transforms over 2^{2n}
-points instead of one dense product per constraint.
+indices, so the interior-point Schur complement is an XOR cross-correlation
+of the blocks of the scaling matrix and is formed with Walsh-Hadamard
+transforms over 2^{2n} points instead of one dense product per constraint.
+One such backend serves scalar and matrix input.
 """
 
 from __future__ import annotations
@@ -24,23 +31,20 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .config import Config, check_cap
+from .config import check_cap
 from .cube_fourier import (
     CubePolynomial,
     MatrixPolynomial,
     fwht,
     masks_up_to_weight,
-    popcount_table,
     value_table,
 )
 
 __all__ = [
-    "SdpProblem",
     "SdpSolution",
     "SolverOptions",
     "SolverError",
     "OuterBoundResult",
-    "solve_sdp",
     "outer_cube",
     "outer_matrix",
     "verify_sos_certificate",
@@ -58,29 +62,6 @@ class SolverOptions:
     tol_feas: float = 1e-8
     max_iter: int = 200
     step_damping: float = 0.99
-    verbose: bool = False
-
-
-@dataclass(frozen=True)
-class SdpProblem:
-    """min <C, X> s.t. <A_i, X> = b_i, X >= 0, with dense symmetric data."""
-
-    C: np.ndarray
-    constraints: list
-    b: np.ndarray
-
-    def __post_init__(self):
-        N = self.C.shape[0]
-        mats = [self.C, *self.constraints]
-        for M in mats:
-            if M.shape != (N, N):
-                raise ValueError("matrix size mismatch")
-            if np.max(np.abs(M - M.T)) > 1e-14 * max(1.0, np.max(np.abs(M))):
-                raise ValueError("matrices must be symmetric")
-        if len(self.constraints) != len(self.b):
-            raise ValueError("need one right-hand side per constraint")
-        if len(self.constraints) > N * (N + 1) // 2:
-            raise ValueError("more constraints than degrees of freedom")
 
 
 @dataclass(frozen=True)
@@ -130,43 +111,125 @@ class _DenseConstraints:
 
 
 class _XorConstraints:
-    """Constraints <E_c, X> = b_c where E_c is the 0/1 indicator of the
-    positions (a, b) with a XOR b = c, over a character basis of masks.
+    """Constraints on a k x k block Gram matrix over a character basis of masks.
 
-    The Schur complement tr(E_c W E_{c'} W) equals the XOR autocorrelation of
-    the zero-padded W on F_2^{2n} at shift (c, c'), computed by two
-    Walsh-Hadamard transforms of length 4^n.
+    ``classes`` lists every XOR class c of weight <= 2r, class 0 first. Row
+    (c, i, j), i <= j, reads <A, X> = b where A holds the 0/1 indicator E_c of
+    the positions (a, b) with a XOR b = c in blocks (i, j) and (j, i), with
+    weight 1/2 on each off-diagonal block. Diagonal blocks carry the classes
+    c != 0. For k > 1 the k - 1 trace rows tr X_ii - tr X_00 follow (E_0 is
+    the identity). k = 1 is the scalar Gram problem.
+
+    The Schur entry tr(A W A' W) of blocks (p, q) and (s, t) is the XOR
+    cross-correlation of the zero-padded W_qs and W_pt on F_2^{2n} at shift
+    (c, c'), computed with Walsh-Hadamard transforms of length 4^n.
     """
 
-    def __init__(self, n: int, masks: np.ndarray, classes: np.ndarray):
+    def __init__(self, n: int, masks: np.ndarray, classes: np.ndarray, k: int):
         self.n = n
+        self.k = k
         self.masks = masks
-        self.classes = classes
-        self.m = classes.size
         self.xor = np.bitwise_xor.outer(masks, masks)
         self._xor_flat = self.xor.ravel()
+        self.blocks = [(i, j) for i in range(k) for j in range(i, k)]
+        # Every block is worked on over the same extended rows; for k > 1 the
+        # class-0 rows of the diagonal blocks are kept there to form the trace
+        # rows, then dropped by _restrict.
+        self._ext = classes if k > 1 else classes[1:]
+        e = self._ext.size
+        self.m = e
+        if k > 1:
+            self._zero = np.array([b * e for b, (i, j) in enumerate(self.blocks) if i == j])
+            self._keep = np.setdiff1d(np.arange(len(self.blocks) * e), self._zero)
+            self.m = self._keep.size + k - 1
+
+    def _restrict(self, v: np.ndarray) -> np.ndarray:
+        """Extended rows (axis 0) -> constraint rows: drop the class-0 rows of
+        the diagonal blocks and append their differences to block (0, 0)."""
+        if self.k == 1:
+            return v
+        return np.concatenate([v[self._keep], v[self._zero[1:]] - v[self._zero[0]]])
+
+    def _extend(self, y: np.ndarray) -> np.ndarray:
+        """Transpose of _restrict."""
+        if self.k == 1:
+            return y
+        mr = self._keep.size
+        out = np.zeros(len(self.blocks) * self._ext.size)
+        out[self._keep] = y[:mr]
+        out[self._zero[1:]] += y[mr:]
+        out[self._zero[0]] -= y[mr:].sum()
+        return out
+
+    def _slice(self, i: int) -> slice:
+        N = self.masks.size
+        return slice(i * N, (i + 1) * N)
+
+    def gather(self, per_block) -> np.ndarray:
+        """Constraint rows of per-block class sums (arrays of length 2^n, in
+        the order of ``blocks``); with Fourier coefficients this is b."""
+        return self._restrict(np.concatenate([v[self._ext] for v in per_block]))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        sums = np.bincount(self._xor_flat, weights=X.ravel(), minlength=1 << self.n)
-        return sums[self.classes]
+        sums = []
+        for i, j in self.blocks:
+            s = np.bincount(self._xor_flat, weights=X[self._slice(i), self._slice(j)].ravel(),
+                            minlength=1 << self.n)
+            if i != j:
+                s += np.bincount(self._xor_flat,
+                                 weights=X[self._slice(j), self._slice(i)].ravel(),
+                                 minlength=1 << self.n)
+                s *= 0.5
+            sums.append(s)
+        return self.gather(sums)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        full = np.zeros(1 << self.n)
-        full[self.classes] = y
-        return full[self.xor]
+        y_ext = self._extend(y).reshape(len(self.blocks), -1)
+        N = self.masks.size
+        out = np.empty((self.k * N, self.k * N))
+        for (i, j), yb in zip(self.blocks, y_ext):
+            full = np.zeros(1 << self.n)
+            full[self._ext] = yb if i == j else 0.5 * yb
+            out[self._slice(i), self._slice(j)] = out[self._slice(j), self._slice(i)] = full[self.xor]
+        return out
 
     def schur(self, W: np.ndarray) -> np.ndarray:
         size = 1 << self.n
-        pad = np.zeros((size, size))
-        pad[np.ix_(self.masks, self.masks)] = W
-        F = fwht(pad.ravel())
-        del pad
-        F *= F
-        G = fwht(F)
-        del F
-        G /= float(size) * size
-        G = G.reshape(size, size)
-        return np.ascontiguousarray(G[np.ix_(self.classes, self.classes)])
+        spectra = {}
+        for i, j in self.blocks:
+            pad = np.zeros((size, size))
+            pad[np.ix_(self.masks, self.masks)] = W[self._slice(i), self._slice(j)]
+            spectra[i, j] = fwht(pad.ravel()).reshape(size, size)
+            del pad
+
+        def spectrum(p, q):
+            return spectra[p, q] if p <= q else spectra[q, p].T
+
+        def sides(i, j):
+            return [(i, j)] if i == j else [(i, j), (j, i)]
+
+        nb = len(self.blocks)
+        rows = [[None] * nb for _ in range(nb)]
+        for a, (i, j) in enumerate(self.blocks):
+            for b in range(a, nb):
+                i2, j2 = self.blocks[b]
+                if a == b == nb - 1:
+                    # the last pair is the last diagonal block with itself:
+                    # square its spectrum in place and free the others
+                    acc = spectra.pop((i, j))
+                    spectra.clear()
+                    acc *= acc
+                else:
+                    acc = sum(spectrum(q, s) * spectrum(p, t)
+                              for p, q in sides(i, j) for s, t in sides(i2, j2))
+                G = fwht(acc.ravel()).reshape(size, size)
+                del acc
+                block = G[np.ix_(self._ext, self._ext)]
+                del G
+                block *= (0.5 if i != j else 1.0) * (0.5 if i2 != j2 else 1.0) / (float(size) * size)
+                rows[a][b], rows[b][a] = block, block.T
+        S = rows[0][0] if nb == 1 else np.block(rows)
+        return self._restrict(self._restrict(S).T)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +280,6 @@ def _solve_ipm(C, ops, b, options: SolverOptions) -> SdpSolution:
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
         pres = np.linalg.norm(rp) / normb
         dres = np.linalg.norm(Rd) / normC
-        if options.verbose:
-            print(f"  it={it:3d} pobj={pobj:+.8e} dobj={dobj:+.8e} "
-                  f"gap={rel_gap:.2e} pres={pres:.2e} dres={dres:.2e}")
         if pres <= options.tol_feas and dres <= options.tol_feas and rel_gap <= options.tol_gap:
             status = "optimal"
             break
@@ -309,30 +369,6 @@ def _solve_ipm(C, ops, b, options: SolverOptions) -> SdpSolution:
     return SdpSolution(X, y, Z, pobj, dobj, gap, rel_gap, pres, dres, it, status)
 
 
-def solve_sdp(problem: SdpProblem, tol: float | None = None,
-              max_iter: int | None = None, verbose: bool = False) -> SdpSolution:
-    """Solve a dense standard-form SDP with the embedded interior-point method.
-
-    Returns the solution with an explicit status; an unconverged iterate is
-    never labeled optimal.
-    """
-    opts = SolverOptions(
-        tol_gap=tol if tol is not None else SolverOptions.tol_gap,
-        tol_feas=min(tol, SolverOptions.tol_feas) if tol is not None else SolverOptions.tol_feas,
-        max_iter=max_iter if max_iter is not None else SolverOptions.max_iter,
-        verbose=verbose,
-    )
-    cfg = Config.from_env()
-    N = problem.C.shape[0]
-    if N > cfg.sdp_max_size or len(problem.constraints) > cfg.sdp_max_constraints:
-        raise SolverError(
-            f"SDP size N={N}, m={len(problem.constraints)} exceeds configured caps"
-        )
-    ops = _DenseConstraints(problem.constraints)
-    return _solve_ipm(np.asarray(problem.C, dtype=np.float64), ops,
-                      np.asarray(problem.b, dtype=np.float64), opts)
-
-
 # ---------------------------------------------------------------------------
 # hierarchy front ends
 
@@ -355,117 +391,32 @@ def _check_order(n: int, d: int, r: int) -> None:
         raise ValueError("r must be <= n")
 
 
-def outer_cube(f: CubePolynomial, r: int, cap: int | None = None,
-               options: SolverOptions | None = None) -> OuterBoundResult:
-    """The order-r SOS lower bound on min f over {0,1}^n.
-
-    Monotone nondecreasing in r, equal to the minimum once 2r >= n + deg - 1.
-    Raises SolverError if the interior-point method does not converge.
-    """
-    check_cap(f.n, cap)
-    _check_order(f.n, f.degree, r)
-    opts = options or SolverOptions()
-    n = f.n
-    fhat = fwht(value_table(f, cap)) / (1 << n)
+def _outer_sdp(n: int, k: int, fhat: dict, r: int,
+               options: SolverOptions | None) -> OuterBoundResult:
+    """Solve the order-r Gram SDP of a k x k block input whose entry (i, j),
+    i <= j, has Fourier coefficients fhat[i, j]; raise SolverError unless
+    the interior-point method converged."""
     masks = masks_up_to_weight(n, r)
-    classes = masks_up_to_weight(n, min(2 * r, n))[1:]  # exclude c = 0
-    ops = _XorConstraints(n, masks, classes)
-    C = np.eye(masks.size)
-    b = fhat[classes]
-    sol = _solve_ipm(C, ops, b, opts)
+    classes = masks_up_to_weight(n, min(2 * r, n))
+    ops = _XorConstraints(n, masks, classes, k)
+    b = ops.gather([fhat[block] for block in ops.blocks])
+    sol = _solve_ipm(np.eye(k * masks.size), ops, b, options or SolverOptions())
     if sol.status != "optimal":
         raise SolverError(f"SDP did not converge: status={sol.status}, "
                           f"gap={sol.rel_gap:.2e}, pres={sol.primal_res:.2e}")
-    moments = np.zeros(1 << n)
-    moments[0] = 1.0
-    moments[classes] = -sol.y
+    trace_f0 = sum(fhat[i, i][0] for i in range(k))
+    moments = None
+    if k == 1:
+        moments = np.zeros(1 << n)
+        moments[0] = 1.0
+        moments[classes[1:]] = -sol.y
     return OuterBoundResult(
-        value=float(fhat[0] - sol.primal_obj),
+        value=float((trace_f0 - sol.primal_obj) / k),
         gram=sol.X,
         order=r,
         basis=masks,
-        moment_value=float(fhat[0] - sol.dual_obj),
+        moment_value=float((trace_f0 - sol.dual_obj) / k),
         moments=moments,
-        diagnostics={
-            "status": sol.status,
-            "iterations": sol.iterations,
-            "rel_gap": sol.rel_gap,
-            "primal_res": sol.primal_res,
-            "dual_res": sol.dual_res,
-        },
-    )
-
-
-def _matrix_constraints(n: int, k: int, masks: np.ndarray, classes0: np.ndarray):
-    """Dense constraint matrices for the block (character, coordinate) Gram."""
-    N = masks.size
-    xor = np.bitwise_xor.outer(masks, masks)
-    mats = []
-    index = []  # (c, i, j) or ("diff", i)
-    for i in range(k):
-        for j in range(i, k):
-            for c in classes0:
-                if c == 0 and i == j:
-                    continue
-                pattern = (xor == c).astype(np.float64)
-                A = np.zeros((k * N, k * N))
-                if i == j:
-                    A[i * N:(i + 1) * N, i * N:(i + 1) * N] = pattern
-                else:
-                    A[i * N:(i + 1) * N, j * N:(j + 1) * N] = 0.5 * pattern
-                    A[j * N:(j + 1) * N, i * N:(i + 1) * N] = 0.5 * pattern
-                mats.append(A)
-                index.append((int(c), i, j))
-    for i in range(1, k):
-        A = np.zeros((k * N, k * N))
-        A[i * N:(i + 1) * N, i * N:(i + 1) * N] = np.eye(N)
-        A[:N, :N] -= np.eye(N)
-        mats.append(A)
-        index.append(("diff", i))
-    return mats, index
-
-
-def outer_matrix(F: MatrixPolynomial, r: int, cap: int | None = None,
-                 options: SolverOptions | None = None) -> OuterBoundResult:
-    """Order-r SOS lower bound on min_x lambda_min(F(x)) for a symmetric
-    matrix polynomial, via the block Gram over (character, coordinate)."""
-    check_cap(F.n, cap)
-    _check_order(F.n, F.degree, r)
-    opts = options or SolverOptions()
-    n, k = F.n, F.k
-    fhat = {}
-    for i in range(k):
-        for j in range(i, k):
-            entry = F.entry(i, j)
-            if entry.terms != F.entry(j, i).terms:
-                raise ValueError("matrix polynomial is not symmetric")
-            fhat[(i, j)] = fwht(value_table(entry, cap)) / (1 << n)
-    masks = masks_up_to_weight(n, r)
-    classes0 = masks_up_to_weight(n, min(2 * r, n))
-    mats, index = _matrix_constraints(n, k, masks, classes0)
-    b = []
-    for key in index:
-        if key[0] == "diff":
-            i = key[1]
-            b.append(fhat[(i, i)][0] - fhat[(0, 0)][0])
-        else:
-            c, i, j = key
-            b.append(fhat[(i, j)][c])
-    ops = _DenseConstraints(mats)
-    C = np.eye(k * masks.size)
-    sol = _solve_ipm(C, ops, np.array(b), opts)
-    if sol.status != "optimal":
-        raise SolverError(f"SDP did not converge: status={sol.status}")
-    trace_f0 = sum(fhat[(i, i)][0] for i in range(k))
-    value = float((trace_f0 - sol.primal_obj) / k)
-    dual_value = float((trace_f0 - sol.dual_obj) / k)
-    return OuterBoundResult(
-        value=value,
-        gram=sol.X,
-        order=r,
-        basis=masks,
-        moment_value=dual_value,
-        moments=None,
         diagnostics={
             "status": sol.status,
             "iterations": sol.iterations,
@@ -475,6 +426,36 @@ def outer_matrix(F: MatrixPolynomial, r: int, cap: int | None = None,
             "k": k,
         },
     )
+
+
+def outer_cube(f: CubePolynomial, r: int, cap: int | None = None,
+               options: SolverOptions | None = None) -> OuterBoundResult:
+    """The order-r SOS lower bound on min f over {0,1}^n.
+
+    Monotone nondecreasing in r, equal to the minimum once 2r >= n + deg - 1.
+    Raises SolverError if the interior-point method does not converge.
+    """
+    check_cap(f.n, cap)
+    _check_order(f.n, f.degree, r)
+    fhat = fwht(value_table(f, cap)) / (1 << f.n)
+    return _outer_sdp(f.n, 1, {(0, 0): fhat}, r, options)
+
+
+def outer_matrix(F: MatrixPolynomial, r: int, cap: int | None = None,
+                 options: SolverOptions | None = None) -> OuterBoundResult:
+    """Order-r SOS lower bound on min_x lambda_min(F(x)) for a symmetric
+    matrix polynomial, via the block Gram over (character, coordinate).
+    Raises SolverError if the interior-point method does not converge."""
+    check_cap(F.n, cap)
+    _check_order(F.n, F.degree, r)
+    fhat = {}
+    for i in range(F.k):
+        for j in range(i, F.k):
+            entry = F.entry(i, j)
+            if entry.terms != F.entry(j, i).terms:
+                raise ValueError("matrix polynomial is not symmetric")
+            fhat[i, j] = fwht(value_table(entry, cap)) / (1 << F.n)
+    return _outer_sdp(F.n, F.k, fhat, r, options)
 
 
 # ---------------------------------------------------------------------------

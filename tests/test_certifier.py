@@ -134,6 +134,18 @@ def test_funk_hecke_invert_roundtrip():
     assert np.max(np.abs(value_table(q) - value_table(p))) <= 1e-9
 
 
+def test_funk_hecke_preserves_degree():
+    # T scales harmonic components, so the output degree is the input's;
+    # with n > 2r a rounding-inflated degree would make the second call fail
+    n = 10
+    spec = choose_kernel(n, 2, 3)
+    p = random_poly(n, 2, seed=5)
+    inv_p = funk_hecke_apply(spec, p, invert=True)
+    assert inv_p.degree == p.degree
+    q = funk_hecke_apply(spec, inv_p)
+    assert np.max(np.abs(value_table(q) - value_table(p))) <= 1e-9
+
+
 def test_operator_norm_surrogate():
     # || T^{-1} p - p ||_inf <= gamma_d * Lambda * ||p||_inf
     n, d, r = 8, 2, 4

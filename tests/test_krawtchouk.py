@@ -189,17 +189,3 @@ def test_root_sweep_rows():
     for row in rows:
         assert row["xi_over_n"] == pytest.approx(row["xi"] / row["n"])
         assert row["phi_q(r/n)"] <= row["xi_over_n"] + 1e-12
-
-
-def test_family_container():
-    from cubesos.krawtchouk import KrawtchoukFamily
-
-    fam = KrawtchoukFamily(9, 2, 4)
-    assert fam.measure.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert fam.norms_sq[2] == math.comb(9, 2)
-    vals = fam.normalized_values()
-    assert vals.shape == (5, 10)
-    assert np.allclose(vals[:, 0], 1.0)
-    ortho = fam.orthonormal_values()
-    G = (ortho * fam.measure.weights) @ ortho.T
-    assert np.max(np.abs(G - np.eye(5))) <= 1e-12

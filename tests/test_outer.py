@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
-from cubesos.cube_fourier import CubePolynomial, MatrixPolynomial, brute_force_min
+from cubesos.cube_fourier import (
+    CubePolynomial,
+    MatrixPolynomial,
+    brute_force_min,
+    masks_up_to_weight,
+)
 from cubesos.gamma_constants import solve_lp
 from cubesos.inner_hierarchy import inner_cube
 from cubesos.instances import maxcut_instance, random_matrix_poly, random_poly
 from cubesos.outer_hierarchy import (
     OuterBoundResult,
-    SdpProblem,
     SolverError,
     SolverOptions,
+    _DenseConstraints,
+    _solve_ipm,
+    _XorConstraints,
     outer_cube,
     outer_matrix,
-    solve_sdp,
     verify_sos_certificate,
 )
 
@@ -21,14 +27,19 @@ def weight_poly(n):
     return CubePolynomial.from_terms(n, [([i + 1], 1.0) for i in range(n)])
 
 
+def solve_dense(C, mats, b, **options):
+    return _solve_ipm(np.asarray(C, dtype=np.float64), _DenseConstraints(mats),
+                      np.asarray(b, dtype=np.float64), SolverOptions(**options))
+
+
 # ---------------------------------------------------------------------------
-# raw solver
+# interior-point core
 
 
 def test_sdp_rank_one_optimum():
     E11 = np.zeros((2, 2))
     E11[0, 0] = 1.0
-    sol = solve_sdp(SdpProblem(np.eye(2), [E11], np.array([1.0])))
+    sol = solve_dense(np.eye(2), [E11], [1.0])
     assert sol.status == "optimal"
     assert sol.primal_obj == pytest.approx(1.0, abs=1e-6)
     assert sol.X[0, 0] == pytest.approx(1.0, abs=1e-6)
@@ -45,8 +56,7 @@ def test_sdp_solution_certificates():
     Xfeas = np.eye(N)
     b = np.array([float(np.tensordot(M, Xfeas)) for M in mats])
     Craw = rng.standard_normal((N, N))
-    prob = SdpProblem(Craw + Craw.T + 2 * N * np.eye(N), mats, b)
-    sol = solve_sdp(prob)
+    sol = solve_dense(Craw + Craw.T + 2 * N * np.eye(N), mats, b)
     assert sol.status == "optimal"
     assert np.linalg.eigvalsh(sol.X)[0] >= -1e-8
     assert sol.primal_res <= 1e-8
@@ -60,8 +70,7 @@ def test_sdp_diagonal_reduces_to_lp():
     N = 5
     c = rng.uniform(0.5, 2.0, N)
     a = rng.uniform(0.5, 1.5, N)
-    prob = SdpProblem(np.diag(c), [np.diag(a)], np.array([3.0]))
-    sol = solve_sdp(prob)
+    sol = solve_dense(np.diag(c), [np.diag(a)], [3.0])
     assert sol.status == "optimal"
     # LP: min c.x s.t. a.x = 3, x >= 0
     lp = solve_lp(c, np.vstack([a, -a]), np.array([3.0, -3.0]), "min")
@@ -72,8 +81,7 @@ def test_sdp_diagonal_reduces_to_lp():
 def test_sdp_max_iter_is_not_reported_optimal():
     E11 = np.zeros((2, 2))
     E11[0, 0] = 1.0
-    prob = SdpProblem(np.eye(2), [E11], np.array([1.0]))
-    sol = solve_sdp(prob, max_iter=1)
+    sol = solve_dense(np.eye(2), [E11], [1.0], max_iter=1)
     assert sol.status != "optimal"
 
 
@@ -81,15 +89,61 @@ def test_sdp_infeasible_detected():
     # <E11, X> = -1 is impossible for X >= 0
     E11 = np.zeros((2, 2))
     E11[0, 0] = 1.0
-    sol = solve_sdp(SdpProblem(np.eye(2), [E11], np.array([-1.0])))
+    sol = solve_dense(np.eye(2), [E11], [-1.0])
     assert sol.status in ("infeasible_detected", "max_iter")
     assert sol.status != "optimal"
 
 
-def test_sdp_rejects_asymmetric():
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        SdpProblem(np.eye(2), [A], np.array([1.0]))
+# ---------------------------------------------------------------------------
+# XOR-structured constraint backend against explicit matrices
+
+
+def block_constraint_matrices(n, k, masks, classes):
+    """Dense matrices of the block Gram constraints, in the backend's row
+    order: (c, i, j) for i <= j (c != 0 on diagonal blocks), then the trace
+    rows tr X_ii - tr X_00."""
+    N = masks.size
+    xor = np.bitwise_xor.outer(masks, masks)
+    mats = []
+    for i in range(k):
+        for j in range(i, k):
+            for c in classes:
+                if c == 0 and i == j:
+                    continue
+                pattern = (xor == c).astype(np.float64)
+                A = np.zeros((k * N, k * N))
+                if i == j:
+                    A[i * N:(i + 1) * N, i * N:(i + 1) * N] = pattern
+                else:
+                    A[i * N:(i + 1) * N, j * N:(j + 1) * N] = 0.5 * pattern
+                    A[j * N:(j + 1) * N, i * N:(i + 1) * N] = 0.5 * pattern
+                mats.append(A)
+    for i in range(1, k):
+        A = np.zeros((k * N, k * N))
+        A[i * N:(i + 1) * N, i * N:(i + 1) * N] = np.eye(N)
+        A[:N, :N] -= np.eye(N)
+        mats.append(A)
+    return mats
+
+
+@pytest.mark.parametrize("n,k,r", [(4, 1, 2), (4, 2, 2), (4, 3, 2), (3, 3, 1)])
+def test_xor_backend_matches_dense(n, k, r):
+    rng = np.random.default_rng(100 * n + 10 * k + r)
+    masks = masks_up_to_weight(n, r)
+    classes = masks_up_to_weight(n, min(2 * r, n))
+    xor = _XorConstraints(n, masks, classes, k)
+    dense = _DenseConstraints(block_constraint_matrices(n, k, masks, classes))
+    assert xor.m == dense.m
+    B = rng.standard_normal((k * masks.size, k * masks.size))
+    W = B @ B.T
+    y = rng.standard_normal(dense.m)
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    assert rel(xor.schur(W), dense.schur(W)) <= 1e-12
+    assert rel(xor.apply(W), dense.apply(W)) <= 1e-12
+    assert rel(xor.adjoint(y), dense.adjoint(y)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -223,3 +277,12 @@ def test_outer_matrix_constant():
 def test_outer_matrix_lower_bounds_minimum():
     F = random_matrix_poly(5, 2, 2, seed=14)
     assert outer_matrix(F, 2).value <= F.min_eigenvalue() + 1e-6
+
+
+def test_outer_unconverged_raises_with_diagnostics():
+    f = random_poly(5, 2, seed=9)
+    F = random_matrix_poly(4, 2, 2, seed=15)
+    for call in (lambda: outer_cube(f, 2, options=SolverOptions(max_iter=1)),
+                 lambda: outer_matrix(F, 2, options=SolverOptions(max_iter=1))):
+        with pytest.raises(SolverError, match=r"status=max_iter, gap=.*, pres="):
+            call()
