@@ -8,10 +8,9 @@ argument parsing) do not pay for scipy.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "config": ["CapExceededError", "Config"],
+    "config": ["CapExceededError"],
     "cube_fourier": [
-        "CubePolynomial", "FourierPolynomial", "HarmonicDecomposition",
-        "MatrixPolynomial", "brute_force_min", "evaluate", "fourier_transform",
+        "CubePolynomial", "FourierPolynomial", "MatrixPolynomial", "brute_force_min", "evaluate", "fourier_transform",
         "harmonic_parts", "inverse_fourier", "sup_norm", "translate_to_zero",
         "fwht",
     ],

@@ -2,7 +2,8 @@
 
 Machine-readable JSON/CSV goes to stdout (or --out); human-oriented progress
 goes to stderr and is silenced by --quiet. Exit codes: 0 success, 2 input
-error, 3 solver failure, 4 certification impossible at the requested order.
+error, 3 solver failure or out of memory, 4 certification impossible at the
+requested order.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ def _emit_csv(args, rows, fieldnames=None) -> None:
     for row in rows:
         writer.writerow(row)
     _emit(args, buf.getvalue())
+
+
+def _out_of_memory(f, args) -> int:
+    print(f"out of memory: n={f.n}, r={args.r} does not fit on this machine", file=sys.stderr)
+    return EXIT_SOLVER
 
 
 def _load_instance(args):
@@ -130,6 +136,8 @@ def cmd_bounds(args) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except MemoryError:
+        return _out_of_memory(f, args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -163,6 +171,8 @@ def cmd_certify(args) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERT
+    except MemoryError:
+        return _out_of_memory(f, args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

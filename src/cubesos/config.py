@@ -1,41 +1,22 @@
-"""Runtime configuration: the enumeration cap.
+"""Runtime configuration: the enumeration cap, the one setting of the library.
 
-Resolution order for every knob: explicit function argument > environment
-variable (prefix ``CUBESOS_``) > built-in default.
+``CUBESOS_MAX_N`` (default 24; the CLI's ``--max-n`` sets it) caps the
+number of points an operation may enumerate at 2^CUBESOS_MAX_N. The code
+that allocates an array over the whole cube calls ``check_cap`` first.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Config:
-    # Largest n for which 2^n enumeration (brute force, transforms) is allowed.
-    max_n: int = 24
-
-    @staticmethod
-    def from_env() -> "Config":
-        def geti(name: str, default: int) -> int:
-            raw = os.environ.get(name)
-            return default if raw is None else int(raw)
-
-        return Config(max_n=geti("CUBESOS_MAX_N", Config.max_n))
-
-
-def enumeration_cap(explicit: int | None = None) -> int:
-    """The active cap on n for 2^n enumeration."""
-    if explicit is not None:
-        return explicit
-    return Config.from_env().max_n
 
 
 class CapExceededError(ValueError):
     """Raised when an operation would enumerate more points than the cap allows."""
 
 
-def check_cap(n: int, cap: int | None = None) -> None:
-    limit = enumeration_cap(cap)
+def check_cap(n: int) -> None:
+    """Refuse to enumerate 2^n points when n exceeds CUBESOS_MAX_N."""
+    limit = int(os.environ.get("CUBESOS_MAX_N", 24))
     if n > limit:
-        raise CapExceededError(f"n={n} exceeds the enumeration cap {limit}")
+        raise CapExceededError(
+            f"2^{n} points exceed the enumeration cap 2^{limit} (CUBESOS_MAX_N={limit})")

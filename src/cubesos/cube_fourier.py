@@ -22,7 +22,6 @@ from .config import check_cap
 __all__ = [
     "CubePolynomial",
     "FourierPolynomial",
-    "HarmonicDecomposition",
     "MatrixPolynomial",
     "DimensionMismatchError",
     "fwht",
@@ -55,6 +54,7 @@ class DimensionMismatchError(ValueError):
 
 def popcount_table(n: int) -> np.ndarray:
     """Hamming weight of every mask in [0, 2^n)."""
+    check_cap(n)
     idx = np.arange(1 << n, dtype=np.int64)
     pc = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
@@ -222,20 +222,9 @@ class FourierPolynomial:
     n: int
     coeffs: dict = field(default_factory=dict)
 
-    def weight_support(self) -> set:
-        return {a.bit_count() for a in self.coeffs}
-
     def parseval(self) -> float:
         """sum of squared Fourier coefficients (= mean of p^2 over the cube)."""
         return float(sum(c * c for c in self.coeffs.values()))
-
-
-@dataclass(frozen=True)
-class HarmonicDecomposition:
-    """parts[k] collects the weight-k Fourier coefficients of p."""
-
-    n: int
-    parts: tuple  # tuple[FourierPolynomial, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +244,9 @@ def evaluate(p: CubePolynomial, x) -> float:
     return total
 
 
-def value_table(p: CubePolynomial, cap: int | None = None) -> np.ndarray:
+def value_table(p: CubePolynomial) -> np.ndarray:
     """Values of p on all 2^n points, indexed by mask."""
-    check_cap(p.n, cap)
+    check_cap(p.n)
     a = np.zeros(1 << p.n)
     for m, c in p.terms.items():
         a[m] = c
@@ -280,35 +269,36 @@ def rounding_floor(n: int, values: np.ndarray) -> float:
     return 16.0 * max(n, 1) * np.finfo(np.float64).eps * max(np.max(np.abs(values)), 1e-300)
 
 
-def fourier_transform(p: CubePolynomial, cap: int | None = None) -> FourierPolynomial:
+def fourier_transform(p: CubePolynomial) -> FourierPolynomial:
     """Fourier coefficients p_hat(a) = 2^{-n} sum_x p(x) (-1)^{a.x}.
 
     Computed with the Walsh-Hadamard butterfly over the full value table;
     coefficients below the transform's rounding floor are pruned so the
     support reflects the true degree.
     """
-    vals = value_table(p, cap)
+    vals = value_table(p)
     coeffs = fwht(vals) / vals.size
     keep = np.flatnonzero(np.abs(coeffs) > rounding_floor(p.n, vals))
     return FourierPolynomial(p.n, {int(a): float(coeffs[a]) for a in keep})
 
 
-def fourier_to_values(fp: FourierPolynomial, cap: int | None = None) -> np.ndarray:
-    check_cap(fp.n, cap)
+def fourier_to_values(fp: FourierPolynomial) -> np.ndarray:
+    check_cap(fp.n)
     a = np.zeros(1 << fp.n)
     for m, c in fp.coeffs.items():
         a[m] = c
     return fwht(a)
 
 
-def inverse_fourier(fp: FourierPolynomial, cap: int | None = None) -> CubePolynomial:
+def inverse_fourier(fp: FourierPolynomial) -> CubePolynomial:
     """Multilinear polynomial with the given Fourier expansion."""
-    return from_values(fp.n, fourier_to_values(fp, cap))
+    return from_values(fp.n, fourier_to_values(fp))
 
 
-def harmonic_parts(p: CubePolynomial, cap: int | None = None) -> HarmonicDecomposition:
-    """Split p into components p_k supported on weight-k characters, k = 0..deg(p)."""
-    fp = fourier_transform(p, cap)
+def harmonic_parts(p: CubePolynomial) -> tuple:
+    """Split p into components p_k supported on weight-k characters, k = 0..deg(p):
+    a tuple of FourierPolynomial indexed by k."""
+    fp = fourier_transform(p)
     d = p.degree
     buckets: list[dict] = [dict() for _ in range(d + 1)]
     for a, c in fp.coeffs.items():
@@ -316,17 +306,17 @@ def harmonic_parts(p: CubePolynomial, cap: int | None = None) -> HarmonicDecompo
         if w > d:
             raise AssertionError("Fourier support exceeds polynomial degree")
         buckets[w][a] = c
-    return HarmonicDecomposition(p.n, tuple(FourierPolynomial(p.n, b) for b in buckets))
+    return tuple(FourierPolynomial(p.n, b) for b in buckets)
 
 
-def sup_norm(p: CubePolynomial, cap: int | None = None) -> float:
+def sup_norm(p: CubePolynomial) -> float:
     """max_x |p(x)| over the cube, by enumeration."""
-    return float(np.max(np.abs(value_table(p, cap))))
+    return float(np.max(np.abs(value_table(p))))
 
 
-def brute_force_min(p: CubePolynomial, cap: int | None = None) -> tuple[float, np.ndarray]:
+def brute_force_min(p: CubePolynomial) -> tuple[float, np.ndarray]:
     """Exact minimum and its lexicographically smallest minimizer."""
-    vals = value_table(p, cap)
+    vals = value_table(p)
     vmin = float(np.min(vals))
     ties = np.flatnonzero(vals == vals.min())
     best = ties[np.argmin(_lex_keys(ties, p.n))]
@@ -396,24 +386,24 @@ class MatrixPolynomial:
     def entry(self, i: int, j: int) -> CubePolynomial:
         return self.entries.get((i, j), CubePolynomial(self.n, {}))
 
-    def value_tables(self, cap: int | None = None) -> np.ndarray:
+    def value_tables(self) -> np.ndarray:
         """Array of shape (2^n, k, k): the matrix F(x) at every cube point."""
-        check_cap(self.n, cap)
+        check_cap(self.n)
         out = np.zeros((1 << self.n, self.k, self.k))
         for i in range(self.k):
             for j in range(self.k):
                 if (i, j) in self.entries:
-                    out[:, i, j] = value_table(self.entries[(i, j)], cap)
+                    out[:, i, j] = value_table(self.entries[(i, j)])
         return out
 
-    def sup_norm(self, cap: int | None = None) -> float:
+    def sup_norm(self) -> float:
         """max_x ||F(x)|| in the spectral norm."""
-        eigs = np.linalg.eigvalsh(self.value_tables(cap))
+        eigs = np.linalg.eigvalsh(self.value_tables())
         return float(np.max(np.abs(eigs)))
 
-    def min_eigenvalue(self, cap: int | None = None) -> float:
+    def min_eigenvalue(self) -> float:
         """F_min = min_x lambda_min(F(x)), by enumeration."""
-        eigs = np.linalg.eigvalsh(self.value_tables(cap))
+        eigs = np.linalg.eigvalsh(self.value_tables())
         return float(np.min(eigs[:, 0]))
 
 

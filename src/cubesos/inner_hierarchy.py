@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .config import check_cap
 from .cube_fourier import (
     CubePolynomial,
     MatrixPolynomial,
@@ -92,45 +91,42 @@ def inner_univariate(g_coeffs, measure: DiscreteMeasure, r: int) -> InnerBoundRe
     return inner_univariate_values(gv, measure, r)
 
 
-def inner_cube(f: CubePolynomial, r: int, cap: int | None = None) -> InnerBoundResult:
+def inner_cube(f: CubePolynomial, r: int) -> InnerBoundResult:
     """The order-r inner bound on min f over {0,1}^n.
 
     Smallest eigenvalue of (fhat(a XOR b)) over characters of weight <= r;
     exact at r = n, monotone nonincreasing in r.
     """
-    check_cap(f.n, cap)
     if not 0 <= r <= f.n:
         raise ValueError(f"r={r} out of range 0..{f.n}")
-    fhat = fwht(value_table(f, cap)) / (1 << f.n)
+    fhat = fwht(value_table(f)) / (1 << f.n)
     masks = masks_up_to_weight(f.n, r)
     A = fhat[np.bitwise_xor.outer(masks, masks)]
     return _result(A, r)
 
 
-def symmetrize_to_univariate(f: CubePolynomial, cap: int | None = None) -> np.ndarray:
+def symmetrize_to_univariate(f: CubePolynomial) -> np.ndarray:
     """Values F(0..n) of the coordinate-permutation average of f, which
     depends on x only through its Hamming weight."""
-    vals = value_table(f, cap)
+    vals = value_table(f)
     pc = popcount_table(f.n)
     sums = np.bincount(pc, weights=vals, minlength=f.n + 1)
     counts = np.bincount(pc, minlength=f.n + 1)
     return sums / counts
 
 
-def inner_cube_symmetrized(f: CubePolynomial, r: int, cap: int | None = None) -> InnerBoundResult:
+def inner_cube_symmetrized(f: CubePolynomial, r: int) -> InnerBoundResult:
     """Inner bound restricted to permutation-invariant densities: the
     univariate bound of the symmetrized profile F on [0:n]. Always at least
     as large as inner_cube(f, r)."""
-    check_cap(f.n, cap)
-    F = symmetrize_to_univariate(f, cap)
+    F = symmetrize_to_univariate(f)
     return inner_univariate_values(F, DiscreteMeasure(f.n, 2), r)
 
 
-def inner_matrix(F: MatrixPolynomial, r: int, cap: int | None = None) -> InnerBoundResult:
+def inner_matrix(F: MatrixPolynomial, r: int) -> InnerBoundResult:
     """Order-r inner bound on min_x lambda_min(F(x)) for a symmetric
     matrix-valued polynomial: smallest eigenvalue of the block matrix
     A[(i,a),(j,b)] = Fhat_ij(a XOR b)."""
-    check_cap(F.n, cap)
     for i in range(F.k):
         for j in range(i, F.k):
             if F.entry(i, j).terms != F.entry(j, i).terms:
@@ -143,6 +139,6 @@ def inner_matrix(F: MatrixPolynomial, r: int, cap: int | None = None) -> InnerBo
         for j in range(F.k):
             entry = F.entry(i, j)
             if entry.terms:
-                fhat = fwht(value_table(entry, cap)) / (1 << F.n)
+                fhat = fwht(value_table(entry)) / (1 << F.n)
                 A[i * N:(i + 1) * N, j * N:(j + 1) * N] = fhat[xor]
     return _result(A, r, {"k": F.k})

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_cap
 from .cube_fourier import (
     CubePolynomial,
     brute_force_min,
@@ -128,7 +127,7 @@ def _apply_by_weight(factors: np.ndarray, values: np.ndarray, n: int) -> np.ndar
 
 
 def funk_hecke_apply(
-    spec: KernelSpec, p: CubePolynomial, invert: bool = False, cap: int | None = None
+    spec: KernelSpec, p: CubePolynomial, invert: bool = False
 ) -> CubePolynomial:
     """Apply the kernel operator (or its inverse) to p: the weight-k harmonic
     component is multiplied by lam_k (or 1/lam_k)."""
@@ -140,7 +139,7 @@ def funk_hecke_apply(
         raise SingularOperatorError("cannot invert: some eigenvalue is zero")
     factors = np.zeros(p.n + 1)
     factors[: deg + 1] = 1.0 / lam if invert else lam
-    values = _apply_by_weight(factors, value_table(p, cap), p.n)
+    values = _apply_by_weight(factors, value_table(p), p.n)
     # pruning at the rounding floor keeps the result's degree at most deg
     return from_values(p.n, values, prune_tol=rounding_floor(p.n, values))
 
@@ -181,10 +180,10 @@ class SosCubeCertificate:
         U = self.kernel_profile()
         return fwht(fwht(self.weights) * fwht(U)) / (1 << self.n)
 
-    def verify(self, f: CubePolynomial, cap: int | None = None) -> dict:
+    def verify(self, f: CubePolynomial) -> dict:
         """Re-check the identity against f in original coordinates."""
         fmin = f.evaluate(self.translate)
-        h = (value_table(translate_to_zero(f, self.translate), cap) - fmin) / self.scale
+        h = (value_table(translate_to_zero(f, self.translate)) - fmin) / self.scale
         recon = self.reconstruction()
         return {
             "max_residual": float(np.max(np.abs(recon - (h + self.delta)))),
@@ -215,7 +214,6 @@ def _certificate_from_h(
     delta: float,
     x0: np.ndarray,
     scale: float,
-    cap: int | None,
 ) -> SosCubeCertificate:
     n = f.n
     inv = np.ones(n + 1)
@@ -238,7 +236,7 @@ def _certificate_from_h(
     )
 
 
-def certify(f: CubePolynomial, r: int, cap: int | None = None, tight: bool = False) -> SosCubeCertificate:
+def certify(f: CubePolynomial, r: int, tight: bool = False) -> SosCubeCertificate:
     """Emit an SOS-on-cube certificate of degree 2r for f plus a budget.
 
     The default budget is delta = gamma_d * sum_{i<=d} |1/lam_i - 1|, the
@@ -246,7 +244,6 @@ def certify(f: CubePolynomial, r: int, cap: int | None = None, tight: bool = Fal
     ``tight=True`` the budget is instead the smallest delta for which the
     weights come out nonnegative on this particular f (never larger).
     """
-    check_cap(f.n, cap)
     n, d = f.n, f.degree
     if 2 * r < d:
         raise ValueError(f"r={r} too small for degree {d}")
@@ -256,11 +253,11 @@ def certify(f: CubePolynomial, r: int, cap: int | None = None, tight: bool = Fal
             f"lambda_tilde={spec.lambda_tilde:.6f} >= 1 at order r={r}; "
             "no certificate at this order"
         )
-    fmin, x0 = brute_force_min(f, cap)
-    scale = sup_norm(f, cap)
+    fmin, x0 = brute_force_min(f)
+    scale = sup_norm(f)
     if scale == 0.0:
         scale = 1.0
-    h = (value_table(translate_to_zero(f, x0), cap) - fmin) / scale
+    h = (value_table(translate_to_zero(f, x0)) - fmin) / scale
     if tight:
         inv = np.ones(n + 1)
         inv[: d + 1] = 1.0 / spec.lambdas[: d + 1]
@@ -268,7 +265,7 @@ def certify(f: CubePolynomial, r: int, cap: int | None = None, tight: bool = Fal
         delta = max(0.0, -float(inv_h.min()))
     else:
         delta = spec.delta
-    return _certificate_from_h(f, spec, h, delta, x0, scale, cap)
+    return _certificate_from_h(f, spec, h, delta, x0, scale)
 
 
 def predicted_delta(n: int, d: int, r: int, sharper: bool = False) -> float:
@@ -288,11 +285,11 @@ def predicted_delta(n: int, d: int, r: int, sharper: bool = False) -> float:
     return float("inf")
 
 
-def certified_outer_gap(f: CubePolynomial, r: int, cap: int | None = None) -> tuple[float, SosCubeCertificate]:
+def certified_outer_gap(f: CubePolynomial, r: int) -> tuple[float, SosCubeCertificate]:
     """A certified upper bound on (min f) - (order-r SOS lower bound), in the
     original scale of f: the certificate proves the SOS bound is at least
     f_min minus the returned value."""
-    cert = certify(f, r, cap, tight=True)
+    cert = certify(f, r, tight=True)
     return cert.delta_original, cert
 
 
@@ -302,16 +299,14 @@ def error_sweep(
     r_fractions,
     samples: int = 20,
     seed: int = 0,
-    sdp_size_limit: int = 300,
-    cap: int | None = None,
 ):
     """Empirical worst-case normalized errors of both hierarchies on random
     degree-d instances.
 
     Yields rows with the observed maxima, the proven bound 2 C_d xi/n, and the
     limiting curve phi(r/n). The outer gap is measured by the moment SDP when
-    the character basis has at most ``sdp_size_limit`` elements, and otherwise
-    by the certified gap bound (which can only overstate it).
+    the character basis has at most 300 elements, and otherwise by the
+    certified gap bound (which can only overstate it).
     """
     from math import comb
 
@@ -321,7 +316,6 @@ def error_sweep(
     from .outer_hierarchy import outer_cube
 
     for n in n_list:
-        check_cap(n, cap)
         for frac in r_fractions:
             r = max(1, round(frac * n))
             if r + 1 > n:
@@ -329,22 +323,22 @@ def error_sweep(
             xi = least_root(n, 2, r + 1)
             bound = 2.0 * c_d(d) * xi / n
             basis_size = sum(comb(n, k) for k in range(r + 1))
-            use_sdp = basis_size <= sdp_size_limit and 2 * r >= d
+            use_sdp = basis_size <= 300 and 2 * r >= d
             max_outer = 0.0
             max_inner = 0.0
             errors = []
             for s in range(samples):
                 f = random_poly(n, d, seed=seed + 7919 * s)
-                norm = sup_norm(f, cap)
-                fmin, _ = brute_force_min(f, cap)
+                norm = sup_norm(f)
+                fmin, _ = brute_force_min(f)
                 try:
                     if use_sdp:
-                        outer = outer_cube(f, r, cap=cap).value
+                        outer = outer_cube(f, r).value
                         gap_out = (fmin - outer) / norm
                     else:
-                        gap_out = certified_outer_gap(f, r, cap)[0] / norm
+                        gap_out = certified_outer_gap(f, r)[0] / norm
                     max_outer = max(max_outer, gap_out)
-                    inner = inner_cube(f, r, cap).value
+                    inner = inner_cube(f, r).value
                     max_inner = max(max_inner, (inner - fmin) / norm)
                 except Exception as exc:  # record, keep sweeping
                     errors.append(f"sample {s}: {exc}")

@@ -221,23 +221,22 @@ def _bisect_least_root(n: int, q: int, r: int, grid_points: int) -> float | None
     return 0.5 * (lo + hi)
 
 
-def least_root(n: int, q: int, r: int, cross_check: bool = True) -> float:
+def least_root(n: int, q: int, r: int) -> float:
     """xi_r^n: the least root of the degree-r Krawtchouk polynomial.
 
-    Computed as the smallest eigenvalue of the order-r Jacobi matrix and,
-    unless disabled, cross-validated against a sign-change bisection of the
-    normalized recurrence (agreement to 1e-8 required).
+    Computed as the smallest eigenvalue of the order-r Jacobi matrix and
+    cross-validated against a sign-change bisection of the normalized
+    recurrence (agreement to 1e-8 required).
     """
     xi = jacobi_matrix(n, q, r).smallest_eigenvalue()
-    if cross_check:
-        root = _bisect_least_root(n, q, r, grid_points=8 * r + 2)
-        if root is None or abs(root - xi) > 1e-8 * max(1.0, abs(xi)):
-            root = _bisect_least_root(n, q, r, grid_points=64 * r + 2)
-        if root is None or abs(root - xi) > 1e-8 * max(1.0, abs(xi)):
-            raise RootCrossCheckError(
-                f"least root disagreement for (n={n}, q={q}, r={r}): "
-                f"eigenvalue {xi!r} vs bisection {root!r}"
-            )
+    root = _bisect_least_root(n, q, r, grid_points=8 * r + 2)
+    if root is None or abs(root - xi) > 1e-8 * max(1.0, abs(xi)):
+        root = _bisect_least_root(n, q, r, grid_points=64 * r + 2)
+    if root is None or abs(root - xi) > 1e-8 * max(1.0, abs(xi)):
+        raise RootCrossCheckError(
+            f"least root disagreement for (n={n}, q={q}, r={r}): "
+            f"eigenvalue {xi!r} vs bisection {root!r}"
+        )
     return xi
 
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .config import check_cap
 from .cube_fourier import (
     CubePolynomial,
     MatrixPolynomial,
@@ -59,9 +58,13 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SolverOptions:
     tol_gap: float = 1e-7
-    tol_feas: float = 1e-8
     max_iter: int = 200
-    step_damping: float = 0.99
+
+
+# relative primal and dual residual at which an iterate counts as feasible
+_TOL_FEAS = 1e-8
+# fraction of the distance to the cone boundary taken by each step
+_STEP_DAMPING = 0.99
 
 
 @dataclass(frozen=True)
@@ -236,23 +239,11 @@ class _XorConstraints:
 # interior-point core
 
 
-def _min_eig(A: np.ndarray) -> float:
-    N = A.shape[0]
-    if N > 600:
-        try:
-            from scipy.sparse.linalg import eigsh
-
-            w = eigsh(A, k=1, which="SA", tol=1e-6, maxiter=50 * N,
-                      return_eigenvectors=False)
-            return float(w[0])
-        except Exception:
-            pass
-    return float(np.linalg.eigvalsh(A)[0])
-
-
 def _max_step(D_scaled: np.ndarray) -> float:
     """Largest alpha with I + alpha * D_scaled >= 0 (capped at 1e6)."""
-    lo = _min_eig(D_scaled)
+    # exact: an iterative estimate can sit above lambda_min and let the step
+    # leave the cone
+    lo = float(np.linalg.eigvalsh(D_scaled)[0])
     if lo >= 0.0:
         return 1e6
     return -1.0 / lo
@@ -269,18 +260,24 @@ def _solve_ipm(C, ops, b, options: SolverOptions) -> SdpSolution:
     Z = max(1.0, float(np.max(np.abs(C)))) * np.eye(N)
     y = np.zeros(m)
 
-    status = "max_iter"
-    it = 0
-    for it in range(1, options.max_iter + 1):
+    def measure(X, y, Z):
+        """Residuals, objectives and the optimality test at an iterate."""
         rp = b - ops.apply(X)
         Rd = C - Z - ops.adjoint(y)
         pobj = float(np.tensordot(C, X))
         dobj = float(b @ y)
         gap = float(np.tensordot(X, Z))
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
-        pres = np.linalg.norm(rp) / normb
-        dres = np.linalg.norm(Rd) / normC
-        if pres <= options.tol_feas and dres <= options.tol_feas and rel_gap <= options.tol_gap:
+        pres = float(np.linalg.norm(rp) / normb)
+        dres = float(np.linalg.norm(Rd) / normC)
+        optimal = pres <= _TOL_FEAS and dres <= _TOL_FEAS and rel_gap <= options.tol_gap
+        return rp, Rd, (pobj, dobj, gap, rel_gap, pres, dres), optimal
+
+    status = "max_iter"
+    it = 0
+    for it in range(1, options.max_iter + 1):
+        rp, Rd, stats, optimal = measure(X, y, Z)
+        if optimal:
             status = "optimal"
             break
         if np.linalg.norm(y) > 1e13 * normb or np.trace(X) > 1e13 * N * eta:
@@ -348,25 +345,20 @@ def _solve_ipm(C, ops, b, options: SolverOptions) -> SdpSolution:
         dy, dZ, dX = direction(sigma * mu, cc)
         dXh = Rinv @ dX @ Rinv.T
         dZh = Rq.T @ dZ @ Rq
-        ap = min(1.0, options.step_damping * _max_step(dXh / scale))
-        ad = min(1.0, options.step_damping * _max_step(dZh / scale))
+        ap = min(1.0, _STEP_DAMPING * _max_step(dXh / scale))
+        ad = min(1.0, _STEP_DAMPING * _max_step(dZh / scale))
         if ap < 1e-10 and ad < 1e-10:
             break  # stalled
         X = X + ap * dX
         y = y + ad * dy
         Z = Z + ad * dZ
-
-    rp = b - ops.apply(X)
-    Rd = C - Z - ops.adjoint(y)
-    pobj = float(np.tensordot(C, X))
-    dobj = float(b @ y)
-    gap = float(np.tensordot(X, Z))
-    rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
-    pres = float(np.linalg.norm(rp) / normb)
-    dres = float(np.linalg.norm(Rd) / normC)
-    if pres <= options.tol_feas and dres <= options.tol_feas and rel_gap <= options.tol_gap:
-        status = "optimal"
-    return SdpSolution(X, y, Z, pobj, dobj, gap, rel_gap, pres, dres, it, status)
+    else:
+        # every break leaves the iterate measured at the loop head; after the
+        # last step it has not been measured yet
+        _, _, stats, optimal = measure(X, y, Z)
+        if optimal:
+            status = "optimal"
+    return SdpSolution(X, y, Z, *stats, it, status)
 
 
 # ---------------------------------------------------------------------------
@@ -428,25 +420,23 @@ def _outer_sdp(n: int, k: int, fhat: dict, r: int,
     )
 
 
-def outer_cube(f: CubePolynomial, r: int, cap: int | None = None,
+def outer_cube(f: CubePolynomial, r: int,
                options: SolverOptions | None = None) -> OuterBoundResult:
     """The order-r SOS lower bound on min f over {0,1}^n.
 
     Monotone nondecreasing in r, equal to the minimum once 2r >= n + deg - 1.
     Raises SolverError if the interior-point method does not converge.
     """
-    check_cap(f.n, cap)
     _check_order(f.n, f.degree, r)
-    fhat = fwht(value_table(f, cap)) / (1 << f.n)
+    fhat = fwht(value_table(f)) / (1 << f.n)
     return _outer_sdp(f.n, 1, {(0, 0): fhat}, r, options)
 
 
-def outer_matrix(F: MatrixPolynomial, r: int, cap: int | None = None,
+def outer_matrix(F: MatrixPolynomial, r: int,
                  options: SolverOptions | None = None) -> OuterBoundResult:
     """Order-r SOS lower bound on min_x lambda_min(F(x)) for a symmetric
     matrix polynomial, via the block Gram over (character, coordinate).
     Raises SolverError if the interior-point method does not converge."""
-    check_cap(F.n, cap)
     _check_order(F.n, F.degree, r)
     fhat = {}
     for i in range(F.k):
@@ -454,7 +444,7 @@ def outer_matrix(F: MatrixPolynomial, r: int, cap: int | None = None,
             entry = F.entry(i, j)
             if entry.terms != F.entry(j, i).terms:
                 raise ValueError("matrix polynomial is not symmetric")
-            fhat[i, j] = fwht(value_table(entry, cap)) / (1 << F.n)
+            fhat[i, j] = fwht(value_table(entry)) / (1 << F.n)
     return _outer_sdp(F.n, F.k, fhat, r, options)
 
 
@@ -470,20 +460,15 @@ class SosVerification:
     ok: bool
 
 
-def verify_sos_certificate(result: OuterBoundResult, f: CubePolynomial,
-                           cap: int | None = None,
-                           residual_tol: float = 1e-6,
-                           psd_tol: float = 1e-8) -> SosVerification:
+def verify_sos_certificate(result: OuterBoundResult, f: CubePolynomial) -> SosVerification:
     """Check the Gram reconstruction sum_{a,b} G[a,b] chi_{a XOR b} = f - value
-    on every cube point, and positive semidefiniteness of G."""
-    check_cap(f.n, cap)
-    n = f.n
-    coeffs = np.zeros(1 << n)
+    on every cube point to 1e-6, and positive semidefiniteness of G to 1e-8."""
+    fvals = value_table(f)
+    coeffs = np.zeros(fvals.size)
     xor_flat = np.bitwise_xor.outer(result.basis, result.basis).ravel()
     np.add.at(coeffs, xor_flat, result.gram.ravel())
     recon = fwht(coeffs)
-    fvals = value_table(f, cap)
     residual = float(np.max(np.abs(recon - (fvals - result.value))))
     lam_min = float(np.linalg.eigvalsh(result.gram)[0])
-    psd = lam_min >= -psd_tol
-    return SosVerification(residual, lam_min, psd, psd and residual <= residual_tol)
+    psd = lam_min >= -1e-8
+    return SosVerification(residual, lam_min, psd, psd and residual <= 1e-6)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_cap
 from .inner_hierarchy import InnerBoundResult, inner_univariate
 from .krawtchouk import DiscreteMeasure, least_root, levenshtein_phi
 
@@ -116,8 +117,8 @@ class QaryPolynomial:
         """Values on all q^n points, ordered so index order = lexicographic
         order on (x_1, ..., x_n)."""
         size = self.q ** self.n
-        if size > 1 << 24:
-            raise ValueError("q^n exceeds the enumeration cap")
+        # q^n points count against the cap as ceil(log2(q^n)) binary variables
+        check_cap((size - 1).bit_length())
         # coordinate i cycles with period q^(n-i); built one at a time to keep
         # memory at O(q^n), not O(n q^n)
         powers: dict[tuple, np.ndarray] = {}

@@ -126,6 +126,23 @@ def test_gamma_csv(capsys):
     assert len(lines) > 5
 
 
+@pytest.mark.parametrize("module, name, command", [
+    ("outer_hierarchy", "outer_cube", "bounds"),
+    ("kernel_certifier", "certify", "certify"),
+])
+def test_out_of_memory_exits_3(capsys, monkeypatch, module, name, command):
+    import importlib
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(importlib.import_module(f"cubesos.{module}"), name, exhausted)
+    code, _, err = run_cli(capsys, command, "--instance", "random:n=6,d=2,seed=1",
+                           "--r", "2", "--quiet")
+    assert code == 3
+    assert "n=6" in err and "r=2" in err
+
+
 def test_max_n_flag_enforces_cap(capsys, monkeypatch):
     monkeypatch.setenv("CUBESOS_MAX_N", "24")  # snapshot so teardown restores
     code, _, err = run_cli(capsys, "bounds", "--instance", "random:n=6,d=2,seed=1",

@@ -1,0 +1,46 @@
+import pytest
+
+from cubesos.config import CapExceededError
+from cubesos.cube_fourier import (
+    MatrixPolynomial,
+    brute_force_min,
+    fourier_transform,
+    value_table,
+)
+from cubesos.inner_hierarchy import inner_cube, inner_cube_symmetrized, inner_matrix
+from cubesos.instances import random_matrix_poly, random_poly
+from cubesos.kernel_certifier import certify
+from cubesos.outer_hierarchy import outer_cube, outer_matrix
+from cubesos.qary import QaryPolynomial
+
+F = random_poly(5, 2, seed=1)
+M = random_matrix_poly(5, 2, 2, seed=1)
+ZERO = MatrixPolynomial(5, 2, {})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: value_table(F),
+    lambda: brute_force_min(F),
+    lambda: fourier_transform(F),
+    lambda: inner_cube(F, 2),
+    lambda: inner_cube_symmetrized(F, 2),
+    lambda: inner_matrix(M, 1),
+    lambda: inner_matrix(ZERO, 1),
+    lambda: outer_cube(F, 1),
+    lambda: outer_matrix(M, 1),
+    lambda: outer_matrix(ZERO, 1),
+    lambda: certify(F, 3),
+], ids=["value_table", "brute_force_min", "fourier_transform", "inner_cube",
+        "inner_cube_symmetrized", "inner_matrix", "inner_matrix_zero", "outer_cube",
+        "outer_matrix", "outer_matrix_zero", "certify"])
+def test_entry_points_enforce_cap(monkeypatch, call):
+    monkeypatch.setenv("CUBESOS_MAX_N", "4")
+    with pytest.raises(CapExceededError):
+        call()
+
+
+def test_qary_enumeration_counts_points(monkeypatch):
+    monkeypatch.setenv("CUBESOS_MAX_N", "4")
+    assert QaryPolynomial.from_terms(2, 4, [((1, 1), 1.0)]).value_table().size == 16
+    with pytest.raises(CapExceededError):
+        QaryPolynomial.from_terms(3, 3, [((1, 1, 1), 1.0)]).value_table()

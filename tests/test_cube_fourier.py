@@ -149,22 +149,21 @@ def test_character_orthonormality_exact():
 
 
 def test_harmonic_parts_single_variable():
-    hd = harmonic_parts(poly(2, [([1], 1.0)]))
-    assert hd.parts[0].coeffs == {0: pytest.approx(0.5)}
-    assert hd.parts[1].coeffs == {1: pytest.approx(-0.5)}
+    parts = harmonic_parts(poly(2, [([1], 1.0)]))
+    assert parts[0].coeffs == {0: pytest.approx(0.5)}
+    assert parts[1].coeffs == {1: pytest.approx(-0.5)}
 
 
 def test_harmonic_parts_constant():
-    hd = harmonic_parts(CubePolynomial.constant(4, 3.5))
-    assert hd.parts[0].coeffs == {0: pytest.approx(3.5)}
-    assert len(hd.parts) == 1
+    parts = harmonic_parts(CubePolynomial.constant(4, 3.5))
+    assert parts[0].coeffs == {0: pytest.approx(3.5)}
+    assert len(parts) == 1
 
 
 def test_harmonic_parts_weights_and_sum(rng):
     p = random_poly(6, 3, seed=5)
-    hd = harmonic_parts(p)
     total = np.zeros(1 << 6)
-    for k, part in enumerate(hd.parts):
+    for k, part in enumerate(harmonic_parts(p)):
         assert all(a.bit_count() == k for a in part.coeffs)
         total += fourier_to_values(part)
     assert np.max(np.abs(total - value_table(p))) <= 1e-10
@@ -172,8 +171,7 @@ def test_harmonic_parts_weights_and_sum(rng):
 
 def test_harmonic_parts_mutually_orthogonal():
     p = random_poly(6, 3, seed=9)
-    hd = harmonic_parts(p)
-    tabs = [fourier_to_values(part) for part in hd.parts]
+    tabs = [fourier_to_values(part) for part in harmonic_parts(p)]
     for i in range(len(tabs)):
         for j in range(i + 1, len(tabs)):
             inner = np.mean(tabs[i] * tabs[j])

@@ -166,7 +166,7 @@ def test_harmonic_component_bound_small():
         norm = sup_norm(p)
         parts = harmonic_parts(p)
         bound = gamma_d(d) * norm
-        for part in parts.parts:
+        for part in parts:
             assert np.max(np.abs(fourier_to_values(part))) <= bound + 1e-9
 
 
@@ -178,8 +178,7 @@ def test_harmonic_component_bound_matrix():
         norm = F.sup_norm()
         comps = {}
         for (i, j), poly in F.entries.items():
-            hd = harmonic_parts(poly)
-            for deg, part in enumerate(hd.parts):
+            for deg, part in enumerate(harmonic_parts(poly)):
                 comps.setdefault(deg, np.zeros((1 << n, k, k)))[:, i, j] = fourier_to_values(part)
         for deg, tables in comps.items():
             spec = np.max(np.abs(np.linalg.eigvalsh(tables)))
