@@ -11,8 +11,7 @@ _EXPORTS = {
     "config": ["CapExceededError"],
     "cube_fourier": [
         "CubePolynomial", "FourierPolynomial", "MatrixPolynomial", "brute_force_min", "evaluate", "fourier_transform",
-        "harmonic_parts", "inverse_fourier", "sup_norm", "translate_to_zero",
-        "fwht",
+        "harmonic_parts", "inverse_fourier", "sup_norm", "fwht",
     ],
     "gamma_constants": [
         "GammaTable", "build_gamma_table", "c_d", "chebyshev_coeffs", "gamma_d",
@@ -26,8 +25,7 @@ _EXPORTS = {
                   "stable_set_instance"],
     "kernel_certifier": [
         "CertificationError", "KernelSpec", "SosCubeCertificate",
-        "certified_outer_gap", "certify", "choose_kernel", "error_sweep",
-        "funk_hecke_apply",
+        "certify", "choose_kernel", "error_sweep", "funk_hecke_apply",
     ],
     "krawtchouk": [
         "DiscreteMeasure", "JacobiMatrix", "kraw_eval",

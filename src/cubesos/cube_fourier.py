@@ -3,7 +3,12 @@
 Multilinear representation (monomials are subsets, since x_i^2 = x_i on the
 cube), evaluation, Walsh-Hadamard/Fourier transform in the character basis
 chi_a(x) = (-1)^{a.x}, decomposition into harmonic (fixed Fourier weight)
-components, sup-norm and exact minimization by enumeration.
+components, sup-norm and exact minimization by enumeration. Whole-cube
+quantities come from the value table: the minimum and its lexicographically
+smallest minimizer, the sup-norm, and any translate p(x XOR x0), which is the
+table re-indexed by XOR with the mask of x0 (no polynomial is rebuilt).
+Matrix polynomials give the Fourier spectra of their upper-triangle entries,
+from which both hierarchies build their matrix-input problems.
 
 Bit conventions: a subset of variables is stored as an integer bitmask where
 bit i-1 corresponds to variable i. Bitstrings serialize with variable 1
@@ -35,7 +40,6 @@ __all__ = [
     "harmonic_parts",
     "sup_norm",
     "brute_force_min",
-    "translate_to_zero",
     "masks_up_to_weight",
     "popcount_table",
     "read_polynomial_json",
@@ -314,38 +318,17 @@ def sup_norm(p: CubePolynomial) -> float:
     return float(np.max(np.abs(value_table(p))))
 
 
+def _argmin_mask(vals: np.ndarray, n: int) -> int:
+    """Mask of the lexicographically smallest minimizer in a value table."""
+    ties = np.flatnonzero(vals == vals.min())
+    return int(ties[np.argmin(_lex_keys(ties, n))])
+
+
 def brute_force_min(p: CubePolynomial) -> tuple[float, np.ndarray]:
     """Exact minimum and its lexicographically smallest minimizer."""
     vals = value_table(p)
-    vmin = float(np.min(vals))
-    ties = np.flatnonzero(vals == vals.min())
-    best = ties[np.argmin(_lex_keys(ties, p.n))]
-    return vmin, mask_to_point(int(best), p.n)
-
-
-def translate_to_zero(p: CubePolynomial, x0) -> CubePolynomial:
-    """The polynomial q(x) = p(x XOR x0); q(0) = p(x0).
-
-    Substitutes x_i -> 1 - x_i for coordinates with x0_i = 1, term by term,
-    so no cube enumeration is needed.
-    """
-    xs = np.asarray(x0, dtype=np.int64)
-    if xs.shape != (p.n,):
-        raise DimensionMismatchError(f"point has shape {xs.shape}, expected ({p.n},)")
-    flip = point_to_mask(xs)
-    acc: dict[int, float] = {}
-    for mask, coef in p.terms.items():
-        keep = mask & ~flip
-        flipped = mask & flip
-        # prod_{i in flipped} (1 - x_i) expands over subsets with sign
-        sub = flipped
-        while True:
-            key = keep | sub
-            acc[key] = acc.get(key, 0.0) + coef * (-1) ** sub.bit_count()
-            if sub == 0:
-                break
-            sub = (sub - 1) & flipped
-    return CubePolynomial(p.n, {m: c for m, c in acc.items() if c != 0.0})
+    best = _argmin_mask(vals, p.n)
+    return float(vals[best]), mask_to_point(best, p.n)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +377,18 @@ class MatrixPolynomial:
             for j in range(self.k):
                 if (i, j) in self.entries:
                     out[:, i, j] = value_table(self.entries[(i, j)])
+        return out
+
+    def spectra(self) -> dict:
+        """Fourier coefficients of the upper-triangle entries, {(i, j): fhat}
+        for i <= j; raises ValueError unless F is symmetric."""
+        out = {}
+        for i in range(self.k):
+            for j in range(i, self.k):
+                entry = self.entry(i, j)
+                if entry.terms != self.entry(j, i).terms:
+                    raise ValueError("matrix polynomial is not symmetric")
+                out[i, j] = fwht(value_table(entry)) / (1 << self.n)
         return out
 
     def sup_norm(self) -> float:

@@ -2,9 +2,11 @@
 
 All variants reduce to a smallest-eigenvalue problem. On the cube the basis
 is the characters (orthonormal under the uniform measure mu), so the order-r
-bound is the smallest eigenvalue of A[a,b] = fhat(a XOR b) over |a|,|b| <= r.
-On the integer grid [0:n] the basis is the w-orthonormal Krawtchouk family,
-whose multiplication matrix entries are exact finite sums over the grid.
+bound is the smallest eigenvalue of A[a,b] = fhat(a XOR b) over |a|,|b| <= r;
+a k x k matrix input fills k^2 such blocks from the spectra of its entries,
+and scalar input is the k = 1 case of the same block matrix. On the integer
+grid [0:n] the basis is the w-orthonormal Krawtchouk family, whose
+multiplication matrix entries are exact finite sums over the grid.
 """
 
 from __future__ import annotations
@@ -91,6 +93,23 @@ def inner_univariate(g_coeffs, measure: DiscreteMeasure, r: int) -> InnerBoundRe
     return inner_univariate_values(gv, measure, r)
 
 
+def _block_matrix(n: int, k: int, spectra: dict, r: int) -> np.ndarray:
+    """A[(i,a),(j,b)] = fhat_ij(a XOR b) over characters of weight <= r, from
+    the upper-triangle spectra; block (j, i) repeats block (i, j), which is
+    symmetric."""
+    masks = masks_up_to_weight(n, r)
+    xor = np.bitwise_xor.outer(masks, masks)
+    N = masks.size
+    A = np.zeros((k * N, k * N))
+    for (i, j), fhat in spectra.items():
+        block = A[i * N:(i + 1) * N, j * N:(j + 1) * N]
+        # every index is in range; "clip" writes in place, unbuffered
+        np.take(fhat, xor, out=block, mode="clip")
+        if i != j:
+            A[j * N:(j + 1) * N, i * N:(i + 1) * N] = block
+    return A
+
+
 def inner_cube(f: CubePolynomial, r: int) -> InnerBoundResult:
     """The order-r inner bound on min f over {0,1}^n.
 
@@ -100,9 +119,7 @@ def inner_cube(f: CubePolynomial, r: int) -> InnerBoundResult:
     if not 0 <= r <= f.n:
         raise ValueError(f"r={r} out of range 0..{f.n}")
     fhat = fwht(value_table(f)) / (1 << f.n)
-    masks = masks_up_to_weight(f.n, r)
-    A = fhat[np.bitwise_xor.outer(masks, masks)]
-    return _result(A, r)
+    return _result(_block_matrix(f.n, 1, {(0, 0): fhat}, r), r, {"k": 1})
 
 
 def symmetrize_to_univariate(f: CubePolynomial) -> np.ndarray:
@@ -127,18 +144,4 @@ def inner_matrix(F: MatrixPolynomial, r: int) -> InnerBoundResult:
     """Order-r inner bound on min_x lambda_min(F(x)) for a symmetric
     matrix-valued polynomial: smallest eigenvalue of the block matrix
     A[(i,a),(j,b)] = Fhat_ij(a XOR b)."""
-    for i in range(F.k):
-        for j in range(i, F.k):
-            if F.entry(i, j).terms != F.entry(j, i).terms:
-                raise ValueError("matrix polynomial is not symmetric")
-    masks = masks_up_to_weight(F.n, r)
-    xor = np.bitwise_xor.outer(masks, masks)
-    N = masks.size
-    A = np.zeros((F.k * N, F.k * N))
-    for i in range(F.k):
-        for j in range(F.k):
-            entry = F.entry(i, j)
-            if entry.terms:
-                fhat = fwht(value_table(entry)) / (1 << F.n)
-                A[i * N:(i + 1) * N, j * N:(j + 1) * N] = fhat[xor]
-    return _result(A, r, {"k": F.k})
+    return _result(_block_matrix(F.n, F.k, F.spectra(), r), r, {"k": F.k})

@@ -14,6 +14,10 @@ of T^{-1}(f - f_min + delta) for a computable budget delta turns
 
 into an explicit SOS-on-cube identity of degree 2r, certifying that the
 order-r SOS lower bound is within delta of the true minimum.
+
+``certify`` works from one value table of f: the minimum, its minimizer x0
+and the sup-norm are read off it, the translate x -> x XOR x0 re-indexes it,
+and T^{-1} is applied once, giving both the tight budget and the weights.
 """
 
 from __future__ import annotations
@@ -24,17 +28,14 @@ import numpy as np
 
 from .cube_fourier import (
     CubePolynomial,
-    brute_force_min,
+    _argmin_mask,
     from_values,
     fwht,
     mask_to_bitstring,
-    bitstring_to_mask,
     mask_to_point,
     point_to_mask,
     popcount_table,
     rounding_floor,
-    sup_norm,
-    translate_to_zero,
     value_table,
 )
 from .gamma_constants import c_d, gamma_d
@@ -49,8 +50,6 @@ __all__ = [
     "choose_kernel",
     "funk_hecke_apply",
     "certify",
-    "certified_outer_gap",
-    "predicted_delta",
     "error_sweep",
 ]
 
@@ -144,6 +143,18 @@ def funk_hecke_apply(
     return from_values(p.n, values, prune_tol=rounding_floor(p.n, values))
 
 
+def _translated(vals: np.ndarray, mask: int) -> np.ndarray:
+    """Values of f(x XOR x0) - f(x0) from f's value table, x0 given by mask."""
+    return vals[np.arange(vals.size) ^ mask] - vals[mask]
+
+
+def _kernel_sum(spec: KernelSpec, weights: np.ndarray) -> np.ndarray:
+    """Values of sum_y w_y u^2(d(x, y)) on the cube: an XOR convolution of
+    the weights with the squared kernel as a function of the displacement."""
+    U = (spec.u_values**2)[popcount_table(spec.n)]
+    return fwht(fwht(weights) * fwht(U)) / weights.size
+
+
 @dataclass(frozen=True)
 class SosCubeCertificate:
     """A weighted sum-of-squares identity h + delta = sum_y w_y u^2(d(., y)).
@@ -169,21 +180,14 @@ class SosCubeCertificate:
     def delta_original(self) -> float:
         return self.scale * self.delta
 
-    def kernel_profile(self) -> np.ndarray:
-        """u^2(|z|) for z over all masks: the squared kernel as a function of
-        the XOR displacement."""
-        usq = self.spec.u_values**2
-        return usq[popcount_table(self.n)]
-
     def reconstruction(self) -> np.ndarray:
-        """Values of sum_y w_y u^2(d(x, y)) on the cube (XOR convolution)."""
-        U = self.kernel_profile()
-        return fwht(fwht(self.weights) * fwht(U)) / (1 << self.n)
+        """Values of sum_y w_y u^2(d(x, y)) on the cube."""
+        return _kernel_sum(self.spec, self.weights)
 
     def verify(self, f: CubePolynomial) -> dict:
-        """Re-check the identity against f in original coordinates."""
-        fmin = f.evaluate(self.translate)
-        h = (value_table(translate_to_zero(f, self.translate)) - fmin) / self.scale
+        """Re-check the identity against f in original coordinates: h is
+        recomputed from f's own table, not taken from the certificate."""
+        h = _translated(value_table(f), point_to_mask(self.translate)) / self.scale
         recon = self.reconstruction()
         return {
             "max_residual": float(np.max(np.abs(recon - (h + self.delta)))),
@@ -207,42 +211,14 @@ class SosCubeCertificate:
         }
 
 
-def _certificate_from_h(
-    f: CubePolynomial,
-    spec: KernelSpec,
-    h_values: np.ndarray,
-    delta: float,
-    x0: np.ndarray,
-    scale: float,
-) -> SosCubeCertificate:
-    n = f.n
-    inv = np.ones(n + 1)
-    inv[: spec.d + 1] = 1.0 / spec.lambdas[: spec.d + 1]
-    inv_h = _apply_by_weight(inv, h_values, n)
-    w = (inv_h + delta) / (1 << n)
-    wmin = float(w.min())
-    if wmin < -1e-10:
-        bad = int(np.argmin(w))
-        raise CertificationError(
-            f"negative certificate weight {wmin:.3e} at y={mask_to_bitstring(bad, n)}"
-        )
-    w = np.maximum(w, 0.0)
-    cert = SosCubeCertificate(
-        n, spec.r, spec.d, delta, x0, scale, spec.u_coeffs, w, 0.0, spec
-    )
-    residual = float(np.max(np.abs(cert.reconstruction() - (h_values + delta))))
-    return SosCubeCertificate(
-        n, spec.r, spec.d, delta, x0, scale, spec.u_coeffs, w, residual, spec
-    )
-
-
 def certify(f: CubePolynomial, r: int, tight: bool = False) -> SosCubeCertificate:
     """Emit an SOS-on-cube certificate of degree 2r for f plus a budget.
 
     The default budget is delta = gamma_d * sum_{i<=d} |1/lam_i - 1|, the
     operator-norm bound, which is instance-independent given (n, d, r). With
     ``tight=True`` the budget is instead the smallest delta for which the
-    weights come out nonnegative on this particular f (never larger).
+    weights come out nonnegative on this particular f (never larger). Either
+    way ``delta_original`` bounds f_min minus the order-r SOS lower bound.
     """
     n, d = f.n, f.degree
     if 2 * r < d:
@@ -253,44 +229,26 @@ def certify(f: CubePolynomial, r: int, tight: bool = False) -> SosCubeCertificat
             f"lambda_tilde={spec.lambda_tilde:.6f} >= 1 at order r={r}; "
             "no certificate at this order"
         )
-    fmin, x0 = brute_force_min(f)
-    scale = sup_norm(f)
-    if scale == 0.0:
-        scale = 1.0
-    h = (value_table(translate_to_zero(f, x0)) - fmin) / scale
-    if tight:
-        inv = np.ones(n + 1)
-        inv[: d + 1] = 1.0 / spec.lambdas[: d + 1]
-        inv_h = _apply_by_weight(inv, h, n)
-        delta = max(0.0, -float(inv_h.min()))
-    else:
-        delta = spec.delta
-    return _certificate_from_h(f, spec, h, delta, x0, scale)
-
-
-def predicted_delta(n: int, d: int, r: int, sharper: bool = False) -> float:
-    """Instance-independent budget prediction for (n, d, r).
-
-    Uses Lambda <= 2 Lambda_tilde when Lambda_tilde <= 1/2; with
-    ``sharper=True`` the stronger Lambda <= Lambda_tilde / (1 - Lambda_tilde)
-    extends the prediction to 1/2 < Lambda_tilde < 1. Returns inf when no
-    certificate is predicted at this order.
-    """
-    spec = choose_kernel(n, d, r)
-    lt = spec.lambda_tilde
-    if lt <= 0.5:
-        return gamma_d(d) * 2.0 * lt
-    if sharper and lt < 1.0:
-        return gamma_d(d) * lt / (1.0 - lt)
-    return float("inf")
-
-
-def certified_outer_gap(f: CubePolynomial, r: int) -> tuple[float, SosCubeCertificate]:
-    """A certified upper bound on (min f) - (order-r SOS lower bound), in the
-    original scale of f: the certificate proves the SOS bound is at least
-    f_min minus the returned value."""
-    cert = certify(f, r, tight=True)
-    return cert.delta_original, cert
+    vals = value_table(f)
+    m0 = _argmin_mask(vals, n)
+    scale = float(np.max(np.abs(vals))) or 1.0
+    h = _translated(vals, m0) / scale
+    inv = np.ones(n + 1)
+    inv[: d + 1] = 1.0 / spec.lambdas[: d + 1]
+    inv_h = _apply_by_weight(inv, h, n)
+    delta = max(0.0, -float(inv_h.min())) if tight else spec.delta
+    w = (inv_h + delta) / (1 << n)
+    wmin = float(w.min())
+    if wmin < -1e-10:
+        bad = int(np.argmin(w))
+        raise CertificationError(
+            f"negative certificate weight {wmin:.3e} at y={mask_to_bitstring(bad, n)}"
+        )
+    w = np.maximum(w, 0.0)
+    residual = float(np.max(np.abs(_kernel_sum(spec, w) - (h + delta))))
+    return SosCubeCertificate(
+        n, r, d, delta, mask_to_point(m0, n), scale, spec.u_coeffs, w, residual, spec
+    )
 
 
 def error_sweep(
@@ -329,14 +287,15 @@ def error_sweep(
             errors = []
             for s in range(samples):
                 f = random_poly(n, d, seed=seed + 7919 * s)
-                norm = sup_norm(f)
-                fmin, _ = brute_force_min(f)
+                vals = value_table(f)
+                norm = float(np.max(np.abs(vals)))
+                fmin = float(vals.min())
                 try:
                     if use_sdp:
                         outer = outer_cube(f, r).value
                         gap_out = (fmin - outer) / norm
                     else:
-                        gap_out = certified_outer_gap(f, r)[0] / norm
+                        gap_out = certify(f, r, tight=True).delta_original / norm
                     max_outer = max(max_outer, gap_out)
                     inner = inner_cube(f, r).value
                     max_inner = max(max_inner, (inner - fmin) / norm)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.stats import binom as _binom
 
 __all__ = [
     "DiscreteMeasure",
@@ -64,13 +63,10 @@ class DiscreteMeasure:
             raise ValueError("n must be >= 0")
 
     @property
-    def support(self) -> np.ndarray:
-        return np.arange(self.n + 1)
-
-    @property
     def weights(self) -> np.ndarray:
-        # binomial pmf with success probability (q-1)/q equals the measure
-        return _binom.pmf(np.arange(self.n + 1), self.n, (self.q - 1) / self.q)
+        # one exact integer division per point: correctly rounded
+        n, q = self.n, self.q
+        return np.array([math.comb(n, t) * (q - 1) ** t / q**n for t in range(n + 1)])
 
 
 def kraw_int(n: int, q: int, k: int, t: int) -> int:

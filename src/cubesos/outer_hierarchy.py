@@ -438,14 +438,7 @@ def outer_matrix(F: MatrixPolynomial, r: int,
     matrix polynomial, via the block Gram over (character, coordinate).
     Raises SolverError if the interior-point method does not converge."""
     _check_order(F.n, F.degree, r)
-    fhat = {}
-    for i in range(F.k):
-        for j in range(i, F.k):
-            entry = F.entry(i, j)
-            if entry.terms != F.entry(j, i).terms:
-                raise ValueError("matrix polynomial is not symmetric")
-            fhat[i, j] = fwht(value_table(entry)) / (1 << F.n)
-    return _outer_sdp(F.n, F.k, fhat, r, options)
+    return _outer_sdp(F.n, F.k, F.spectra(), r, options)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from cubesos.gamma_constants import (
 )
 from cubesos.inner_hierarchy import inner_cube, inner_matrix, inner_univariate
 from cubesos.instances import random_matrix_poly, random_poly
-from cubesos.kernel_certifier import certified_outer_gap, certify
+from cubesos.kernel_certifier import certify
 from cubesos.krawtchouk import (
     DiscreteMeasure,
     kraw_int,
@@ -145,7 +145,8 @@ def test_criterion_05_outer_error_dominance():
         for s in range(50):
             f = random_poly(n, d, seed=50000 + 997 * d + 31 * n + 7 * r + s)
             polys.append(f)
-            gap_bound, cert = certified_outer_gap(f, r)
+            cert = certify(f, r, tight=True)
+            gap_bound = cert.delta_original
             assert cert.residual <= 1e-7
             assert np.all(cert.weights >= -1e-10)
             worst = max(worst, gap_bound / 1.0)  # instances have sup-norm 1
@@ -158,7 +159,7 @@ def test_criterion_05_outer_error_dominance():
             for f in polys[:2]:
                 fmin, _ = brute_force_min(f)
                 res = outer_cube(f, r)
-                gap_bound, _ = certified_outer_gap(f, r)
+                gap_bound = certify(f, r, tight=True).delta_original
                 assert fmin - res.value <= gap_bound + 1e-6
                 assert fmin - res.value <= bound + 1e-6
                 assert res.value <= fmin + 1e-6

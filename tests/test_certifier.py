@@ -5,7 +5,10 @@ from cubesos.cube_fourier import (
     CubePolynomial,
     brute_force_min,
     fourier_to_values,
+    from_values,
+    point_to_mask,
     popcount_table,
+    rounding_floor,
     sup_norm,
     value_table,
 )
@@ -14,7 +17,6 @@ from cubesos.inner_hierarchy import inner_cube
 from cubesos.instances import random_poly
 from cubesos.kernel_certifier import (
     CertificationError,
-    certified_outer_gap,
     certify,
     choose_kernel,
     error_sweep,
@@ -221,7 +223,8 @@ def test_tight_certificate_never_larger():
     for seed in range(5):
         f = random_poly(n, 2, seed=seed)
         loose = certify(f, r)
-        gap, tight = certified_outer_gap(f, r)
+        tight = certify(f, r, tight=True)
+        gap = tight.delta_original
         assert gap <= loose.delta_original + 1e-12
         assert tight.residual <= 1e-7
         assert np.all(tight.weights >= 0.0)
@@ -229,8 +232,28 @@ def test_tight_certificate_never_larger():
 
 def test_exactness_at_full_order_certificate():
     f = random_poly(6, 2, seed=6)
-    gap, cert = certified_outer_gap(f, 6)
+    gap = certify(f, 6, tight=True).delta_original
     assert gap <= 1e-9
+
+
+@pytest.mark.parametrize("tight", [False, True])
+def test_certificate_commutes_with_translation(tight):
+    # g(x) = f(x XOR s) has minimizer x0 XOR s and the same values, so the
+    # certificate is f's moved by s: same budget, scale and weights
+    n, r = 9, 3
+    f = random_poly(n, 2, seed=11)
+    vals = value_table(f)
+    assert np.count_nonzero(vals == vals.min()) == 1
+    idx = np.arange(1 << n)
+    for s in (0b1, 0b101100110, (1 << n) - 1):
+        g = from_values(n, vals[idx ^ s], prune_tol=rounding_floor(n, vals))
+        assert g.degree == f.degree
+        cf, cg = certify(f, r, tight=tight), certify(g, r, tight=tight)
+        assert cg.delta == pytest.approx(cf.delta, rel=1e-12, abs=1e-15)
+        assert cg.scale == pytest.approx(cf.scale, rel=1e-12)
+        assert np.max(np.abs(cg.weights - cf.weights)) <= 1e-12 * cf.weights.max()
+        moved = point_to_mask(cg.translate) ^ point_to_mask(cf.translate)
+        assert moved == s
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +267,3 @@ def test_error_sweep_rows():
         assert row["max_outer_gap"] <= row["bound_2Cd_xi_over_n"] + 1e-6
         assert row["max_inner_gap"] <= row["bound_2Cd_xi_over_n"] + 1e-6
         assert "errors" not in row
-
-
-def test_predicted_delta_regimes():
-    from cubesos.kernel_certifier import predicted_delta
-
-    # comfortable regime: prediction dominates the realized budget
-    spec = choose_kernel(10, 1, 5)
-    pred = predicted_delta(10, 1, 5)
-    assert spec.delta <= pred + 1e-12
-    # the sharper toggle only matters between 1/2 and 1
-    base = predicted_delta(10, 2, 3)
-    sharp = predicted_delta(10, 2, 3, sharper=True)
-    lt = choose_kernel(10, 2, 3).lambda_tilde
-    assert lt > 0.5
-    assert base == float("inf")
-    assert sharp == pytest.approx(gamma_d(2) * lt / (1 - lt))

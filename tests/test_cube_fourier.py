@@ -27,7 +27,6 @@ from cubesos.cube_fourier import (
     polynomial_to_dict,
     popcount_table,
     sup_norm,
-    translate_to_zero,
     value_table,
 )
 from cubesos.instances import random_poly
@@ -222,27 +221,6 @@ def test_brute_min_tie_break_lexicographic():
 def test_brute_min_constant():
     val, arg = brute_force_min(CubePolynomial.constant(3, 2.5))
     assert val == 2.5 and list(arg) == [0, 0, 0]
-
-
-def test_translate_identity():
-    p = random_poly(5, 2, seed=3)
-    q = translate_to_zero(p, [0] * 5)
-    assert q.terms == pytest.approx(p.terms)
-
-
-def test_translate_single_flip():
-    q = translate_to_zero(poly(1, [([1], 1.0)]), [1])
-    assert q.terms == {0: 1.0, 1: -1.0}
-
-
-@settings(deadline=None, max_examples=25)
-@given(st.integers(2, 6), st.integers(0, 2**30), st.integers(0, 2**30))
-def test_translate_preserves_minimum(n, seed, mask_seed):
-    p = random_poly(n, 2, seed=seed, normalize=False)
-    x0 = [(mask_seed >> i) & 1 for i in range(n)]
-    q = translate_to_zero(p, x0)
-    assert brute_force_min(q)[0] == pytest.approx(brute_force_min(p)[0], abs=1e-12)
-    assert q.evaluate([0] * n) == pytest.approx(p.evaluate(x0), abs=1e-12)
 
 
 def test_masks_up_to_weight_order():

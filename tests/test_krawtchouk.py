@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +30,26 @@ def test_measure_weights_sum_to_one():
         w = DiscreteMeasure(n, q).weights
         assert np.all(w > 0)
         assert abs(w.sum() - 1.0) <= 1e-12
+
+
+def test_measure_weights_are_correctly_rounded():
+    # each weight is the exact rational (q-1)^t C(n,t) / q^n rounded once
+    for q in (2, 3):
+        for n in [*range(0, 41), 100, 255, 599, 600]:
+            w = DiscreteMeasure(n, q).weights
+            exact = [float(Fraction(math.comb(n, t) * (q - 1) ** t, q**n))
+                     for t in range(n + 1)]
+            assert w.tolist() == exact
+            assert abs(w.sum() - 1.0) <= 1e-14
+
+
+def test_entry_points_do_not_import_scipy_stats():
+    code = ("import sys\n"
+            "import cubesos.cli, cubesos.kernel_certifier, "
+            "cubesos.inner_hierarchy, cubesos.outer_hierarchy\n"
+            "sys.exit('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "scipy.stats was imported"
 
 
 def test_khat_degree_zero_and_one():
