@@ -22,6 +22,8 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_CERT = 4
 
+BOUNDS = ("inner", "outer", "brute")
+
 
 def _say(args, msg: str) -> None:
     if not args.quiet:
@@ -97,12 +99,17 @@ def cmd_bounds(args) -> int:
         max_iter=args.solver_max_iter if args.solver_max_iter is not None else SolverOptions.max_iter,
     )
 
+    which = set(args.which.split(",")) if args.which != "all" else set(BOUNDS)
+    unknown = sorted(which - set(BOUNDS))
+    if unknown:
+        print(f"error: unknown --which entry {', '.join(map(repr, unknown))} "
+              f"(use a comma list of {','.join(BOUNDS)}, or all)", file=sys.stderr)
+        return EXIT_INPUT
     try:
         f = _load_instance(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    which = set(args.which.split(",")) if args.which != "all" else {"inner", "outer", "brute"}
     report = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "n": f.n,
@@ -215,38 +222,36 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    from .gamma_constants import build_gamma_table, c_d, gamma_d, rho_infinity
+    from .gamma_constants import build_gamma_table, c_d, gamma_d
 
-    lines = ["d gamma_d C_d"]
-    for d in range(1, args.dmax + 1):
-        lines.append(f"{d} {gamma_d(d)} {c_d(d)}")
-    _say(args, "\n".join(lines))
-    if args.csv or args.n_sweep:
-        rows = []
-        n_values = list(range(1, args.n_sweep + 1)) if args.n_sweep else []
-        for d in range(1, args.dmax + 1):
-            table = build_gamma_table(d, [n for n in n_values if n >= d], q=args.q)
-            for k in range(d + 1):
-                base = {
-                    "d": d,
-                    "k": k,
-                    "rho_infinity": table.rho_infinity_values[k],
-                    "gamma_d": table.gamma,
-                    "C_d": table.c_constant,
-                }
-                if n_values:
-                    for n in n_values:
-                        if (n, k) in table.rho_finite_values:
-                            rows.append({**base, "n": n,
-                                         "rho_finite": table.rho_finite_values[(n, k)]})
-                else:
-                    rows.append({**base, "n": "", "rho_finite": ""})
-        _emit_csv(args, rows, fieldnames=["d", "k", "n", "rho_finite",
-                                          "rho_infinity", "gamma_d", "C_d"])
-    else:
-        _emit(args, "\n".join(
-            f"{d} {gamma_d(d)} {c_d(d)}" for d in range(1, args.dmax + 1)
-        ) + "\n")
+    n_values = list(range(1, args.n_sweep + 1)) if args.n_sweep else []
+    tables = [build_gamma_table(d, n_values, q=args.q) for d in range(1, args.dmax + 1)]
+    # q = 2 prints the exact integer constants, q > 2 the limit LP's
+    text = "\n".join(f"{t.d} {gamma_d(t.d)} {c_d(t.d)}" if t.q == 2
+                     else f"{t.d} {t.gamma} {t.c_constant}" for t in tables)
+    _say(args, "d gamma_d C_d\n" + text)
+    if not (args.csv or args.n_sweep):
+        _emit(args, text + "\n")
+        return EXIT_OK
+    rows = []
+    for table in tables:
+        for k in range(table.d + 1):
+            base = {
+                "d": table.d,
+                "k": k,
+                "rho_infinity": table.rho_infinity_values[k],
+                "gamma_d": table.gamma,
+                "C_d": table.c_constant,
+            }
+            if n_values:
+                for n in n_values:
+                    if (n, k) in table.rho_finite_values:
+                        rows.append({**base, "n": n,
+                                     "rho_finite": table.rho_finite_values[(n, k)]})
+            else:
+                rows.append({**base, "n": "", "rho_finite": ""})
+    _emit_csv(args, rows, fieldnames=["d", "k", "n", "rho_finite",
+                                      "rho_infinity", "gamma_d", "C_d"])
     return EXIT_OK
 
 

@@ -100,7 +100,40 @@ def _lex_keys(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fast Walsh-Hadamard transform
+# Kronecker-factored cube transforms
+
+# The Walsh-Hadamard, zeta (monomials -> values) and Moebius (values ->
+# monomials) maps are n-fold Kronecker powers of a 2x2 factor K; each pass
+# applies K^{(x)b} to b bits as one matrix product (Fino & Algazi 1976).
+_BLOCK_BITS = 6
+
+
+def _kron_powers(factor) -> tuple:
+    """K^{(x)b} for b = 0.._BLOCK_BITS."""
+    powers = [np.ones((1, 1))]
+    for _ in range(_BLOCK_BITS):
+        powers.append(np.kron(powers[-1], factor))
+    return tuple(powers)
+
+
+_HADAMARD = _kron_powers([[1, 1], [1, -1]])
+_ZETA = _kron_powers([[1, 0], [1, 1]])  # values[x] = sum over submasks S of x of coef[S]
+_MOEBIUS = _kron_powers([[1, 0], [-1, 1]])  # inverse of _ZETA
+
+
+def _kron_transform(powers: tuple, values) -> np.ndarray:
+    """values (length 2^n) transformed by K^{(x)n}, _BLOCK_BITS bits per pass;
+    returns a new array and never writes into values."""
+    a = np.asarray(values, dtype=np.float64).reshape(-1)
+    if a.size & (a.size - 1):
+        raise ValueError("length must be a power of two")
+    n = a.size.bit_length() - 1
+    for done in range(0, n, _BLOCK_BITS):
+        b = min(_BLOCK_BITS, n - done)
+        # transform the b lowest bits and rotate them to the top (one GEMM);
+        # after n bits in all the bit order is back where it started
+        a = (powers[b] @ a.reshape(-1, 1 << b).T).reshape(-1)
+    return a if n > 0 else a.copy()
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
@@ -108,44 +141,7 @@ def fwht(values: np.ndarray) -> np.ndarray:
 
     Length must be a power of two. Involution up to the factor 2^n.
     """
-    a = np.array(values, dtype=np.float64, copy=True).ravel()
-    m = a.size
-    if m & (m - 1):
-        raise ValueError("length must be a power of two")
-    h = 1
-    while h < m:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a[:, 0, :] = top
-        a[:, 1, :] = bot
-        a = a.reshape(-1)
-        h *= 2
-    return a
-
-
-def _zeta_inplace(a: np.ndarray) -> np.ndarray:
-    # values[x] = sum over submasks S of x of coef[S]
-    m = a.size
-    h = 1
-    while h < m:
-        a = a.reshape(-1, 2, h)
-        a[:, 1, :] += a[:, 0, :]
-        a = a.reshape(-1)
-        h *= 2
-    return a
-
-
-def _moebius_inplace(a: np.ndarray) -> np.ndarray:
-    # inverse of _zeta_inplace
-    m = a.size
-    h = 1
-    while h < m:
-        a = a.reshape(-1, 2, h)
-        a[:, 1, :] -= a[:, 0, :]
-        a = a.reshape(-1)
-        h *= 2
-    return a
+    return _kron_transform(_HADAMARD, values)
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +248,15 @@ def value_table(p: CubePolynomial) -> np.ndarray:
     """Values of p on all 2^n points, indexed by mask."""
     check_cap(p.n)
     a = np.zeros(1 << p.n)
-    for m, c in p.terms.items():
-        a[m] = c
-    return _zeta_inplace(a)
+    a[list(p.terms)] = list(p.terms.values())
+    return _kron_transform(_ZETA, a)
 
 
 def from_values(n: int, values: np.ndarray, prune_tol: float = 0.0) -> CubePolynomial:
     """Multilinear polynomial interpolating the given value table."""
-    a = np.array(values, dtype=np.float64, copy=True)
-    if a.size != 1 << n:
+    if np.size(values) != 1 << n:
         raise DimensionMismatchError("value table has wrong length")
-    a = _moebius_inplace(a)
+    a = _kron_transform(_MOEBIUS, values)
     keep = np.flatnonzero(np.abs(a) > prune_tol)
     return CubePolynomial(n, {int(m): float(a[m]) for m in keep})
 
@@ -276,7 +270,7 @@ def rounding_floor(n: int, values: np.ndarray) -> float:
 def fourier_transform(p: CubePolynomial) -> FourierPolynomial:
     """Fourier coefficients p_hat(a) = 2^{-n} sum_x p(x) (-1)^{a.x}.
 
-    Computed with the Walsh-Hadamard butterfly over the full value table;
+    Computed with the Walsh-Hadamard transform of the full value table;
     coefficients below the transform's rounding floor are pruned so the
     support reflects the true degree.
     """
@@ -289,8 +283,7 @@ def fourier_transform(p: CubePolynomial) -> FourierPolynomial:
 def fourier_to_values(fp: FourierPolynomial) -> np.ndarray:
     check_cap(fp.n)
     a = np.zeros(1 << fp.n)
-    for m, c in fp.coeffs.items():
-        a[m] = c
+    a[list(fp.coeffs)] = list(fp.coeffs.values())
     return fwht(a)
 
 

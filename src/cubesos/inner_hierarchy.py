@@ -97,6 +97,8 @@ def _block_matrix(n: int, k: int, spectra: dict, r: int) -> np.ndarray:
     """A[(i,a),(j,b)] = fhat_ij(a XOR b) over characters of weight <= r, from
     the upper-triangle spectra; block (j, i) repeats block (i, j), which is
     symmetric."""
+    if not 0 <= r <= n:
+        raise ValueError(f"r={r} out of range 0..{n}")
     masks = masks_up_to_weight(n, r)
     xor = np.bitwise_xor.outer(masks, masks)
     N = masks.size
@@ -116,8 +118,6 @@ def inner_cube(f: CubePolynomial, r: int) -> InnerBoundResult:
     Smallest eigenvalue of (fhat(a XOR b)) over characters of weight <= r;
     exact at r = n, monotone nonincreasing in r.
     """
-    if not 0 <= r <= f.n:
-        raise ValueError(f"r={r} out of range 0..{f.n}")
     fhat = fwht(value_table(f)) / (1 << f.n)
     return _result(_block_matrix(f.n, 1, {(0, 0): fhat}, r), r, {"k": 1})
 

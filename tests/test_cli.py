@@ -55,6 +55,16 @@ def test_bounds_which_subset(capsys, k2_file):
     assert report["brute"]["argmin"] == "01"
 
 
+@pytest.mark.parametrize("which, bad", [("outre", "'outre'"), ("inner,brut", "'brut'"),
+                                        ("inner,", "''")])
+def test_bounds_which_rejects_unknown(capsys, k2_file, which, bad):
+    code, out, err = run_cli(capsys, "bounds", "--poly", k2_file, "--r", "1",
+                             "--which", which, "--quiet")
+    assert code == 2
+    assert out == ""
+    assert bad in err
+
+
 def test_bounds_missing_file(capsys):
     code, _, err = run_cli(capsys, "bounds", "--poly", "/nonexistent.json",
                            "--r", "1", "--quiet")
@@ -124,6 +134,21 @@ def test_gamma_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "d,k,n,rho_finite,rho_infinity,gamma_d,C_d"
     assert len(lines) > 5
+
+
+def test_gamma_table_qary_matches_csv(capsys):
+    _, table, echo = run_cli(capsys, "gamma", "--dmax", "3", "--q", "3")
+    code, out, _ = run_cli(capsys, "gamma", "--dmax", "3", "--q", "3", "--csv", "--quiet")
+    assert code == 0
+    header, *lines = out.strip().splitlines()
+    csv_rows = {}
+    for line in lines:
+        row = dict(zip(header.split(","), line.split(",")))
+        csv_rows[int(row["d"])] = (float(row["gamma_d"]), float(row["C_d"]))
+    rows = [line.split() for line in table.strip().splitlines()]
+    assert {int(d): (float(g), float(c)) for d, g, c in rows} == csv_rows
+    assert echo.strip().splitlines() == ["d gamma_d C_d"] + table.strip().splitlines()
+    assert csv_rows[1][0] != 1.0  # the binary gamma_1 = 1 is not the q = 3 value
 
 
 @pytest.mark.parametrize("module, name, command", [

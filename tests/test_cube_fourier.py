@@ -109,6 +109,28 @@ def test_fwht_involution(rng):
     assert np.allclose(fwht(fwht(v)) / 64, v)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 6, 7, 12, 13])
+def test_transforms_across_block_boundaries(n, rng):
+    # sizes on both sides of each pass boundary of the blocked transform
+    v = rng.standard_normal(1 << n)
+    v_in = v.copy()
+    out = fwht(v)
+    assert np.array_equal(v, v_in)
+    if n <= 12:
+        H = np.ones((1, 1))
+        for _ in range(n):
+            H = np.kron(H, [[1.0, 1.0], [1.0, -1.0]])
+        assert np.max(np.abs(out - H @ v)) <= 1e-14 * np.abs(v).sum()
+    p = random_poly(n, min(n, 3), seed=n)
+    vals = value_table(p)
+    points = itertools.product((0, 1), repeat=n)
+    expect = [evaluate(p, x[::-1]) for x in points]  # x[::-1]: variable 1 is bit 0
+    assert np.max(np.abs(vals - expect)) <= 1e-12
+    back = from_values(n, vals)
+    for m in range(1 << n):
+        assert abs(back.terms.get(m, 0.0) - p.terms.get(m, 0.0)) <= 1e-12
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(2, 6), st.integers(0, 2**30))
 def test_fourier_round_trip(n, seed):

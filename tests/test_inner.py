@@ -182,6 +182,17 @@ def test_matrix_rejects_asymmetric():
         inner_matrix(F, 1)
 
 
+@pytest.mark.parametrize("front_end", ["inner_cube", "inner_matrix"])
+@pytest.mark.parametrize("r", [-1, 6])
+def test_order_out_of_range(front_end, r):
+    f = random_poly(5, 2, seed=3)
+    with pytest.raises(ValueError, match="out of range"):
+        if front_end == "inner_cube":
+            inner_cube(f, r)
+        else:
+            inner_matrix(MatrixPolynomial.from_entries(5, 1, {(0, 0): f}), r)
+
+
 def test_matrix_exact_at_full_order():
     F = random_matrix_poly(5, 2, 2, seed=9)
     assert inner_matrix(F, 5).value == pytest.approx(F.min_eigenvalue(), abs=1e-8)
