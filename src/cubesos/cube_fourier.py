@@ -1,14 +1,15 @@
 """Polynomials on the boolean hypercube {0,1}^n.
 
 Multilinear representation (monomials are subsets, since x_i^2 = x_i on the
-cube), evaluation, Walsh-Hadamard/Fourier transform in the character basis
-chi_a(x) = (-1)^{a.x}, decomposition into harmonic (fixed Fourier weight)
-components, sup-norm and exact minimization by enumeration. Whole-cube
-quantities come from the value table: the minimum and its lexicographically
-smallest minimizer, the sup-norm, and any translate p(x XOR x0), which is the
-table re-indexed by XOR with the mask of x0 (no polynomial is rebuilt).
-Matrix polynomials give the Fourier spectra of their upper-triangle entries,
-from which both hierarchies build their matrix-input problems.
+cube), evaluation, Walsh-Hadamard transform, the exact change of basis from
+monomials to characters chi_a(x) = (-1)^{a.x} and back (no value table in
+between), harmonic (fixed Fourier weight) components, sup-norm and exact
+minimization by enumeration. Whole-cube quantities come from the value
+table: the minimum and its lexicographically smallest minimizer, the
+sup-norm, and any translate p(x XOR x0), which is the table re-indexed by
+XOR with the mask of x0 (no polynomial is rebuilt). Matrix polynomials give
+the Fourier spectra of their upper-triangle entries, from which both
+hierarchies build their matrix-input problems.
 
 Bit conventions: a subset of variables is stored as an integer bitmask where
 bit i-1 corresponds to variable i. Bitstrings serialize with variable 1
@@ -32,8 +33,8 @@ __all__ = [
     "fwht",
     "evaluate",
     "value_table",
-    "from_values",
-    "rounding_floor",
+    "spectrum",
+    "from_spectrum",
     "fourier_transform",
     "fourier_to_values",
     "inverse_fourier",
@@ -102,9 +103,10 @@ def _lex_keys(masks: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Kronecker-factored cube transforms
 
-# The Walsh-Hadamard, zeta (monomials -> values) and Moebius (values ->
-# monomials) maps are n-fold Kronecker powers of a 2x2 factor K; each pass
-# applies K^{(x)b} to b bits as one matrix product (Fino & Algazi 1976).
+# The Walsh-Hadamard, zeta (monomials -> values) and the two basis changes
+# between monomials and characters are n-fold Kronecker powers of a 2x2
+# factor K; each pass applies K^{(x)b} to b bits as one matrix product
+# (Fino & Algazi 1976). Per variable, x = (1 - chi)/2 and chi = 1 - 2x.
 _BLOCK_BITS = 6
 
 
@@ -118,7 +120,8 @@ def _kron_powers(factor) -> tuple:
 
 _HADAMARD = _kron_powers([[1, 1], [1, -1]])
 _ZETA = _kron_powers([[1, 0], [1, 1]])  # values[x] = sum over submasks S of x of coef[S]
-_MOEBIUS = _kron_powers([[1, 0], [-1, 1]])  # inverse of _ZETA
+_TO_FOURIER = _kron_powers([[1, 0.5], [0, -0.5]])  # monomial -> Fourier coefficients
+_FROM_FOURIER = _kron_powers([[1, 1], [0, -2]])  # inverse of _TO_FOURIER
 
 
 def _kron_transform(powers: tuple, values) -> np.ndarray:
@@ -244,65 +247,54 @@ def evaluate(p: CubePolynomial, x) -> float:
     return total
 
 
+def _coef_array(n: int, coeffs: dict) -> np.ndarray:
+    """Coefficients indexed by mask, as one dense array of length 2^n."""
+    check_cap(n)
+    a = np.zeros(1 << n)
+    a[list(coeffs)] = list(coeffs.values())
+    return a
+
+
 def value_table(p: CubePolynomial) -> np.ndarray:
     """Values of p on all 2^n points, indexed by mask."""
-    check_cap(p.n)
-    a = np.zeros(1 << p.n)
-    a[list(p.terms)] = list(p.terms.values())
-    return _kron_transform(_ZETA, a)
+    return _kron_transform(_ZETA, _coef_array(p.n, p.terms))
 
 
-def from_values(n: int, values: np.ndarray, prune_tol: float = 0.0) -> CubePolynomial:
-    """Multilinear polynomial interpolating the given value table."""
-    if np.size(values) != 1 << n:
-        raise DimensionMismatchError("value table has wrong length")
-    a = _kron_transform(_MOEBIUS, values)
-    keep = np.flatnonzero(np.abs(a) > prune_tol)
-    return CubePolynomial(n, {int(m): float(a[m]) for m in keep})
+def spectrum(p: CubePolynomial) -> np.ndarray:
+    """Fourier coefficients p_hat(a) = 2^{-n} sum_x p(x) (-1)^{a.x} of every
+    mask a, in one pass from the monomial coefficients; p_hat(a) sums only
+    monomials S containing a, so entries of weight above deg(p) are exactly 0."""
+    return _kron_transform(_TO_FOURIER, _coef_array(p.n, p.terms))
 
 
-def rounding_floor(n: int, values: np.ndarray) -> float:
-    """Coefficients this small, from the transforms of a 2^n value table,
-    are rounding noise."""
-    return 16.0 * max(n, 1) * np.finfo(np.float64).eps * max(np.max(np.abs(values)), 1e-300)
+def from_spectrum(n: int, fhat: np.ndarray) -> CubePolynomial:
+    """Multilinear polynomial with Fourier coefficients fhat (indexed by
+    mask); monomials above the largest character weight are exactly 0."""
+    a = _kron_transform(_FROM_FOURIER, fhat)
+    return CubePolynomial(n, {int(m): float(a[m]) for m in np.flatnonzero(a)})
 
 
 def fourier_transform(p: CubePolynomial) -> FourierPolynomial:
-    """Fourier coefficients p_hat(a) = 2^{-n} sum_x p(x) (-1)^{a.x}.
-
-    Computed with the Walsh-Hadamard transform of the full value table;
-    coefficients below the transform's rounding floor are pruned so the
-    support reflects the true degree.
-    """
-    vals = value_table(p)
-    coeffs = fwht(vals) / vals.size
-    keep = np.flatnonzero(np.abs(coeffs) > rounding_floor(p.n, vals))
-    return FourierPolynomial(p.n, {int(a): float(coeffs[a]) for a in keep})
+    """The nonzero Fourier coefficients of p; the support lies within deg(p)."""
+    fhat = spectrum(p)
+    return FourierPolynomial(p.n, {int(a): float(fhat[a]) for a in np.flatnonzero(fhat)})
 
 
 def fourier_to_values(fp: FourierPolynomial) -> np.ndarray:
-    check_cap(fp.n)
-    a = np.zeros(1 << fp.n)
-    a[list(fp.coeffs)] = list(fp.coeffs.values())
-    return fwht(a)
+    return fwht(_coef_array(fp.n, fp.coeffs))
 
 
 def inverse_fourier(fp: FourierPolynomial) -> CubePolynomial:
     """Multilinear polynomial with the given Fourier expansion."""
-    return from_values(fp.n, fourier_to_values(fp))
+    return from_spectrum(fp.n, _coef_array(fp.n, fp.coeffs))
 
 
 def harmonic_parts(p: CubePolynomial) -> tuple:
     """Split p into components p_k supported on weight-k characters, k = 0..deg(p):
     a tuple of FourierPolynomial indexed by k."""
-    fp = fourier_transform(p)
-    d = p.degree
-    buckets: list[dict] = [dict() for _ in range(d + 1)]
-    for a, c in fp.coeffs.items():
-        w = a.bit_count()
-        if w > d:
-            raise AssertionError("Fourier support exceeds polynomial degree")
-        buckets[w][a] = c
+    buckets: list[dict] = [dict() for _ in range(p.degree + 1)]
+    for a, c in fourier_transform(p).coeffs.items():
+        buckets[a.bit_count()][a] = c
     return tuple(FourierPolynomial(p.n, b) for b in buckets)
 
 
@@ -381,7 +373,7 @@ class MatrixPolynomial:
                 entry = self.entry(i, j)
                 if entry.terms != self.entry(j, i).terms:
                     raise ValueError("matrix polynomial is not symmetric")
-                out[i, j] = fwht(value_table(entry)) / (1 << self.n)
+                out[i, j] = spectrum(entry)
         return out
 
     def sup_norm(self) -> float:
@@ -399,7 +391,8 @@ class MatrixPolynomial:
 # JSON interchange
 
 # polynomial files: {"n": int, "terms": [{"vars": [..1-based..], "coef": float}]}
-# or Fourier form:  {"n": int, "fourier": [{"a": "<bitstring>", "coef": float}]}
+# or Fourier form:  {"n": int, "fourier": [{"a": "<bitstring>", "coef": float}]};
+# both forms sum repeated monomials or characters
 
 
 def polynomial_from_dict(data: dict) -> CubePolynomial:
@@ -409,12 +402,15 @@ def polynomial_from_dict(data: dict) -> CubePolynomial:
             n, [(t["vars"], t["coef"]) for t in data["terms"]]
         )
     if "fourier" in data:
-        coeffs = {}
+        coeffs: dict[int, float] = {}
         for item in data["fourier"]:
             bits = item["a"]
             if len(bits) != n:
                 raise DimensionMismatchError("bitstring length != n")
-            coeffs[bitstring_to_mask(bits)] = float(item["coef"])
+            if set(bits) - {"0", "1"}:
+                raise ValueError(f"fourier entry a={bits!r} is not a 0/1 bitstring")
+            mask = bitstring_to_mask(bits)
+            coeffs[mask] = coeffs.get(mask, 0.0) + float(item["coef"])
         return inverse_fourier(FourierPolynomial(n, coeffs))
     raise ValueError("polynomial JSON needs a 'terms' or 'fourier' field")
 

@@ -19,9 +19,9 @@ import scipy.linalg as sla
 from .cube_fourier import (
     CubePolynomial,
     MatrixPolynomial,
-    fwht,
     masks_up_to_weight,
     popcount_table,
+    spectrum,
     value_table,
 )
 from .krawtchouk import DiscreteMeasure, orthonormal_table
@@ -74,8 +74,7 @@ def inner_univariate_values(
     eigenvalue; the eigenvector is the optimal square-root density.
     """
     n = measure.n
-    if not 0 <= r <= n:
-        raise ValueError(f"r={r} out of range 0..{n}")
+    _check_order(n, r)
     gv = np.asarray(g_values, dtype=np.float64)
     if gv.shape != (n + 1,):
         raise ValueError("g_values must have length n+1")
@@ -93,12 +92,15 @@ def inner_univariate(g_coeffs, measure: DiscreteMeasure, r: int) -> InnerBoundRe
     return inner_univariate_values(gv, measure, r)
 
 
+def _check_order(n: int, r: int) -> None:
+    if not 0 <= r <= n:
+        raise ValueError(f"r={r} out of range 0..{n}")
+
+
 def _block_matrix(n: int, k: int, spectra: dict, r: int) -> np.ndarray:
     """A[(i,a),(j,b)] = fhat_ij(a XOR b) over characters of weight <= r, from
     the upper-triangle spectra; block (j, i) repeats block (i, j), which is
     symmetric."""
-    if not 0 <= r <= n:
-        raise ValueError(f"r={r} out of range 0..{n}")
     masks = masks_up_to_weight(n, r)
     xor = np.bitwise_xor.outer(masks, masks)
     N = masks.size
@@ -118,8 +120,8 @@ def inner_cube(f: CubePolynomial, r: int) -> InnerBoundResult:
     Smallest eigenvalue of (fhat(a XOR b)) over characters of weight <= r;
     exact at r = n, monotone nonincreasing in r.
     """
-    fhat = fwht(value_table(f)) / (1 << f.n)
-    return _result(_block_matrix(f.n, 1, {(0, 0): fhat}, r), r, {"k": 1})
+    _check_order(f.n, r)
+    return _result(_block_matrix(f.n, 1, {(0, 0): spectrum(f)}, r), r, {"k": 1})
 
 
 def symmetrize_to_univariate(f: CubePolynomial) -> np.ndarray:
@@ -144,4 +146,5 @@ def inner_matrix(F: MatrixPolynomial, r: int) -> InnerBoundResult:
     """Order-r inner bound on min_x lambda_min(F(x)) for a symmetric
     matrix-valued polynomial: smallest eigenvalue of the block matrix
     A[(i,a),(j,b)] = Fhat_ij(a XOR b)."""
+    _check_order(F.n, r)
     return _result(_block_matrix(F.n, F.k, F.spectra(), r), r, {"k": F.k})

@@ -29,13 +29,13 @@ import numpy as np
 from .cube_fourier import (
     CubePolynomial,
     _argmin_mask,
-    from_values,
+    from_spectrum,
     fwht,
     mask_to_bitstring,
     mask_to_point,
     point_to_mask,
     popcount_table,
-    rounding_floor,
+    spectrum,
     value_table,
 )
 from .gamma_constants import c_d, gamma_d
@@ -138,9 +138,7 @@ def funk_hecke_apply(
         raise SingularOperatorError("cannot invert: some eigenvalue is zero")
     factors = np.zeros(p.n + 1)
     factors[: deg + 1] = 1.0 / lam if invert else lam
-    values = _apply_by_weight(factors, value_table(p), p.n)
-    # pruning at the rounding floor keeps the result's degree at most deg
-    return from_values(p.n, values, prune_tol=rounding_floor(p.n, values))
+    return from_spectrum(p.n, spectrum(p) * factors[popcount_table(p.n)])
 
 
 def _translated(vals: np.ndarray, mask: int) -> np.ndarray:

@@ -36,6 +36,7 @@ from .cube_fourier import (
     MatrixPolynomial,
     fwht,
     masks_up_to_weight,
+    spectrum,
     value_table,
 )
 
@@ -428,8 +429,7 @@ def outer_cube(f: CubePolynomial, r: int,
     Raises SolverError if the interior-point method does not converge.
     """
     _check_order(f.n, f.degree, r)
-    fhat = fwht(value_table(f)) / (1 << f.n)
-    return _outer_sdp(f.n, 1, {(0, 0): fhat}, r, options)
+    return _outer_sdp(f.n, 1, {(0, 0): spectrum(f)}, r, options)
 
 
 def outer_matrix(F: MatrixPolynomial, r: int,

@@ -3,12 +3,13 @@ import pytest
 
 from cubesos.cube_fourier import (
     CubePolynomial,
+    FourierPolynomial,
     brute_force_min,
     fourier_to_values,
-    from_values,
+    fourier_transform,
+    inverse_fourier,
     point_to_mask,
     popcount_table,
-    rounding_floor,
     sup_norm,
     value_table,
 )
@@ -244,9 +245,11 @@ def test_certificate_commutes_with_translation(tight):
     f = random_poly(n, 2, seed=11)
     vals = value_table(f)
     assert np.count_nonzero(vals == vals.min()) == 1
-    idx = np.arange(1 << n)
+    fhat = fourier_transform(f).coeffs
     for s in (0b1, 0b101100110, (1 << n) - 1):
-        g = from_values(n, vals[idx ^ s], prune_tol=rounding_floor(n, vals))
+        # ghat(a) = fhat(a) (-1)^{|a AND s|}
+        g = inverse_fourier(FourierPolynomial(
+            n, {a: c * (-1) ** (a & s).bit_count() for a, c in fhat.items()}))
         assert g.degree == f.degree
         cf, cg = certify(f, r, tight=tight), certify(g, r, tight=tight)
         assert cg.delta == pytest.approx(cf.delta, rel=1e-12, abs=1e-15)

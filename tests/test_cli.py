@@ -5,7 +5,7 @@ import pytest
 
 from cubesos.cli import main
 from cubesos.cube_fourier import write_polynomial_json
-from cubesos.instances import maxcut_instance
+from cubesos.instances import maxcut_instance, random_poly
 
 
 @pytest.fixture
@@ -88,6 +88,29 @@ def test_certify_roundtrip(capsys, tmp_path):
     assert cert["residual"] <= 1e-7
     assert all(w["w"] >= 0.0 for w in cert["weights"])
     assert "residual" in err
+
+
+def test_fourier_form_file_keeps_its_degree(capsys, tmp_path):
+    p = random_poly(10, 2, seed=3)
+    deltas = []
+    for form in ("terms", "fourier"):
+        path = tmp_path / f"{form}.json"
+        write_polynomial_json(p, path, form=form)
+        code, out, _ = run_cli(capsys, "certify", "--poly", str(path), "--r", "3", "--quiet")
+        assert code == 0
+        deltas.append(json.loads(out)["delta"])
+    assert deltas[0] == deltas[1]
+    code, out, _ = run_cli(capsys, "bounds", "--poly", str(path), "--r", "1",
+                           "--which", "brute", "--quiet")
+    assert code == 0 and json.loads(out)["degree"] == 2
+
+
+def test_fourier_form_non_binary_bitstring_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "fourier": [{"a": "1x0", "coef": 1.0}]}))
+    code, _, err = run_cli(capsys, "certify", "--poly", str(path), "--r", "2", "--quiet")
+    assert code == 2
+    assert "'1x0'" in err
 
 
 def test_certify_infeasible_order_exits_4(capsys):

@@ -2,9 +2,12 @@ import pytest
 
 from cubesos.config import CapExceededError
 from cubesos.cube_fourier import (
+    FourierPolynomial,
     MatrixPolynomial,
     brute_force_min,
     fourier_transform,
+    inverse_fourier,
+    spectrum,
     value_table,
 )
 from cubesos.inner_hierarchy import inner_cube, inner_cube_symmetrized, inner_matrix
@@ -22,6 +25,8 @@ ZERO = MatrixPolynomial(5, 2, {})
     lambda: value_table(F),
     lambda: brute_force_min(F),
     lambda: fourier_transform(F),
+    lambda: spectrum(F),
+    lambda: inverse_fourier(FourierPolynomial(5, {0b10011: 1.0})),
     lambda: inner_cube(F, 2),
     lambda: inner_cube_symmetrized(F, 2),
     lambda: inner_matrix(M, 1),
@@ -30,9 +35,9 @@ ZERO = MatrixPolynomial(5, 2, {})
     lambda: outer_matrix(M, 1),
     lambda: outer_matrix(ZERO, 1),
     lambda: certify(F, 3),
-], ids=["value_table", "brute_force_min", "fourier_transform", "inner_cube",
-        "inner_cube_symmetrized", "inner_matrix", "inner_matrix_zero", "outer_cube",
-        "outer_matrix", "outer_matrix_zero", "certify"])
+], ids=["value_table", "brute_force_min", "fourier_transform", "spectrum",
+        "inverse_fourier", "inner_cube", "inner_cube_symmetrized", "inner_matrix",
+        "inner_matrix_zero", "outer_cube", "outer_matrix", "outer_matrix_zero", "certify"])
 def test_entry_points_enforce_cap(monkeypatch, call):
     monkeypatch.setenv("CUBESOS_MAX_N", "4")
     with pytest.raises(CapExceededError):

@@ -17,7 +17,6 @@ from cubesos.cube_fourier import (
     evaluate,
     fourier_to_values,
     fourier_transform,
-    from_values,
     fwht,
     harmonic_parts,
     inverse_fourier,
@@ -26,8 +25,11 @@ from cubesos.cube_fourier import (
     polynomial_from_dict,
     polynomial_to_dict,
     popcount_table,
+    read_polynomial_json,
+    spectrum,
     sup_norm,
     value_table,
+    write_polynomial_json,
 )
 from cubesos.instances import random_poly
 
@@ -88,15 +90,11 @@ def test_fourier_of_character_sum():
     # X_k = sum of weight-k characters has all weight-k coefficients equal 1
     n, k = 5, 2
     masks = [m for m in range(1 << n) if bin(m).count("1") == k]
-    vals = np.zeros(1 << n)
-    for m in masks:
-        x = np.arange(1 << n)
-        signs = 1 - 2 * (popcount_table(n)[np.bitwise_and(x, m)] % 2)
-        vals += signs
-    p = from_values(n, vals)
+    p = inverse_fourier(FourierPolynomial(n, {m: 1.0 for m in masks}))
+    assert p.degree == k
     fp = fourier_transform(p)
     assert set(fp.coeffs) == set(masks)
-    assert all(abs(c - 1.0) < 1e-12 for c in fp.coeffs.values())
+    assert all(c == 1.0 for c in fp.coeffs.values())
 
 
 def test_fourier_cap():
@@ -126,7 +124,11 @@ def test_transforms_across_block_boundaries(n, rng):
     points = itertools.product((0, 1), repeat=n)
     expect = [evaluate(p, x[::-1]) for x in points]  # x[::-1]: variable 1 is bit 0
     assert np.max(np.abs(vals - expect)) <= 1e-12
-    back = from_values(n, vals)
+    fhat = spectrum(p)
+    assert np.max(np.abs(fhat - fwht(vals) / vals.size)) <= 1e-15 * np.abs(vals).max()
+    assert not fhat[popcount_table(n) > p.degree].any()
+    back = inverse_fourier(fourier_transform(p))
+    assert back.degree == p.degree
     for m in range(1 << n):
         assert abs(back.terms.get(m, 0.0) - p.terms.get(m, 0.0)) <= 1e-12
 
@@ -270,6 +272,26 @@ def test_polynomial_fourier_json_round_trip():
     assert all(len(item["a"]) == 3 for item in data["fourier"])
     q = polynomial_from_dict(data)
     assert np.max(np.abs(value_table(q) - value_table(p))) <= 1e-12
+
+
+def test_fourier_json_reads_back_its_degree(tmp_path):
+    p = random_poly(10, 2, seed=3)
+    path = tmp_path / "f.json"
+    write_polynomial_json(p, path, form="fourier")
+    q = read_polynomial_json(path)
+    assert set(q.terms) == set(p.terms) and q.degree == 2
+    assert max(abs(q.terms[m] - c) for m, c in p.terms.items()) <= 1e-15
+
+
+def test_fourier_json_rejects_non_binary_bitstring():
+    data = {"n": 3, "fourier": [{"a": "000", "coef": 1.0}, {"a": "1x0", "coef": 2.0}]}
+    with pytest.raises(ValueError, match="'1x0'"):
+        polynomial_from_dict(data)
+
+
+def test_fourier_json_sums_repeats():
+    data = {"n": 2, "fourier": [{"a": "10", "coef": 1.0}, {"a": "10", "coef": 0.5}]}
+    assert polynomial_from_dict(data).terms == {0: 1.5, 1: -3.0}
 
 
 def test_bitstring_convention():

@@ -184,8 +184,10 @@ def test_matrix_rejects_asymmetric():
 
 @pytest.mark.parametrize("front_end", ["inner_cube", "inner_matrix"])
 @pytest.mark.parametrize("r", [-1, 6])
-def test_order_out_of_range(front_end, r):
+def test_order_out_of_range(monkeypatch, front_end, r):
+    # the order is checked before any array over the cube is allocated
     f = random_poly(5, 2, seed=3)
+    monkeypatch.setenv("CUBESOS_MAX_N", "4")
     with pytest.raises(ValueError, match="out of range"):
         if front_end == "inner_cube":
             inner_cube(f, r)
