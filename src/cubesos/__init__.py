@@ -8,7 +8,7 @@ argument parsing) do not pay for scipy.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "config": ["CapExceededError"],
+    "config": ["CapExceededError", "SolverError"],
     "cube_fourier": [
         "CubePolynomial", "FourierPolynomial", "MatrixPolynomial", "brute_force_min", "evaluate", "fourier_transform",
         "harmonic_parts", "inverse_fourier", "sup_norm", "fwht",
@@ -33,7 +33,7 @@ _EXPORTS = {
         "limit_poly_eval",
     ],
     "outer_hierarchy": [
-        "OuterBoundResult", "SdpSolution", "SolverError", "SolverOptions",
+        "OuterBoundResult", "SdpSolution", "SolverOptions",
         "outer_cube", "outer_matrix", "verify_sos_certificate",
     ],
     "qary": ["QaryPolynomial", "qary_brute_min", "qary_inner_symmetrized"],

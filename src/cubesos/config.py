@@ -3,6 +3,8 @@
 ``CUBESOS_MAX_N`` (default 24; the CLI's ``--max-n`` sets it) caps the
 number of points an operation may enumerate at 2^CUBESOS_MAX_N. The code
 that allocates an array over the whole cube calls ``check_cap`` first.
+The errors shared by several modules live here too, so that raising one
+loads no solver module.
 """
 
 from __future__ import annotations
@@ -12,6 +14,11 @@ import os
 
 class CapExceededError(ValueError):
     """Raised when an operation would enumerate more points than the cap allows."""
+
+
+class SolverError(RuntimeError):
+    """Raised when a numerical solve (the outer interior-point method or the
+    inner eigen-solve) fails to produce a finite, converged answer."""
 
 
 def check_cap(n: int) -> None:

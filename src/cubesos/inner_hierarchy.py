@@ -4,9 +4,20 @@ All variants reduce to a smallest-eigenvalue problem. On the cube the basis
 is the characters (orthonormal under the uniform measure mu), so the order-r
 bound is the smallest eigenvalue of A[a,b] = fhat(a XOR b) over |a|,|b| <= r;
 a k x k matrix input fills k^2 such blocks from the spectra of its entries,
-and scalar input is the k = 1 case of the same block matrix. On the integer
-grid [0:n] the basis is the w-orthonormal Krawtchouk family, whose
-multiplication matrix entries are exact finite sums over the grid.
+and scalar input is the k = 1 case of the same block matrix. A is XOR
+convolution by fhat restricted to those characters, so a product A v costs
+two Walsh-Hadamard transforms per block: v to the square-root density p on
+the cube, times F's values, and back to the characters of weight <= r.
+Above a size switch (the cube of the size against the cost of one product)
+the eigenpair comes from Lanczos (ARPACK) on that product and A is never
+formed; below it A is gathered and solved densely.
+On the integer grid [0:n] the basis is the w-orthonormal Krawtchouk family,
+whose multiplication matrix entries are exact finite sums over the grid.
+
+The value reported is the integral of f against the density p^2 / <p, p>
+of the computed eigenvector, not the eigenvalue: every p gives a feasible
+density, so the value bounds the minimum from above even if the eigen-solve
+is loose. The eigenvalue is kept as ``diagnostics["eigenvalue"]``.
 """
 
 from __future__ import annotations
@@ -14,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
+from .config import SolverError
 from .cube_fourier import (
     CubePolynomial,
     MatrixPolynomial,
+    fwht,
     masks_up_to_weight,
     popcount_table,
     spectrum,
@@ -45,23 +57,82 @@ class InnerBoundResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _smallest_eigenpair(A: np.ndarray) -> tuple[float, np.ndarray]:
-    if A.shape[0] <= 128:
-        w, v = np.linalg.eigh(A)
+# The solver switch, at the measured crossover (one BLAS thread). Dense eigh
+# costs about size^3 flops. Lanczos costs some tens of products, each of
+# ``product_cost`` units (k n 2^n for the cube operator: k transforms of n
+# passes over 2^n points; size^2 for a formed matrix) plus a fixed overhead in
+# ARPACK and numpy calls worth about _PRODUCT_OVERHEAD units. Dense while
+# size^3 <= _DENSE_RATIO * (product_cost + _PRODUCT_OVERHEAD): N = 130 at
+# n = 9 stays dense (3 ms against 6), N = 299 at n = 12 goes to Lanczos
+# (11 ms against 18), and N = 1351 at n = 20 stays dense (0.8 s against 4.3).
+_DENSE_RATIO = 250
+_PRODUCT_OVERHEAD = 40_000
+
+
+def _smallest_eigenpair(A) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue and a unit eigenvector of the symmetric operator A
+    (``shape``, ``product_cost``, ``dense()`` and ``A @ v``): eigh on the
+    formed matrix below the size switch, Lanczos (ARPACK eigsh) on the
+    product above it."""
+    size = A.shape[0]
+    if size ** 3 <= _DENSE_RATIO * (A.product_cost + _PRODUCT_OVERHEAD):
+        w, v = np.linalg.eigh(A.dense())
         return float(w[0]), v[:, 0]
-    w, v = sla.eigh(A, subset_by_index=(0, 0))
+    # imported here, so that callers with small problems never load it
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    op = LinearOperator(A.shape, matvec=A.__matmul__, dtype=np.float64)
+    # a seeded random start: ones or e_0 can lie in A's kernel, where ARPACK stops
+    v0 = np.random.default_rng(0).standard_normal(size)
+    try:
+        w, v = eigsh(op, k=1, which="SA", tol=0, v0=v0)
+    except ArpackError as exc:  # ArpackNoConvergence included
+        raise SolverError(f"Lanczos eigen-solve of size {size} failed: {exc}") from exc
     return float(w[0]), v[:, 0]
 
 
-def _result(A: np.ndarray, order: int, extra: dict | None = None) -> InnerBoundResult:
-    val, vec = _smallest_eigenpair(A)
-    residual = float(np.linalg.norm(A @ vec - val * vec))
-    diag = {"matrix_size": A.shape[0], "eig_residual": residual}
+def _result(A, order: int, extra: dict | None = None) -> InnerBoundResult:
+    size = A.shape[0]
+    if A.is_zero:
+        # every density of degree <= 2r integrates f to 0 (on the cube: f has
+        # no spectrum at weights <= 2r), and Lanczos would break down at its
+        # first product
+        eigenvalue, vec, value, residual = 0.0, np.eye(1, size)[0], 0.0, 0.0
+    else:
+        eigenvalue, vec = _smallest_eigenpair(A)
+        value = A.integral(vec)
+        residual = float(np.linalg.norm(A @ vec - eigenvalue * vec))
+    if not (np.isfinite(eigenvalue) and np.isfinite(value)):
+        raise SolverError(f"eigenvalue solve failed: eigenvalue={eigenvalue!r}, "
+                          f"density integral={value!r}, residual={residual!r}")
+    diag = {"matrix_size": size, "eigenvalue": eigenvalue, "eig_residual": residual}
     if extra:
         diag.update(extra)
-    if not np.isfinite(val):
-        raise ArithmeticError(f"eigenvalue solve failed: residual={residual!r}")
-    return InnerBoundResult(val, order, vec, diag)
+    return InnerBoundResult(value, order, vec, diag)
+
+
+class _GridOperator:
+    """A[i,j] = <g p_i, p_j>_w over the w-orthonormal Krawtchouk family p_i of
+    degree <= r on [0:n]: an exact finite sum over the grid, formed densely."""
+
+    def __init__(self, g: np.ndarray, measure: DiscreteMeasure, r: int):
+        self.g, self.w = g, measure.weights
+        self.table = orthonormal_table(measure.n, r, measure.q)
+        self.matrix = (self.table * (g * self.w)) @ self.table.T
+        self.shape = self.matrix.shape
+        self.product_cost = self.matrix.size
+        self.is_zero = not self.matrix.any()
+
+    def dense(self) -> np.ndarray:
+        return self.matrix
+
+    def __matmul__(self, v) -> np.ndarray:
+        return self.matrix @ v
+
+    def integral(self, v) -> float:
+        """sum_t w(t) g(t) p(t)^2 / sum_t w(t) p(t)^2 for p = sum_i v_i p_i."""
+        pw = (v @ self.table) ** 2 * self.w
+        return float(pw @ self.g / pw.sum())
 
 
 def inner_univariate_values(
@@ -78,9 +149,7 @@ def inner_univariate_values(
     gv = np.asarray(g_values, dtype=np.float64)
     if gv.shape != (n + 1,):
         raise ValueError("g_values must have length n+1")
-    P = orthonormal_table(n, r, measure.q)
-    A = (P * (gv * measure.weights)) @ P.T
-    return _result(A, r)
+    return _result(_GridOperator(gv, measure, r), r)
 
 
 def inner_univariate(g_coeffs, measure: DiscreteMeasure, r: int) -> InnerBoundResult:
@@ -97,11 +166,10 @@ def _check_order(n: int, r: int) -> None:
         raise ValueError(f"r={r} out of range 0..{n}")
 
 
-def _block_matrix(n: int, k: int, spectra: dict, r: int) -> np.ndarray:
-    """A[(i,a),(j,b)] = fhat_ij(a XOR b) over characters of weight <= r, from
-    the upper-triangle spectra; block (j, i) repeats block (i, j), which is
+def _block_matrix(masks: np.ndarray, k: int, spectra: dict) -> np.ndarray:
+    """A[(i,a),(j,b)] = fhat_ij(a XOR b) over the given characters, from the
+    upper-triangle spectra; block (j, i) repeats block (i, j), which is
     symmetric."""
-    masks = masks_up_to_weight(n, r)
     xor = np.bitwise_xor.outer(masks, masks)
     N = masks.size
     A = np.zeros((k * N, k * N))
@@ -114,6 +182,46 @@ def _block_matrix(n: int, k: int, spectra: dict, r: int) -> np.ndarray:
     return A
 
 
+class _XorBlocks:
+    """The block matrix A[(i,a),(j,b)] = Fhat_ij(a XOR b) over characters of
+    weight <= r, as an operator: A v is F p on the cube, for p the
+    square-root density of v, restricted back to those characters."""
+
+    def __init__(self, n: int, k: int, spectra: dict, r: int):
+        self.n, self.k, self.spectra = n, k, spectra
+        self.masks = masks_up_to_weight(n, r)
+        self.shape = (k * self.masks.size,) * 2
+        self.product_cost = k * n << n  # k transforms of 2^n points, n passes each
+        low = popcount_table(n) <= 2 * r  # A reads each spectrum only there
+        self.is_zero = not any(fhat[low].any() for fhat in spectra.values())
+        # F(x) at every cube point, shape (k, k, 2^n)
+        self.tables = np.zeros((k, k, 1 << n))
+        for (i, j), fhat in spectra.items():
+            self.tables[i, j] = self.tables[j, i] = fwht(fhat)
+
+    def dense(self) -> np.ndarray:
+        return _block_matrix(self.masks, self.k, self.spectra)
+
+    def _densities(self, v) -> np.ndarray:
+        """p_i(x) = sum_a v[(i,a)] chi_a(x) on the cube, shape (k, 2^n)."""
+        coeffs = np.zeros((self.k, 1 << self.n))
+        coeffs[:, self.masks] = np.reshape(v, (self.k, -1))
+        return np.array([fwht(c) for c in coeffs])
+
+    def _apply(self, p: np.ndarray) -> np.ndarray:
+        """(F p)(x) = F(x) p(x) at every cube point."""
+        return np.einsum("ijx,jx->ix", self.tables, p)
+
+    def __matmul__(self, v) -> np.ndarray:
+        fp = self._apply(self._densities(v))
+        return np.concatenate([fwht(c)[self.masks] for c in fp]) / (1 << self.n)
+
+    def integral(self, v) -> float:
+        """sum_x p(x)^T F(x) p(x) / sum_x |p(x)|^2 for the density of v."""
+        p = self._densities(v)
+        return float(np.vdot(p, self._apply(p)) / np.vdot(p, p))
+
+
 def inner_cube(f: CubePolynomial, r: int) -> InnerBoundResult:
     """The order-r inner bound on min f over {0,1}^n.
 
@@ -121,7 +229,7 @@ def inner_cube(f: CubePolynomial, r: int) -> InnerBoundResult:
     exact at r = n, monotone nonincreasing in r.
     """
     _check_order(f.n, r)
-    return _result(_block_matrix(f.n, 1, {(0, 0): spectrum(f)}, r), r, {"k": 1})
+    return _result(_XorBlocks(f.n, 1, {(0, 0): spectrum(f)}, r), r, {"k": 1})
 
 
 def symmetrize_to_univariate(f: CubePolynomial) -> np.ndarray:
@@ -147,4 +255,4 @@ def inner_matrix(F: MatrixPolynomial, r: int) -> InnerBoundResult:
     matrix-valued polynomial: smallest eigenvalue of the block matrix
     A[(i,a),(j,b)] = Fhat_ij(a XOR b)."""
     _check_order(F.n, r)
-    return _result(_block_matrix(F.n, F.k, F.spectra(), r), r, {"k": F.k})
+    return _result(_XorBlocks(F.n, F.k, F.spectra(), r), r, {"k": F.k})

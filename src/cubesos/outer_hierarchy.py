@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from .config import SolverError
 from .cube_fourier import (
     CubePolynomial,
     MatrixPolynomial,
@@ -50,10 +51,6 @@ __all__ = [
     "verify_sos_certificate",
     "SosVerification",
 ]
-
-
-class SolverError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)

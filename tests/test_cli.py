@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from cubesos.cli import main
@@ -189,6 +190,18 @@ def test_out_of_memory_exits_3(capsys, monkeypatch, module, name, command):
                            "--r", "2", "--quiet")
     assert code == 3
     assert "n=6" in err and "r=2" in err
+
+
+def test_inner_solver_failure_exits_3(capsys, monkeypatch):
+    from cubesos import inner_hierarchy
+
+    monkeypatch.setattr(inner_hierarchy, "_smallest_eigenpair",
+                        lambda A: (float("nan"), np.full(A.shape[0], np.nan)))
+    code, out, err = run_cli(capsys, "bounds", "--instance", "random:n=6,d=2,seed=1",
+                             "--r", "2", "--which", "inner", "--quiet")
+    assert code == 3
+    assert err.startswith("solver failure:")
+    assert out == ""
 
 
 def test_max_n_flag_enforces_cap(capsys, monkeypatch):

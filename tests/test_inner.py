@@ -1,8 +1,21 @@
 import numpy as np
 import pytest
 
-from cubesos.cube_fourier import CubePolynomial, MatrixPolynomial, brute_force_min
+from cubesos import inner_hierarchy
+from cubesos.config import SolverError
+from cubesos.cube_fourier import (
+    CubePolynomial,
+    FourierPolynomial,
+    MatrixPolynomial,
+    brute_force_min,
+    fwht,
+    inverse_fourier,
+    masks_up_to_weight,
+    spectrum,
+    value_table,
+)
 from cubesos.inner_hierarchy import (
+    _block_matrix,
     inner_cube,
     inner_cube_symmetrized,
     inner_matrix,
@@ -10,7 +23,7 @@ from cubesos.inner_hierarchy import (
     inner_univariate_values,
     symmetrize_to_univariate,
 )
-from cubesos.instances import random_matrix_poly, random_poly
+from cubesos.instances import maxcut_instance, random_matrix_poly, random_poly
 from cubesos.krawtchouk import DiscreteMeasure, least_root
 
 
@@ -93,8 +106,6 @@ def test_cube_zero_polynomial():
 
 def test_cube_order_zero_is_average():
     f = random_poly(6, 2, seed=11)
-    from cubesos.cube_fourier import value_table
-
     assert inner_cube(f, 0).value == pytest.approx(float(value_table(f).mean()), abs=1e-12)
 
 
@@ -204,3 +215,156 @@ def test_matrix_upper_bounds_minimum():
     for seed in range(3):
         F = random_matrix_poly(6, 2, 2, seed=20 + seed)
         assert inner_matrix(F, 2).value >= F.min_eigenvalue() - 1e-8
+
+
+# ---------------------------------------------------------------------------
+# matrix-free path: Lanczos on two transforms per product, above the switch
+
+
+@pytest.fixture
+def lanczos_calls(monkeypatch):
+    """Records the size of every Lanczos solve, so a test can tell which
+    path ran; the solver imports eigsh from its module at call time."""
+    import scipy.sparse.linalg
+
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counted(op, *args, **kwargs):
+        calls.append(op.shape[0])
+        return eigsh(op, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    return calls
+
+
+def _dense_smallest(n, k, spectra, r):
+    return np.linalg.eigvalsh(_block_matrix(masks_up_to_weight(n, r), k, spectra))[0]
+
+
+def _assert_close(value, expect):
+    assert abs(value - expect) <= 1e-12 * max(1.0, abs(expect)), (value, expect)
+
+
+def _maxcut_g12():
+    rng = np.random.default_rng(12)
+    adj = np.triu((rng.random((12, 12)) < 0.5).astype(float), 1)
+    return maxcut_instance(adj + adj.T)
+
+
+def _chi_1234_5678():
+    return inverse_fourier(FourierPolynomial(12, {0b1111: 1.0, 0b11110000: 0.5}))
+
+
+@pytest.mark.parametrize("f, r", [
+    (random_poly(12, 2, seed=31), 5),
+    (random_poly(12, 3, seed=32), 4),
+    (_maxcut_g12(), 4),  # degenerate spectrum
+    (weight_poly(10), 10),  # ones is in the kernel at r = n
+    (_chi_1234_5678(), 3),
+], ids=["random-d2", "random-d3", "maxcut-g12", "weight-r=n", "chi1234+chi5678/2"])
+def test_matrix_free_matches_dense(lanczos_calls, f, r):
+    res = inner_cube(f, r)
+    assert lanczos_calls == [res.diagnostics["matrix_size"]]
+    _assert_close(res.value, _dense_smallest(f.n, 1, {(0, 0): spectrum(f)}, r))
+    _assert_close(res.diagnostics["eigenvalue"], res.value)
+
+
+def test_matrix_free_weight_function_exact_at_n(lanczos_calls):
+    # N = 4096: the reference is the exact minimum, 0, that r = n attains
+    res = inner_cube(weight_poly(12), 12)
+    assert lanczos_calls == [4096]
+    assert abs(res.value) <= 1e-12
+
+
+def test_matrix_free_characters_value():
+    assert inner_cube(_chi_1234_5678(), 3).value == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_matrix_free_constant(lanczos_calls):
+    # A = c I: Lanczos meets an invariant subspace at its first product
+    res = inner_cube(CubePolynomial.constant(12, -2.5), 4)
+    assert lanczos_calls
+    _assert_close(res.value, -2.5)
+
+
+@pytest.mark.parametrize("f, r", [(CubePolynomial(12, {}), 4),
+                                  (inverse_fourier(FourierPolynomial(12, {0b11111: 1.0})), 2)],
+                         ids=["zero", "chi12345"])
+def test_zero_operator_is_exact_without_lanczos(lanczos_calls, f, r):
+    # f has no spectrum at weights <= 2r, so A = 0
+    res = inner_cube(f, r)
+    assert res.value == 0.0 and res.diagnostics["eigenvalue"] == 0.0
+    assert lanczos_calls == []
+
+
+@pytest.mark.parametrize("n, k, r", [(8, 2, 8), (12, 3, 3)])
+def test_matrix_free_block_input_matches_dense(lanczos_calls, n, k, r):
+    F = random_matrix_poly(n, 2, k, seed=40 + n)
+    res = inner_matrix(F, r)
+    assert lanczos_calls == [res.diagnostics["matrix_size"]]
+    _assert_close(res.value, _dense_smallest(n, k, F.spectra(), r))
+    assert res.value >= F.min_eigenvalue() - 1e-12
+
+
+@pytest.mark.parametrize("front_end", ["inner_cube", "inner_matrix"])
+def test_dense_and_matrix_free_paths_agree(monkeypatch, lanczos_calls, front_end):
+    # one instance solved on each side of the size switch
+    if front_end == "inner_cube":
+        f = random_poly(10, 3, seed=51)
+        solve = lambda: inner_cube(f, 3)  # noqa: E731
+    else:
+        F = random_matrix_poly(7, 2, 2, seed=52)
+        solve = lambda: inner_matrix(F, 3)  # noqa: E731
+    monkeypatch.setattr(inner_hierarchy, "_DENSE_RATIO", float("inf"))
+    dense = solve()
+    assert lanczos_calls == []
+    monkeypatch.setattr(inner_hierarchy, "_DENSE_RATIO", 0)
+    lanczos = solve()
+    assert len(lanczos_calls) == 1
+    _assert_close(lanczos.value, dense.value)
+    _assert_close(lanczos.diagnostics["eigenvalue"], dense.diagnostics["eigenvalue"])
+    assert lanczos.diagnostics["eig_residual"] <= 1e-12
+    assert dense.diagnostics["eig_residual"] <= 1e-12
+
+
+def test_value_is_density_integral():
+    # the value is sum_x f p^2 / sum_x p^2 for the reported density p
+    f = random_poly(9, 3, seed=61)
+    res = inner_cube(f, 3)
+    coeffs = np.zeros(1 << 9)
+    coeffs[masks_up_to_weight(9, 3)] = res.density_coeffs
+    p = fwht(coeffs)
+    vals = value_table(f)
+    assert res.value == pytest.approx(float(vals @ p**2 / (p @ p)), abs=1e-13)
+    assert res.value >= vals.min()
+    assert res.value == pytest.approx(res.diagnostics["eigenvalue"], abs=1e-12)
+
+
+def test_univariate_value_is_density_integral():
+    from cubesos.krawtchouk import orthonormal_table
+
+    n, r = 12, 4
+    measure = DiscreteMeasure(n, 2)
+    g = np.cos(np.arange(n + 1.0))
+    res = inner_univariate_values(g, measure, r)
+    pw = (res.density_coeffs @ orthonormal_table(n, r, 2)) ** 2 * measure.weights
+    assert res.value == pytest.approx(float(pw @ g / pw.sum()), abs=1e-14)
+
+
+def test_lanczos_failure_raises_solver_error(monkeypatch):
+    import scipy.sparse.linalg
+
+    def fails(op, *args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fails)
+    with pytest.raises(SolverError, match="Lanczos"):
+        inner_cube(random_poly(12, 2, seed=71), 4)
+
+
+def test_non_finite_eigenpair_raises_solver_error(monkeypatch):
+    monkeypatch.setattr(inner_hierarchy, "_smallest_eigenpair",
+                        lambda A: (float("nan"), np.full(A.shape[0], np.nan)))
+    with pytest.raises(SolverError, match="eigenvalue solve failed"):
+        inner_cube(random_poly(5, 2, seed=72), 2)
