@@ -2,8 +2,10 @@
 
 Machine-readable JSON/CSV goes to stdout (or --out); human-oriented progress
 goes to stderr and is silenced by --quiet. Exit codes: 0 success, 2 input
-error, 3 solver failure or out of memory, 4 certification impossible at the
-requested order.
+error (including a polynomial whose value table is not finite), 3 solver
+failure, out of memory, or a certificate that fails ``certify --verify``, 4
+certification impossible at the requested order. No output is written on a
+nonzero exit.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from .kernel_certifier import CertificationError, certify
+    from .kernel_certifier import RESIDUAL_TOL, CertificationError, certify
 
     try:
         f = _load_instance(args)
@@ -185,10 +187,17 @@ def cmd_certify(args) -> int:
         return EXIT_INPUT
     if args.verify:
         check = cert.verify(f)
-        _say(args, f"verification residual: {check['max_residual']:.3e}, "
-                   f"min weight: {check['min_weight']:.3e}")
+        residual, wmin = check["max_residual"], check["min_weight"]
+        _say(args, f"verification residual: {residual:.3e}, min weight: {wmin:.3e}")
+        if not residual <= RESIDUAL_TOL:
+            print(f"verification failed: max residual {residual:.3e} > {RESIDUAL_TOL}",
+                  file=sys.stderr)
+            return EXIT_SOLVER
+        if not wmin >= 0.0:
+            print(f"verification failed: min weight {wmin:.3e} < 0", file=sys.stderr)
+            return EXIT_SOLVER
     _say(args, f"delta={cert.delta} (original frame: {cert.delta_original})")
-    _emit(args, json.dumps(cert.to_dict(), indent=1) + "\n")
+    _emit(args, cert.to_json())
     return EXIT_OK
 
 

@@ -17,11 +17,22 @@ order-r SOS lower bound is within delta of the true minimum.
 
 ``certify`` works from one value table of f: the minimum, its minimizer x0
 and the sup-norm are read off it, the translate x -> x XOR x0 re-indexes it,
-and T^{-1} is applied once, giving both the tight budget and the weights.
+and T^{-1} is applied once, giving both the tight budget and the weights. A
+value table that is not finite, or whose range max f - min f overflows
+(coefficients near the float range), is rejected with ``ValueError``.
+
+``SosCubeCertificate.to_json`` writes the certificate from its arrays: the
+scalar fields through ``json.dumps(..., indent=1)``, the 2^n weight records
+in mask order with all bitstrings built at once and each weight as its
+shortest round-trip float (``float.__repr__``, which is what ``json`` writes
+for a finite float). Non-finite fields are refused, so the text is always
+strict JSON. ``to_dict`` parses that text back.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +42,7 @@ from .cube_fourier import (
     _argmin_mask,
     from_spectrum,
     fwht,
+    mask_bitstrings,
     mask_to_bitstring,
     mask_to_point,
     point_to_mask,
@@ -43,6 +55,7 @@ from .inner_hierarchy import inner_univariate_values
 from .krawtchouk import DiscreteMeasure, kraw_hat_table, least_root, orthonormal_table
 
 __all__ = [
+    "RESIDUAL_TOL",
     "KernelSpec",
     "SosCubeCertificate",
     "CertificationError",
@@ -52,6 +65,11 @@ __all__ = [
     "certify",
     "error_sweep",
 ]
+
+
+# Largest pointwise residual |sum_y w_y u^2(d(x, y)) - (h + delta)| that
+# counts as a verified certificate; the test suite checks against the same.
+RESIDUAL_TOL = 1e-7
 
 
 class CertificationError(RuntimeError):
@@ -194,19 +212,31 @@ class SosCubeCertificate:
             "delta_original": self.delta_original,
         }
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        """The certificate as JSON text in ``json.dumps(..., indent=1)``
+        layout, newline-terminated; raises ValueError on a non-finite field."""
+        finite = np.isfinite(self.weights)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"certificate weight {self.weights[bad]} at "
+                             f"y={mask_to_bitstring(bad, self.n)} is not finite")
+        head = json.dumps({
             "delta": self.delta,
             "r": self.r,
             "u_coeffs": [float(c) for c in self.u_coeffs],
-            "weights": [
-                {"y": mask_to_bitstring(y, self.n), "w": float(w)}
-                for y, w in enumerate(self.weights)
-            ],
+            "weights": [],
             "translate": mask_to_bitstring(point_to_mask(self.translate), self.n),
             "scale": self.scale,
             "residual": self.residual,
-        }
+        }, indent=1, allow_nan=False)
+        records = ",\n".join(
+            f'  {{\n   "y": "{y}",\n   "w": {w!r}\n  }}'
+            for y, w in zip(mask_bitstrings(self.n), self.weights.tolist())
+        )
+        return head.replace('"weights": []', f'"weights": [\n{records}\n ]', 1) + "\n"
+
+    def to_dict(self) -> dict:
+        return json.loads(self.to_json())
 
 
 def certify(f: CubePolynomial, r: int, tight: bool = False) -> SosCubeCertificate:
@@ -228,7 +258,14 @@ def certify(f: CubePolynomial, r: int, tight: bool = False) -> SosCubeCertificat
             "no certificate at this order"
         )
     vals = value_table(f)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"value table of f is not finite at n={n}: "
+                         f"f({mask_to_bitstring(bad, n)}) = {vals[bad]}")
     m0 = _argmin_mask(vals, n)
+    if not math.isfinite(float(vals.max()) - float(vals[m0])):
+        raise ValueError(f"value range of f overflows at n={n}: max f - min f is not finite")
     scale = float(np.max(np.abs(vals))) or 1.0
     h = _translated(vals, m0) / scale
     inv = np.ones(n + 1)

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from cubesos.cube_fourier import (
     fourier_to_values,
     fourier_transform,
     inverse_fourier,
+    mask_to_bitstring,
     point_to_mask,
     popcount_table,
     sup_norm,
@@ -205,6 +209,53 @@ def test_certificate_json_schema():
     assert len(data["weights"]) == 1 << 5
     assert all(set(w) == {"y", "w"} for w in data["weights"])
     assert len(data["translate"]) == 5
+
+
+def _json_of_records(cert):
+    """The certificate text built record by record, as a dict per weight."""
+    data = {
+        "delta": cert.delta,
+        "r": cert.r,
+        "u_coeffs": [float(c) for c in cert.u_coeffs],
+        "weights": [
+            {"y": mask_to_bitstring(y, cert.n), "w": float(w)}
+            for y, w in enumerate(cert.weights)
+        ],
+        "translate": mask_to_bitstring(point_to_mask(cert.translate), cert.n),
+        "scale": cert.scale,
+        "residual": cert.residual,
+    }
+    return json.dumps(data, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("tight", [False, True])
+@pytest.mark.parametrize("n, r", [(0, 0), (1, 1), (2, 1), (5, 3), (9, 4)])
+def test_to_json_matches_record_by_record_json(n, r, tight):
+    f = CubePolynomial.constant(0, 2.0) if n == 0 else random_poly(n, min(2, n), seed=n)
+    cert = certify(f, r, tight=tight)
+    text = cert.to_json()
+    assert text == _json_of_records(cert)
+    assert cert.to_dict() == json.loads(text)
+
+
+def test_to_json_refuses_non_finite_weights():
+    cert = certify(random_poly(5, 2, seed=2), 3)
+    for bad in (np.nan, np.inf):
+        w = cert.weights.copy()
+        w[6] = bad
+        with pytest.raises(ValueError, match="y=01100"):
+            dataclasses.replace(cert, weights=w).to_json()
+
+
+def test_certify_rejects_non_finite_value_table():
+    # 1e308 + 1e308 overflows at x = 1100
+    f = CubePolynomial(4, {0b1: 1e308, 0b10: 1e308, 0b100: -1e308})
+    with pytest.raises(ValueError, match=r"not finite at n=4: f\(1100\) = inf"):
+        certify(f, 2)
+    # finite values whose range max f - min f overflows
+    g = CubePolynomial(4, {0b1: 1e308, 0b10: -1e308})
+    with pytest.raises(ValueError, match="range of f overflows at n=4"):
+        certify(g, 2)
 
 
 def test_certificate_backs_outer_bound():

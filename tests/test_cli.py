@@ -91,6 +91,53 @@ def test_certify_roundtrip(capsys, tmp_path):
     assert "residual" in err
 
 
+def test_certify_out_file_matches_stdout(capsys, tmp_path):
+    out_path = tmp_path / "cert.json"
+    argv = ("certify", "--instance", "random:n=7,d=2,seed=3", "--r", "3", "--verify", "--quiet")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, nothing, _ = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and nothing == ""
+    assert out_path.read_text() == out
+    assert len(json.loads(out)["weights"]) == 1 << 7
+
+
+def test_certify_non_finite_value_table_exits_2(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 4, "terms": [{"vars": [1], "coef": 1e308},
+                                                  {"vars": [2], "coef": 1e308},
+                                                  {"vars": [3], "coef": -1e308}]}))
+    out_path = tmp_path / "cert.json"
+    code, out, err = run_cli(capsys, "certify", "--poly", str(path), "--r", "2", "--verify",
+                             "--out", str(out_path), "--quiet")
+    assert code == 2
+    assert "not finite at n=4" in err
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("tamper, message", [
+    ("reconstruction", "verification failed: max residual 1.000e-03 > 1e-07"),
+    ("verify", "verification failed: min weight -1.000e-03 < 0"),
+])
+def test_certify_verify_fails_closed(capsys, monkeypatch, tmp_path, tamper, message):
+    from cubesos.kernel_certifier import SosCubeCertificate
+
+    if tamper == "reconstruction":
+        recon = SosCubeCertificate.reconstruction
+        monkeypatch.setattr(SosCubeCertificate, "reconstruction",
+                            lambda self: recon(self) + 1e-3)
+    else:
+        verify = SosCubeCertificate.verify
+        monkeypatch.setattr(SosCubeCertificate, "verify",
+                            lambda self, f: {**verify(self, f), "min_weight": -1e-3})
+    out_path = tmp_path / "cert.json"
+    code, out, err = run_cli(capsys, "certify", "--instance", "random:n=6,d=2,seed=1",
+                             "--r", "3", "--verify", "--out", str(out_path), "--quiet")
+    assert code == 3
+    assert message in err
+    assert out == "" and not out_path.exists()
+
+
 def test_fourier_form_file_keeps_its_degree(capsys, tmp_path):
     p = random_poly(10, 2, seed=3)
     deltas = []
