@@ -2,10 +2,10 @@
 
 Machine-readable JSON/CSV goes to stdout (or --out); human-oriented progress
 goes to stderr and is silenced by --quiet. Exit codes: 0 success, 2 input
-error (including a polynomial whose value table is not finite), 3 solver
-failure, out of memory, or a certificate that fails ``certify --verify``, 4
-certification impossible at the requested order. No output is written on a
-nonzero exit.
+error (including a polynomial whose value table or spectrum is not finite),
+3 solver failure, out of memory, or a certificate that fails ``certify
+--verify``, 4 certification impossible at the requested order. No output is
+written on a nonzero exit.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ __all__ = [
     "fwht",
     "evaluate",
     "value_table",
+    "finite_table",
     "spectrum",
     "from_spectrum",
     "fourier_transform",
@@ -267,16 +268,35 @@ def _coef_array(n: int, coeffs: dict) -> np.ndarray:
     return a
 
 
+def finite_table(vals: np.ndarray, n: int, name: str = "value table of f",
+                 entry: str = "f") -> np.ndarray:
+    """vals, a table over the cube indexed by mask, if every entry is finite;
+    otherwise ValueError naming the first mask where it is not."""
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"{name} is not finite at n={n}: "
+                         f"{entry}({mask_to_bitstring(bad, n)}) = {vals[bad]}")
+    return vals
+
+
 def value_table(p: CubePolynomial) -> np.ndarray:
-    """Values of p on all 2^n points, indexed by mask."""
-    return _kron_transform(_ZETA, _coef_array(p.n, p.terms))
+    """Values of p on all 2^n points, indexed by mask. Finite coefficients
+    near the float range can overflow; that raises ValueError instead of
+    returning inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _kron_transform(_ZETA, _coef_array(p.n, p.terms))
+    return finite_table(vals, p.n)
 
 
 def spectrum(p: CubePolynomial) -> np.ndarray:
     """Fourier coefficients p_hat(a) = 2^{-n} sum_x p(x) (-1)^{a.x} of every
     mask a, in one pass from the monomial coefficients; p_hat(a) sums only
-    monomials S containing a, so entries of weight above deg(p) are exactly 0."""
-    return _kron_transform(_TO_FOURIER, _coef_array(p.n, p.terms))
+    monomials S containing a, so entries of weight above deg(p) are exactly 0.
+    An entry that overflows raises ValueError, as in ``value_table``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fhat = _kron_transform(_TO_FOURIER, _coef_array(p.n, p.terms))
+    return finite_table(fhat, p.n, "spectrum of f", "fhat")
 
 
 def from_spectrum(n: int, fhat: np.ndarray) -> CubePolynomial:

@@ -5,12 +5,21 @@ is the characters (orthonormal under the uniform measure mu), so the order-r
 bound is the smallest eigenvalue of A[a,b] = fhat(a XOR b) over |a|,|b| <= r;
 a k x k matrix input fills k^2 such blocks from the spectra of its entries,
 and scalar input is the k = 1 case of the same block matrix. A is XOR
-convolution by fhat restricted to those characters, so a product A v costs
-two Walsh-Hadamard transforms per block: v to the square-root density p on
-the cube, times F's values, and back to the characters of weight <= r.
-Above a size switch (the cube of the size against the cost of one product)
-the eigenpair comes from Lanczos (ARPACK) on that product and A is never
-formed; below it A is gathered and solved densely.
+convolution by fhat restricted to those characters, and A v has three
+products, picked by one cost rule:
+
+- the transforms: two Walsh-Hadamard transforms per block, v to the
+  square-root density p on the cube, times F's values, and back to the
+  characters of weight <= r (k n 2^n units);
+- the sparse XOR gather: row a of a block reads fhat only on its support S
+  at weights <= 2r, at the columns a XOR c of weight <= r, so A is one CSR
+  matrix built from N x |S| lookups (_GATHER_RATIO units per lookup);
+- the formed matrix, for eigh.
+
+A product costs the cheaper of the first two. Above a size switch (the cube
+of the size against that cost) the eigenpair comes from Lanczos (ARPACK) on
+the cheaper product, and A is never formed densely; below it A is formed and
+solved by eigh, and the sparse gather is never built.
 On the integer grid [0:n] the basis is the w-orthonormal Krawtchouk family,
 whose multiplication matrix entries are exact finite sums over the grid.
 
@@ -30,6 +39,7 @@ from .config import SolverError
 from .cube_fourier import (
     CubePolynomial,
     MatrixPolynomial,
+    finite_table,
     fwht,
     masks_up_to_weight,
     popcount_table,
@@ -59,21 +69,31 @@ class InnerBoundResult:
 
 # The solver switch, at the measured crossover (one BLAS thread). Dense eigh
 # costs about size^3 flops. Lanczos costs some tens of products, each of
-# ``product_cost`` units (k n 2^n for the cube operator: k transforms of n
-# passes over 2^n points; size^2 for a formed matrix) plus a fixed overhead in
-# ARPACK and numpy calls worth about _PRODUCT_OVERHEAD units. Dense while
+# ``product_cost`` units (for the cube operator the cheaper of its two
+# products, in transform units: k n 2^n for k transforms of n passes over 2^n
+# points; size^2 for a formed matrix) plus a fixed overhead in ARPACK and
+# numpy calls worth about _PRODUCT_OVERHEAD units. Dense while
 # size^3 <= _DENSE_RATIO * (product_cost + _PRODUCT_OVERHEAD): N = 130 at
-# n = 9 stays dense (3 ms against 6), N = 299 at n = 12 goes to Lanczos
-# (11 ms against 18), and N = 1351 at n = 20 stays dense (0.8 s against 4.3).
+# n = 9 stays dense (3 ms against 6), and N = 299 at n = 12 goes to Lanczos
+# (11 ms against 18).
 _DENSE_RATIO = 250
 _PRODUCT_OVERHEAD = 40_000
+
+# A sparse-gather product costs about _GATHER_RATIO transform units per
+# lookup of the N x |S| tables its CSR matrix is built from. Measured on one
+# BLAS thread over n = 10..18, d = 1..4, r = 1..n/2: a lookup costs 0.1 to
+# 0.6 units, and the shapes where the two products break even lie between
+# 0.26 and 0.35.
+_GATHER_RATIO = 0.3
+_GATHER_CHUNK = 1 << 15  # lookups per row chunk while the gather is built
 
 
 def _smallest_eigenpair(A) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and a unit eigenvector of the symmetric operator A
-    (``shape``, ``product_cost``, ``dense()`` and ``A @ v``): eigh on the
-    formed matrix below the size switch, Lanczos (ARPACK eigsh) on the
-    product above it."""
+    (``shape``, ``product_cost``, ``dense()``, ``use_cheapest_product()`` and
+    ``A @ v``): eigh on the formed matrix below the size switch; above it,
+    Lanczos (ARPACK eigsh) on A's cheapest product, which then stays A's
+    product (the sparse gather, for the cube operator, is built only here)."""
     size = A.shape[0]
     if size ** 3 <= _DENSE_RATIO * (A.product_cost + _PRODUCT_OVERHEAD):
         w, v = np.linalg.eigh(A.dense())
@@ -81,6 +101,7 @@ def _smallest_eigenpair(A) -> tuple[float, np.ndarray]:
     # imported here, so that callers with small problems never load it
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+    A.use_cheapest_product()
     op = LinearOperator(A.shape, matvec=A.__matmul__, dtype=np.float64)
     # a seeded random start: ones or e_0 can lie in A's kernel, where ARPACK stops
     v0 = np.random.default_rng(0).standard_normal(size)
@@ -100,8 +121,8 @@ def _result(A, order: int, extra: dict | None = None) -> InnerBoundResult:
         eigenvalue, vec, value, residual = 0.0, np.eye(1, size)[0], 0.0, 0.0
     else:
         eigenvalue, vec = _smallest_eigenpair(A)
-        value = A.integral(vec)
         residual = float(np.linalg.norm(A @ vec - eigenvalue * vec))
+        value = A.integral(vec)
     if not (np.isfinite(eigenvalue) and np.isfinite(value)):
         raise SolverError(f"eigenvalue solve failed: eigenvalue={eigenvalue!r}, "
                           f"density integral={value!r}, residual={residual!r}")
@@ -125,6 +146,9 @@ class _GridOperator:
 
     def dense(self) -> np.ndarray:
         return self.matrix
+
+    def use_cheapest_product(self) -> None:
+        """The formed matrix is the only product."""
 
     def __matmul__(self, v) -> np.ndarray:
         return self.matrix @ v
@@ -182,25 +206,91 @@ def _block_matrix(masks: np.ndarray, k: int, spectra: dict) -> np.ndarray:
     return A
 
 
+def _gather_block(pos: np.ndarray, masks: np.ndarray, support: np.ndarray,
+                  fhat: np.ndarray) -> tuple:
+    """CSR arrays (data, indices, indptr) of one block of the gather: row a
+    holds fhat(c) at column pos[a XOR c] for each c in the support where
+    that is a basis index (>= 0). Written row-major from the lookup table
+    pos[masks XOR support] (no COO, no sort), a few rows at a time: one pass
+    counts each row's entries and a second fills them in, so no N x |S|
+    array is ever held."""
+    N = masks.size
+    step = max(1, _GATHER_CHUNK // max(1, support.size))
+    chunks = [slice(lo, min(lo + step, N)) for lo in range(0, N, step)]
+    support = support.astype(np.int32)
+
+    def columns(rows):
+        return np.take(pos, masks[rows, None] ^ support)
+
+    indptr = np.zeros(N + 1, dtype=np.int32)
+    for rows in chunks:
+        indptr[rows.start + 1:rows.stop + 1] = np.count_nonzero(columns(rows) >= 0, axis=1)
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    values = fhat[support]
+    for rows in chunks:
+        cols = columns(rows)
+        keep = cols >= 0
+        out = slice(indptr[rows.start], indptr[rows.stop])
+        indices[out] = np.compress(keep.ravel(), cols)
+        data[out] = np.broadcast_to(values, keep.shape)[keep]
+    return data, indices, indptr
+
+
 class _XorBlocks:
     """The block matrix A[(i,a),(j,b)] = Fhat_ij(a XOR b) over characters of
-    weight <= r, as an operator: A v is F p on the cube, for p the
-    square-root density of v, restricted back to those characters."""
+    weight <= r, as an operator. A v is F p on the cube, for p the
+    square-root density of v, restricted back to those characters (two
+    transforms per block), until ``use_cheapest_product`` switches it to the
+    sparse gather."""
 
     def __init__(self, n: int, k: int, spectra: dict, r: int):
         self.n, self.k, self.spectra = n, k, spectra
         self.masks = masks_up_to_weight(n, r)
         self.shape = (k * self.masks.size,) * 2
-        self.product_cost = k * n << n  # k transforms of 2^n points, n passes each
         low = popcount_table(n) <= 2 * r  # A reads each spectrum only there
-        self.is_zero = not any(fhat[low].any() for fhat in spectra.values())
+        self.supports = {ij: np.flatnonzero(low & (fhat != 0))
+                         for ij, fhat in spectra.items()}
+        self.is_zero = not any(s.size for s in self.supports.values())
+        # k transforms of 2^n points, n passes each; against one lookup per
+        # (character, support) pair, twice for a block off the diagonal
+        self.transform_cost = k * n << n
+        lookups = self.masks.size * sum(s.size * (1 if i == j else 2)
+                                        for (i, j), s in self.supports.items())
+        self.product_cost = min(self.transform_cost, _GATHER_RATIO * lookups)
+        self.gather = None  # A as a CSR matrix, once it is the product
         # F(x) at every cube point, shape (k, k, 2^n)
         self.tables = np.zeros((k, k, 1 << n))
-        for (i, j), fhat in spectra.items():
-            self.tables[i, j] = self.tables[j, i] = fwht(fhat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (i, j), fhat in spectra.items():
+                self.tables[i, j] = self.tables[j, i] = finite_table(fwht(fhat), n)
 
     def dense(self) -> np.ndarray:
         return _block_matrix(self.masks, self.k, self.spectra)
+
+    def use_cheapest_product(self) -> None:
+        """Make A v the sparse gather if it costs less than the transforms."""
+        if self.product_cost < self.transform_cost:
+            self.gather = self._gather_matrix()
+
+    def _gather_matrix(self):
+        """A as one CSR matrix with int32 indices: row a of block (i, j)
+        holds Fhat_ij(c) at column a XOR c, for each c in the support of
+        Fhat_ij with |a XOR c| <= r; block (j, i) is block (i, j)."""
+        import scipy.sparse as sp
+
+        masks = self.masks.astype(np.int32)
+        N = masks.size
+        pos = np.full(1 << self.n, -1, dtype=np.int32)  # basis index, -1 above weight r
+        pos[masks] = np.arange(N, dtype=np.int32)
+        blocks = {ij: sp.csr_matrix(_gather_block(pos, masks, support, self.spectra[ij]),
+                                    shape=(N, N))
+                  for ij, support in self.supports.items()}
+        if self.k == 1:
+            return blocks[0, 0]
+        return sp.bmat([[blocks[min(i, j), max(i, j)] for j in range(self.k)]
+                        for i in range(self.k)], format="csr")
 
     def _densities(self, v) -> np.ndarray:
         """p_i(x) = sum_a v[(i,a)] chi_a(x) on the cube, shape (k, 2^n)."""
@@ -213,11 +303,16 @@ class _XorBlocks:
         return np.einsum("ijx,jx->ix", self.tables, p)
 
     def __matmul__(self, v) -> np.ndarray:
+        if self.gather is not None:
+            return self.gather @ v
         fp = self._apply(self._densities(v))
         return np.concatenate([fwht(c)[self.masks] for c in fp]) / (1 << self.n)
 
     def integral(self, v) -> float:
-        """sum_x p(x)^T F(x) p(x) / sum_x |p(x)|^2 for the density of v."""
+        """sum_x p(x)^T F(x) p(x) / sum_x |p(x)|^2 for the density of v, on
+        the transforms; the gather, which only the solve uses, is released
+        first, so that its arrays and the transforms' are never held at once."""
+        self.gather = None
         p = self._densities(v)
         return float(np.vdot(p, self._apply(p)) / np.vdot(p, p))
 

@@ -18,8 +18,9 @@ order-r SOS lower bound is within delta of the true minimum.
 ``certify`` works from one value table of f: the minimum, its minimizer x0
 and the sup-norm are read off it, the translate x -> x XOR x0 re-indexes it,
 and T^{-1} is applied once, giving both the tight budget and the weights. A
-value table that is not finite, or whose range max f - min f overflows
-(coefficients near the float range), is rejected with ``ValueError``.
+value table that is not finite (``value_table`` refuses it), or whose range
+max f - min f overflows (coefficients near the float range), is rejected
+with ``ValueError``.
 
 ``SosCubeCertificate.to_json`` writes the certificate from its arrays: the
 scalar fields through ``json.dumps(..., indent=1)``, the 2^n weight records
@@ -257,12 +258,7 @@ def certify(f: CubePolynomial, r: int, tight: bool = False) -> SosCubeCertificat
             f"lambda_tilde={spec.lambda_tilde:.6f} >= 1 at order r={r}; "
             "no certificate at this order"
         )
-    vals = value_table(f)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ValueError(f"value table of f is not finite at n={n}: "
-                         f"f({mask_to_bitstring(bad, n)}) = {vals[bad]}")
+    vals = value_table(f)  # ValueError if not finite
     m0 = _argmin_mask(vals, n)
     if not math.isfinite(float(vals.max()) - float(vals[m0])):
         raise ValueError(f"value range of f overflows at n={n}: max f - min f is not finite")

@@ -102,16 +102,25 @@ def test_certify_out_file_matches_stdout(capsys, tmp_path):
     assert len(json.loads(out)["weights"]) == 1 << 7
 
 
-def test_certify_non_finite_value_table_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["certify", "--verify"],
+    ["bounds", "--which", "inner,brute"],
+    ["bounds", "--which", "inner"],
+], ids=["certify", "bounds-inner,brute", "bounds-inner"])
+def test_certify_non_finite_value_table_exits_2(capsys, recwarn, tmp_path, argv):
+    # the value table overflows (1e308 + 1e308 at x = 1100); brute force and
+    # the inner bound's F table refuse it as certify does, and no numpy
+    # warning is raised on the way
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"n": 4, "terms": [{"vars": [1], "coef": 1e308},
                                                   {"vars": [2], "coef": 1e308},
                                                   {"vars": [3], "coef": -1e308}]}))
-    out_path = tmp_path / "cert.json"
-    code, out, err = run_cli(capsys, "certify", "--poly", str(path), "--r", "2", "--verify",
+    out_path = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, *argv, "--poly", str(path), "--r", "2",
                              "--out", str(out_path), "--quiet")
     assert code == 2
-    assert "not finite at n=4" in err
+    assert err == "error: value table of f is not finite at n=4: f(1100) = inf\n"
+    assert [str(w.message) for w in recwarn] == []
     assert out == "" and not out_path.exists()
 
 

@@ -347,3 +347,22 @@ def test_enumeration_cap_env(monkeypatch):
         value_table(p)
     monkeypatch.delenv("CUBESOS_MAX_N")
     assert value_table(p).size == 32
+
+
+def test_overflowing_tables_are_refused_without_warnings(recwarn):
+    from cubesos.inner_hierarchy import inner_cube
+
+    # finite coefficients, values overflowing at x = 1100 (1e308 + 1e308)
+    f = CubePolynomial(4, {0b1: 1e308, 0b10: 1e308, 0b100: -1e308})
+    values = r"value table of f is not finite at n=4: f\(1100\) = inf"
+    with pytest.raises(ValueError, match=values):
+        value_table(f)
+    with pytest.raises(ValueError, match=values):
+        brute_force_min(f)
+    with pytest.raises(ValueError, match=values):  # from the inner bound's F table
+        inner_cube(f, 2)
+    # the spectrum itself overflows: fhat(0) = 3 * 1.5e308 / 2
+    g = CubePolynomial(4, {0b1: 1.5e308, 0b10: 1.5e308, 0b100: 1.5e308})
+    with pytest.raises(ValueError, match=r"spectrum of f is not finite at n=4: fhat\(0000\) = inf"):
+        spectrum(g)
+    assert [str(w.message) for w in recwarn] == []

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -326,6 +329,106 @@ def test_dense_and_matrix_free_paths_agree(monkeypatch, lanczos_calls, front_end
     _assert_close(lanczos.diagnostics["eigenvalue"], dense.diagnostics["eigenvalue"])
     assert lanczos.diagnostics["eig_residual"] <= 1e-12
     assert dense.diagnostics["eig_residual"] <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the three products: formed matrix, transforms and sparse gather
+
+
+@pytest.fixture
+def gather_builds(monkeypatch):
+    """Records the size of every sparse-gather matrix built, so a test can
+    tell which product Lanczos ran on."""
+    builds = []
+    build = inner_hierarchy._XorBlocks._gather_matrix
+
+    def counted(self):
+        G = build(self)
+        builds.append(G.shape[0])
+        return G
+
+    monkeypatch.setattr(inner_hierarchy._XorBlocks, "_gather_matrix", counted)
+    return builds
+
+
+def _operator_input(k):
+    """(solve, spectra) at n = 9, r = 3: a scalar input for k = 1, else a
+    k x k matrix input, whose off-diagonal blocks the gather mirrors."""
+    if k == 1:
+        f = random_poly(9, 3, seed=81)
+        return (lambda: inner_cube(f, 3)), {(0, 0): spectrum(f)}
+    F = random_matrix_poly(9, 2, k, seed=80 + k)
+    return (lambda: inner_matrix(F, 3)), F.spectra()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3], ids=["scalar", "k=2", "k=3"])
+def test_gather_and_transform_products_equal_formed_matrix(rng, k):
+    _, spectra = _operator_input(k)
+    A = inner_hierarchy._XorBlocks(9, k, spectra, 3)
+    v = rng.standard_normal(A.shape[0])
+    expect = A.dense() @ v
+    transforms = A @ v
+    A.gather = A._gather_matrix()
+    gather = A @ v
+    scale = np.max(np.abs(expect))
+    assert np.max(np.abs(transforms - expect)) <= 1e-12 * scale
+    assert np.max(np.abs(gather - expect)) <= 1e-12 * scale
+    assert A.gather.indices.dtype == np.int32
+
+
+@pytest.mark.parametrize("k", [1, 2, 3], ids=["scalar", "k=2", "k=3"])
+@pytest.mark.parametrize("product, dense_ratio, gather_ratio", [
+    ("dense", float("inf"), 0.0),
+    ("transforms", 0, float("inf")),
+    ("gather", 0, 0.0),
+])
+def test_three_products_match_dense_reference(monkeypatch, lanczos_calls, gather_builds,
+                                              k, product, dense_ratio, gather_ratio):
+    # the selection forced each way through the two fitted constants; in the
+    # dense case the gather is the cheaper product, and must still not be built
+    solve, spectra = _operator_input(k)
+    monkeypatch.setattr(inner_hierarchy, "_DENSE_RATIO", dense_ratio)
+    monkeypatch.setattr(inner_hierarchy, "_GATHER_RATIO", gather_ratio)
+    res = solve()
+    size = res.diagnostics["matrix_size"]
+    assert lanczos_calls == ([] if product == "dense" else [size])
+    assert gather_builds == ([size] if product == "gather" else [])
+    expect = _dense_smallest(9, k, spectra, 3)
+    _assert_close(res.diagnostics["eigenvalue"], expect)
+    _assert_close(res.value, expect)
+    assert res.diagnostics["eig_residual"] <= 1e-12
+
+
+def test_product_selection_follows_the_spectrum(lanczos_calls, gather_builds):
+    # max-cut on G(16, 1/2): about 60 characters in the spectrum, so the
+    # gather's N |S| lookups cost far less than two 2^16-point transforms
+    rng = np.random.default_rng(16)
+    adj = np.triu((rng.random((16, 16)) < 0.5).astype(float), 1)
+    res = inner_cube(maxcut_instance(adj + adj.T), 4)
+    assert lanczos_calls == gather_builds == [res.diagnostics["matrix_size"]] == [2517]
+    # a degree-6 spectrum fills all 2510 characters of weight <= 6: the
+    # transforms are cheaper
+    res = inner_cube(random_poly(12, 6, seed=91), 4)
+    assert lanczos_calls == [2517, 794]
+    assert gather_builds == [2517]
+
+
+def test_dense_branch_never_loads_scipy_sparse(tmp_path):
+    # bounds --which all and the matrix shapes of the outer_sdp benchmark
+    # solve their inner bounds densely; the residual product included, none
+    # of them may build the gather or import scipy.sparse
+    code = ("import sys\n"
+            "from cubesos import cli, inner_hierarchy\n"
+            "from cubesos.instances import random_matrix_poly\n"
+            f"out = {str(tmp_path / 'report.json')!r}\n"
+            "assert cli.main(['bounds', '--instance', 'random:n=9,d=2,seed=1', '--r', '3',\n"
+            "                 '--which', 'all', '--out', out, '--quiet']) == 0\n"
+            "for n, k in ((5, 2), (4, 3)):\n"
+            "    inner_hierarchy.inner_matrix(random_matrix_poly(n, 2, k, seed=1), 2)\n"
+            "loaded = [m for m in sys.modules if m.startswith('scipy.sparse')]\n"
+            "sys.exit(f'scipy.sparse loaded: {loaded}' if loaded else 0)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_value_is_density_integral():
