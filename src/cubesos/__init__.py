@@ -8,7 +8,7 @@ argument parsing) do not pay for scipy.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "config": ["CapExceededError", "SolverError"],
+    "config": ["CapExceededError", "CertificationError", "SolverError"],
     "cube_fourier": [
         "CubePolynomial", "FourierPolynomial", "MatrixPolynomial", "brute_force_min", "evaluate", "fourier_transform",
         "harmonic_parts", "inverse_fourier", "sup_norm", "fwht",
@@ -24,7 +24,7 @@ _EXPORTS = {
     "instances": ["maxcut_instance", "random_poly", "random_matrix_poly",
                   "stable_set_instance"],
     "kernel_certifier": [
-        "CertificationError", "KernelSpec", "SosCubeCertificate",
+        "KernelSpec", "SosCubeCertificate",
         "certify", "choose_kernel", "error_sweep", "funk_hecke_apply",
     ],
     "krawtchouk": [

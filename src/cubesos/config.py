@@ -3,8 +3,13 @@
 ``CUBESOS_MAX_N`` (default 24; the CLI's ``--max-n`` sets it) caps the
 number of points an operation may enumerate at 2^CUBESOS_MAX_N. The code
 that allocates an array over the whole cube calls ``check_cap`` first.
-The errors shared by several modules live here too, so that raising one
-loads no solver module.
+
+The library's failure types live here too, one per kind of failure, so
+that raising or catching one loads no solver module: bad input raises
+``ValueError`` (``CapExceededError`` among them), a numerical solve that
+does not produce a finite, converged answer raises ``SolverError``, and a
+certificate that does not exist at the requested order raises
+``CertificationError``. The CLI maps each kind to its exit code.
 """
 
 from __future__ import annotations
@@ -17,8 +22,13 @@ class CapExceededError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Raised when a numerical solve (the outer interior-point method or the
-    inner eigen-solve) fails to produce a finite, converged answer."""
+    """Raised when a numerical solve (the outer interior-point method, an
+    eigen-solve, an LP or a root cross-check) fails to produce a finite,
+    converged answer."""
+
+
+class CertificationError(RuntimeError):
+    """Raised when no kernel certificate exists at the requested order."""
 
 
 def check_cap(n: int) -> None:

@@ -61,10 +61,10 @@ class DimensionMismatchError(ValueError):
 def popcount_table(n: int) -> np.ndarray:
     """Hamming weight of every mask in [0, 2^n)."""
     check_cap(n)
-    idx = np.arange(1 << n, dtype=np.int64)
+    # doubling: the masks in [2^i, 2^(i+1)) are those below 2^i plus bit i
     pc = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
-        pc += (idx >> i) & 1
+        np.add(pc[:1 << i], 1, out=pc[1 << i:2 << i])
     return pc
 
 

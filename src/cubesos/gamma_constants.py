@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import SolverError
+
 __all__ = [
     "LpSolution",
     "solve_lp",
@@ -222,7 +224,7 @@ def rho_finite(n: int, d: int, k: int, q: int = 2) -> RhoResult:
     c[d + 1 + k] = -1.0
     sol = solve_lp(c, A, b, "max")
     if sol.status != "optimal":  # cannot happen: 0 is feasible, region bounded
-        raise RuntimeError(f"rho LP unexpectedly {sol.status}")
+        raise SolverError(f"rho LP unexpectedly {sol.status}")
     lam = sol.x[: d + 1] - sol.x[d + 1:]
     return RhoResult(sol.value, lam)
 
@@ -248,7 +250,7 @@ def rho_infinity_grid(d: int, k: int, q: int = 2, grid_points: int = 10001) -> f
     c = -np.ones(At.shape[1])
     sol = solve_lp(c, A, b, "max")
     if sol.status != "optimal":
-        raise RuntimeError(f"grid LP unexpectedly {sol.status}")
+        raise SolverError(f"grid LP unexpectedly {sol.status}")
     return -sol.value
 
 
@@ -273,6 +275,8 @@ def build_gamma_table(d: int, n_values, q: int = 2) -> GammaTable:
     they come from the grid LP (there is no tabulated closed form) and the
     resulting gamma is an empirical constant.
     """
+    if q < 2:
+        raise ValueError("q must be >= 2")
     rho_fin = {}
     for n in n_values:
         if n < d:

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import CertificationError, SolverError
 from .cube_fourier import (
     CubePolynomial,
     _argmin_mask,
@@ -71,10 +72,6 @@ __all__ = [
 # Largest pointwise residual |sum_y w_y u^2(d(x, y)) - (h + delta)| that
 # counts as a verified certificate; the test suite checks against the same.
 RESIDUAL_TOL = 1e-7
-
-
-class CertificationError(RuntimeError):
-    pass
 
 
 class SingularOperatorError(CertificationError):
@@ -121,7 +118,7 @@ def choose_kernel(n: int, d: int, r: int) -> KernelSpec:
         lambdas = np.concatenate([lambdas, np.zeros(2 * r - n)])
     lam_tilde = float(d - lambdas[1:d + 1].sum())
     if abs(lam_tilde - res.value) > 1e-8 * max(1.0, abs(res.value)):
-        raise AssertionError("eigenvalue and lambda bookkeeping disagree")
+        raise SolverError("eigenvalue and lambda bookkeeping disagree")
     low = lambdas[1:d + 1]
     if np.any(np.abs(low) < 1e-14):
         raise SingularOperatorError("kernel operator is singular on low harmonics")

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .config import SolverError
+
 __all__ = [
     "DiscreteMeasure",
     "JacobiMatrix",
@@ -45,7 +47,7 @@ __all__ = [
 ]
 
 
-class RootCrossCheckError(RuntimeError):
+class RootCrossCheckError(SolverError):
     """Jacobi eigenvalue and sign-change bisection disagree beyond tolerance."""
 
 
@@ -187,6 +189,8 @@ class JacobiMatrix:
 
 def jacobi_matrix(n: int, q: int, order: int) -> JacobiMatrix:
     """Order-r Jacobi matrix; eigenvalues are the roots of K_r."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
     if not 1 <= order <= n:
         raise ValueError(f"order={order} out of range 1..{n}")
     k = np.arange(order, dtype=np.float64)

@@ -275,6 +275,8 @@ def _solve_ipm(C, ops, b, options: SolverOptions) -> SdpSolution:
     it = 0
     for it in range(1, options.max_iter + 1):
         rp, Rd, stats, optimal = measure(X, y, Z)
+        if not np.isfinite(stats).all():
+            raise SolverError(f"interior-point iterate {it} is not finite")
         if optimal:
             status = "optimal"
             break
@@ -385,11 +387,18 @@ def _outer_sdp(n: int, k: int, fhat: dict, r: int,
                options: SolverOptions | None) -> OuterBoundResult:
     """Solve the order-r Gram SDP of a k x k block input whose entry (i, j),
     i <= j, has Fourier coefficients fhat[i, j]; raise SolverError unless
-    the interior-point method converged."""
+    the interior-point method converged.
+
+    The Gram problem is homogeneous in its right-hand side b, so the IPM
+    solves with b / max|b| and the Gram side is scaled back; the moments do
+    not depend on the scale. Every input thus reaches the IPM at the same scale, even
+    coefficients near the float range."""
     masks = masks_up_to_weight(n, r)
     classes = masks_up_to_weight(n, min(2 * r, n))
     ops = _XorConstraints(n, masks, classes, k)
     b = ops.gather([fhat[block] for block in ops.blocks])
+    scale = float(np.max(np.abs(b), initial=0.0)) or 1.0
+    b = b / scale
     sol = _solve_ipm(np.eye(k * masks.size), ops, b, options or SolverOptions())
     if sol.status != "optimal":
         raise SolverError(f"SDP did not converge: status={sol.status}, "
@@ -401,11 +410,11 @@ def _outer_sdp(n: int, k: int, fhat: dict, r: int,
         moments[0] = 1.0
         moments[classes[1:]] = -sol.y
     return OuterBoundResult(
-        value=float((trace_f0 - sol.primal_obj) / k),
-        gram=sol.X,
+        value=float((trace_f0 - scale * sol.primal_obj) / k),
+        gram=sol.X * scale,
         order=r,
         basis=masks,
-        moment_value=float((trace_f0 - sol.dual_obj) / k),
+        moment_value=float((trace_f0 - scale * sol.dual_obj) / k),
         moments=moments,
         diagnostics={
             "status": sol.status,

@@ -202,6 +202,23 @@ def test_certify_reports_lambda_tilde_when_infeasible():
         certify(f, 1)
 
 
+def test_certification_error_is_the_config_one():
+    from cubesos import config
+
+    assert CertificationError is config.CertificationError
+
+
+def test_choose_kernel_bookkeeping_mismatch_is_a_solver_error(monkeypatch):
+    from cubesos import kernel_certifier
+    from cubesos.config import SolverError
+
+    solve = kernel_certifier.inner_univariate_values
+    monkeypatch.setattr(kernel_certifier, "inner_univariate_values",
+                        lambda *args: dataclasses.replace(solve(*args), value=solve(*args).value + 1.0))
+    with pytest.raises(SolverError, match="bookkeeping"):
+        choose_kernel(10, 2, 5)
+
+
 def test_certificate_json_schema():
     f = random_poly(5, 2, seed=2)
     data = certify(f, 3).to_dict()

@@ -266,3 +266,71 @@ def test_max_n_flag_enforces_cap(capsys, monkeypatch):
                            "--r", "2", "--quiet", "--max-n", "4")
     assert code == 2
     assert "cap" in err
+
+
+def test_outer_bound_of_near_overflow_coefficients(capsys, recwarn, tmp_path):
+    # the file of test_certify_non_finite_value_table_exits_2: the outer bound
+    # needs no value table, and the IPM solves it at unit scale
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 4, "terms": [{"vars": [1], "coef": 1e308},
+                                                  {"vars": [2], "coef": 1e308},
+                                                  {"vars": [3], "coef": -1e308}]}))
+    code, out, err = run_cli(capsys, "bounds", "--which", "outer", "--poly", str(path),
+                             "--r", "2", "--quiet")
+    assert (code, err) == (0, "")
+    assert [str(w.message) for w in recwarn] == []
+    outer = json.loads(out)["outer"]
+    assert outer["status"] == "optimal"
+    assert outer["value"] == pytest.approx(-1e308, rel=1e-7)
+
+
+def _nan_eigenpair(A):
+    return float("nan"), np.full(A.shape[0], np.nan)
+
+
+def _infeasible_lp(*args, **kwargs):
+    from cubesos.gamma_constants import LpSolution
+
+    return LpSolution("infeasible", None, None)
+
+
+# argv, (module, attribute, replacement) patched for the call, exit code, the
+# one stderr line
+EXIT_CODES = [
+    pytest.param(["sweep", "--mode", "roots", "--n", "x"], None, 2,
+                 "error: invalid literal for int() with base 10: 'x'", id="sweep-roots-bad-n"),
+    pytest.param(["sweep", "--mode", "errors", "--n", "3", "--d", "5"], None, 2,
+                 "error: d must be <= n", id="sweep-errors-d-above-n"),
+    pytest.param(["sweep", "--mode", "roots", "--q", "1"], None, 2,
+                 "error: q must be >= 2", id="sweep-roots-q1"),
+    pytest.param(["gamma", "--dmax", "3", "--q", "1"], None, 2,
+                 "error: q must be >= 2", id="gamma-q1"),
+    pytest.param(["gamma", "--dmax", "0"], None, 2,
+                 "error: --dmax 0 must be >= 1", id="gamma-dmax0"),
+    pytest.param(["bounds", "--instance", "random:n=4", "--r", "1"], None, 2,
+                 "error: instance 'random:n=4' lacks d= (use random:n=..,d=..,seed=..)",
+                 id="bounds-random-without-d"),
+    pytest.param(["certify", "--instance", "random:n=6,d=2,seed=1", "--r", "3"],
+                 ("inner_hierarchy", "_smallest_eigenpair", _nan_eigenpair), 3,
+                 "solver failure: eigenvalue solve failed: eigenvalue=nan, "
+                 "density integral=nan, residual=nan", id="certify-eigen-solve-fails"),
+    pytest.param(["gamma", "--dmax", "2", "--q", "3"],
+                 ("gamma_constants", "solve_lp", _infeasible_lp), 3,
+                 "solver failure: grid LP unexpectedly infeasible", id="gamma-lp-fails"),
+    pytest.param(["certify", "--instance", "random:n=6,d=2,seed=1", "--r", "1"], None, 4,
+                 "certification failed: lambda_tilde=1.392375 >= 1 at order r=1; "
+                 "no certificate at this order", id="certify-no-certificate"),
+]
+
+
+@pytest.mark.parametrize("argv, patch, code, line", EXIT_CODES)
+def test_exit_code_table(capsys, monkeypatch, tmp_path, argv, patch, code, line):
+    import importlib
+
+    if patch is not None:
+        module, name, replacement = patch
+        monkeypatch.setattr(importlib.import_module(f"cubesos.{module}"), name, replacement)
+    assert run_cli(capsys, *argv, "--quiet") == (code, "", line + "\n")
+    out_path = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--out", str(out_path), "--quiet") == (code, "", line + "\n")
+    assert not out_path.exists()

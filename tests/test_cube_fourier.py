@@ -247,6 +247,13 @@ def test_brute_min_constant():
     assert val == 2.5 and list(arg) == [0, 0, 0]
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_popcount_table_matches_bit_count(n):
+    pc = popcount_table(n)
+    assert pc.dtype == np.int64
+    assert pc.tolist() == [m.bit_count() for m in range(1 << n)]
+
+
 def test_masks_up_to_weight_order():
     masks = masks_up_to_weight(3, 2)
     assert list(masks) == [0, 1, 2, 4, 3, 5, 6]

@@ -192,3 +192,20 @@ def test_build_gamma_table():
     assert table.rho_finite_values[(8, 2)] <= 2.0 + 1e-9
     qtable = build_gamma_table(1, [4, 8], q=3)
     assert qtable.gamma >= 1.0 - 1e-6
+
+
+def test_build_gamma_table_rejects_q_below_2():
+    with pytest.raises(ValueError, match="q must be >= 2"):
+        build_gamma_table(2, [], q=1)
+
+
+@pytest.mark.parametrize("call", [lambda: rho_finite(4, 2, 1), lambda: rho_infinity_grid(2, 1, q=3)],
+                         ids=["rho_finite", "rho_infinity_grid"])
+def test_failed_lp_is_a_solver_error(monkeypatch, call):
+    from cubesos import gamma_constants
+    from cubesos.config import SolverError
+
+    monkeypatch.setattr(gamma_constants, "solve_lp",
+                        lambda *args, **kwargs: gamma_constants.LpSolution("infeasible", None, None))
+    with pytest.raises(SolverError, match="LP unexpectedly infeasible"):
+        call()

@@ -127,6 +127,20 @@ def test_least_root_degree_one():
     assert least_root(12, 3, 1) == pytest.approx(2 * 12 / 3, abs=1e-12)
 
 
+@pytest.mark.parametrize("call", [lambda: least_root(10, 1, 2), lambda: jacobi_matrix(10, 0, 2)],
+                         ids=["least_root", "jacobi_matrix"])
+def test_root_entry_points_reject_q_below_2(call):
+    with pytest.raises(ValueError, match="q must be >= 2"):
+        call()
+
+
+def test_root_cross_check_failure_is_a_solver_error():
+    from cubesos.config import SolverError
+    from cubesos.krawtchouk import RootCrossCheckError
+
+    assert issubclass(RootCrossCheckError, SolverError)
+
+
 def test_least_root_degree_two():
     for n in (6, 11, 30):
         assert least_root(n, 2, 2) == pytest.approx((n - math.sqrt(n)) / 2, abs=1e-10)

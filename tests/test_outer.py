@@ -279,6 +279,25 @@ def test_outer_matrix_lower_bounds_minimum():
     assert outer_matrix(F, 2).value <= F.min_eigenvalue() + 1e-6
 
 
+@pytest.mark.parametrize("c", [2.0**-900, 2.0**900])
+def test_outer_is_solved_at_unit_scale(c):
+    # the IPM sees b / max|b| whatever the scale of f, so a power-of-two
+    # multiple of f gives the same solve, scaled back exactly
+    f = random_poly(6, 2, seed=3)
+    g = CubePolynomial(f.n, {m: c * v for m, v in f.terms.items()})
+    res, res_c = outer_cube(f, 2), outer_cube(g, 2)
+    assert res_c.value == c * res.value
+    assert res_c.moment_value == c * res.moment_value
+    assert np.array_equal(res_c.gram, c * res.gram)
+    assert np.array_equal(res_c.moments, res.moments)
+
+
+def test_outer_non_finite_iterate_raises(monkeypatch):
+    monkeypatch.setattr(_XorConstraints, "apply", lambda self, X: np.full(self.m, np.nan))
+    with pytest.raises(SolverError, match="iterate 1 is not finite"):
+        outer_cube(random_poly(4, 2, seed=1), 1)
+
+
 def test_outer_unconverged_raises_with_diagnostics():
     f = random_poly(5, 2, seed=9)
     F = random_matrix_poly(4, 2, 2, seed=15)
