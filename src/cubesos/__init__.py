@@ -33,8 +33,7 @@ _EXPORTS = {
         "limit_poly_eval",
     ],
     "outer_hierarchy": [
-        "OuterBoundResult", "SdpSolution", "SolverOptions",
-        "outer_cube", "outer_matrix", "verify_sos_certificate",
+        "OuterBoundResult", "outer_cube", "outer_matrix", "verify_sos_certificate",
     ],
     "qary": ["QaryPolynomial", "qary_brute_min", "qary_inner_symmetrized"],
 }

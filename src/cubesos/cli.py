@@ -89,12 +89,7 @@ def _numbers(text: str, kind=int) -> list:
 def cmd_bounds(args) -> str:
     from .cube_fourier import brute_force_min
     from .inner_hierarchy import inner_cube
-    from .outer_hierarchy import SolverOptions, outer_cube
-
-    opts = SolverOptions(
-        tol_gap=args.solver_tol if args.solver_tol is not None else SolverOptions.tol_gap,
-        max_iter=args.solver_max_iter if args.solver_max_iter is not None else SolverOptions.max_iter,
-    )
+    from .outer_hierarchy import outer_cube
 
     which = set(args.which.split(",")) if args.which != "all" else set(BOUNDS)
     unknown = sorted(which - set(BOUNDS))
@@ -123,7 +118,7 @@ def cmd_bounds(args) -> str:
                            "matrix_size": res.diagnostics["matrix_size"]}
     if "outer" in which:
         t0 = time.perf_counter()
-        res = outer_cube(f, args.r, options=opts)
+        res = outer_cube(f, args.r)
         timings["outer"] = time.perf_counter() - t0
         outer = {"r": args.r, "value": res.value,
                  "status": res.diagnostics["status"],
@@ -181,7 +176,7 @@ def cmd_sweep(args) -> str:
                        _numbers(args.r_fractions or "0.2,0.3,0.4,0.5", float),
                        samples=args.samples, seed=args.seed)
     return _csv(rows, ["n", "r", "t", "max_outer_gap", "max_inner_gap",
-                       "bound_2Cd_xi_over_n", "phi(t)", "errors"])
+                       "bound_2Cd_xi_over_n", "phi(t)"])
 
 
 def cmd_gamma(args) -> str:
@@ -237,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="compute inner/outer/brute bounds", parents=[instance])
     b.add_argument("--which", default="all", help="comma list of inner,outer,brute (default all)")
     b.add_argument("--gram", action="store_true", help="include the Gram matrix in the report")
-    b.add_argument("--solver-tol", type=float, default=None)
-    b.add_argument("--solver-max-iter", type=int, default=None)
     b.set_defaults(func=cmd_bounds)
 
     c = sub.add_parser("certify", help="emit an explicit SOS certificate", parents=[instance])

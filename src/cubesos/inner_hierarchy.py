@@ -23,10 +23,12 @@ solved by eigh, and the sparse gather is never built.
 On the integer grid [0:n] the basis is the w-orthonormal Krawtchouk family,
 whose multiplication matrix entries are exact finite sums over the grid.
 
-The value reported is the integral of f against the density p^2 / <p, p>
-of the computed eigenvector, not the eigenvalue: every p gives a feasible
-density, so the value bounds the minimum from above even if the eigen-solve
-is loose. The eigenvalue is kept as ``diagnostics["eigenvalue"]``.
+The value reported is the Rayleigh quotient v^T A v / v^T v of the computed
+eigenvector v, on the product the solve ran on, not the eigenvalue. By
+Parseval it is the integral of f against the density p^2 / <p, p> of v, and
+every p gives a feasible density, so the value bounds the minimum from above
+even if the eigen-solve is loose. The eigenvalue is kept as
+``diagnostics["eigenvalue"]``.
 """
 
 from __future__ import annotations
@@ -92,8 +94,9 @@ def _smallest_eigenpair(A) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and a unit eigenvector of the symmetric operator A
     (``shape``, ``product_cost``, ``dense()``, ``use_cheapest_product()`` and
     ``A @ v``): eigh on the formed matrix below the size switch; above it,
-    Lanczos (ARPACK eigsh) on A's cheapest product, which then stays A's
-    product (the sparse gather, for the cube operator, is built only here)."""
+    Lanczos (ARPACK eigsh) on A's cheapest product (the sparse gather, for the
+    cube operator, is built only here). Either way the matrix or product the
+    solve ran on stays A's product."""
     size = A.shape[0]
     if size ** 3 <= _DENSE_RATIO * (A.product_cost + _PRODUCT_OVERHEAD):
         w, v = np.linalg.eigh(A.dense())
@@ -121,8 +124,9 @@ def _result(A, order: int, extra: dict | None = None) -> InnerBoundResult:
         eigenvalue, vec, value, residual = 0.0, np.eye(1, size)[0], 0.0, 0.0
     else:
         eigenvalue, vec = _smallest_eigenpair(A)
-        residual = float(np.linalg.norm(A @ vec - eigenvalue * vec))
-        value = A.integral(vec)
+        Av = A @ vec
+        residual = float(np.linalg.norm(Av - eigenvalue * vec))
+        value = float(vec @ Av / (vec @ vec))
     if not (np.isfinite(eigenvalue) and np.isfinite(value)):
         raise SolverError(f"eigenvalue solve failed: eigenvalue={eigenvalue!r}, "
                           f"density integral={value!r}, residual={residual!r}")
@@ -137,9 +141,8 @@ class _GridOperator:
     degree <= r on [0:n]: an exact finite sum over the grid, formed densely."""
 
     def __init__(self, g: np.ndarray, measure: DiscreteMeasure, r: int):
-        self.g, self.w = g, measure.weights
-        self.table = orthonormal_table(measure.n, r, measure.q)
-        self.matrix = (self.table * (g * self.w)) @ self.table.T
+        table = orthonormal_table(measure.n, r, measure.q)
+        self.matrix = (table * (g * measure.weights)) @ table.T
         self.shape = self.matrix.shape
         self.product_cost = self.matrix.size
         self.is_zero = not self.matrix.any()
@@ -152,11 +155,6 @@ class _GridOperator:
 
     def __matmul__(self, v) -> np.ndarray:
         return self.matrix @ v
-
-    def integral(self, v) -> float:
-        """sum_t w(t) g(t) p(t)^2 / sum_t w(t) p(t)^2 for p = sum_i v_i p_i."""
-        pw = (v @ self.table) ** 2 * self.w
-        return float(pw @ self.g / pw.sum())
 
 
 def inner_univariate_values(
@@ -242,8 +240,9 @@ class _XorBlocks:
     """The block matrix A[(i,a),(j,b)] = Fhat_ij(a XOR b) over characters of
     weight <= r, as an operator. A v is F p on the cube, for p the
     square-root density of v, restricted back to those characters (two
-    transforms per block), until ``use_cheapest_product`` switches it to the
-    sparse gather."""
+    transforms per block), until ``dense`` forms the matrix or
+    ``use_cheapest_product`` builds the sparse gather; that matrix is then
+    the product."""
 
     def __init__(self, n: int, k: int, spectra: dict, r: int):
         self.n, self.k, self.spectra = n, k, spectra
@@ -259,7 +258,7 @@ class _XorBlocks:
         lookups = self.masks.size * sum(s.size * (1 if i == j else 2)
                                         for (i, j), s in self.supports.items())
         self.product_cost = min(self.transform_cost, _GATHER_RATIO * lookups)
-        self.gather = None  # A as a CSR matrix, once it is the product
+        self.matrix = None  # A formed (dense, or the CSR gather), once it is the product
         # F(x) at every cube point, shape (k, k, 2^n)
         self.tables = np.zeros((k, k, 1 << n))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -267,12 +266,13 @@ class _XorBlocks:
                 self.tables[i, j] = self.tables[j, i] = finite_table(fwht(fhat), n)
 
     def dense(self) -> np.ndarray:
-        return _block_matrix(self.masks, self.k, self.spectra)
+        self.matrix = _block_matrix(self.masks, self.k, self.spectra)
+        return self.matrix
 
     def use_cheapest_product(self) -> None:
         """Make A v the sparse gather if it costs less than the transforms."""
         if self.product_cost < self.transform_cost:
-            self.gather = self._gather_matrix()
+            self.matrix = self._gather_matrix()
 
     def _gather_matrix(self):
         """A as one CSR matrix with int32 indices: row a of block (i, j)
@@ -292,29 +292,14 @@ class _XorBlocks:
         return sp.bmat([[blocks[min(i, j), max(i, j)] for j in range(self.k)]
                         for i in range(self.k)], format="csr")
 
-    def _densities(self, v) -> np.ndarray:
-        """p_i(x) = sum_a v[(i,a)] chi_a(x) on the cube, shape (k, 2^n)."""
+    def __matmul__(self, v) -> np.ndarray:
+        if self.matrix is not None:
+            return self.matrix @ v
+        # p_i(x) = sum_a v[(i,a)] chi_a(x), then (F p)(x) = F(x) p(x), on the cube
         coeffs = np.zeros((self.k, 1 << self.n))
         coeffs[:, self.masks] = np.reshape(v, (self.k, -1))
-        return np.array([fwht(c) for c in coeffs])
-
-    def _apply(self, p: np.ndarray) -> np.ndarray:
-        """(F p)(x) = F(x) p(x) at every cube point."""
-        return np.einsum("ijx,jx->ix", self.tables, p)
-
-    def __matmul__(self, v) -> np.ndarray:
-        if self.gather is not None:
-            return self.gather @ v
-        fp = self._apply(self._densities(v))
+        fp = np.einsum("ijx,jx->ix", self.tables, [fwht(c) for c in coeffs])
         return np.concatenate([fwht(c)[self.masks] for c in fp]) / (1 << self.n)
-
-    def integral(self, v) -> float:
-        """sum_x p(x)^T F(x) p(x) / sum_x |p(x)|^2 for the density of v, on
-        the transforms; the gather, which only the solve uses, is released
-        first, so that its arrays and the transforms' are never held at once."""
-        self.gather = None
-        p = self._densities(v)
-        return float(np.vdot(p, self._apply(p)) / np.vdot(p, p))
 
 
 def inner_cube(f: CubePolynomial, r: int) -> InnerBoundResult:

@@ -124,6 +124,8 @@ def read_graph_json(path) -> tuple[int, np.ndarray]:
         raise ValueError("weights must match edges in length")
     W = np.zeros((n, n))
     for (i, j), w in zip(edges, weights):
+        if not all(type(v) is int and 1 <= v <= n for v in (i, j)):
+            raise ValueError(f"edge {[i, j]}: endpoints must be integers 1..{n}")
         if i == j:
             raise ValueError(f"self-loop at vertex {i}")
         W[i - 1, j - 1] += w

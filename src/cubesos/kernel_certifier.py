@@ -292,7 +292,8 @@ def error_sweep(
     Yields rows with the observed maxima, the proven bound 2 C_d xi/n, and the
     limiting curve phi(r/n). The outer gap is measured by the moment SDP when
     the character basis has at most 300 elements, and otherwise by the
-    certified gap bound (which can only overstate it).
+    certified gap bound (which can only overstate it). A failed solve raises
+    out of the sweep.
     """
     from math import comb
 
@@ -312,24 +313,18 @@ def error_sweep(
             use_sdp = basis_size <= 300 and 2 * r >= d
             max_outer = 0.0
             max_inner = 0.0
-            errors = []
             for s in range(samples):
                 f = random_poly(n, d, seed=seed + 7919 * s)
                 vals = value_table(f)
                 norm = float(np.max(np.abs(vals)))
                 fmin = float(vals.min())
-                try:
-                    if use_sdp:
-                        outer = outer_cube(f, r).value
-                        gap_out = (fmin - outer) / norm
-                    else:
-                        gap_out = certify(f, r, tight=True).delta_original / norm
-                    max_outer = max(max_outer, gap_out)
-                    inner = inner_cube(f, r).value
-                    max_inner = max(max_inner, (inner - fmin) / norm)
-                except Exception as exc:  # record, keep sweeping
-                    errors.append(f"sample {s}: {exc}")
-            row = {
+                if use_sdp:
+                    gap_out = (fmin - outer_cube(f, r).value) / norm
+                else:
+                    gap_out = certify(f, r, tight=True).delta_original / norm
+                max_outer = max(max_outer, gap_out)
+                max_inner = max(max_inner, (inner_cube(f, r).value - fmin) / norm)
+            yield {
                 "n": n,
                 "r": r,
                 "t": r / n,
@@ -338,6 +333,3 @@ def error_sweep(
                 "bound_2Cd_xi_over_n": bound,
                 "phi(t)": levenshtein_phi(min(r / n, 0.5), 2),
             }
-            if errors:
-                row["errors"] = "; ".join(errors)
-            yield row

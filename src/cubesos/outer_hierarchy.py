@@ -42,8 +42,6 @@ from .cube_fourier import (
 )
 
 __all__ = [
-    "SdpSolution",
-    "SolverOptions",
     "SolverError",
     "OuterBoundResult",
     "outer_cube",
@@ -53,14 +51,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    tol_gap: float = 1e-7
-    max_iter: int = 200
-
-
 # relative primal and dual residual at which an iterate counts as feasible
 _TOL_FEAS = 1e-8
+# relative duality gap at which a feasible iterate counts as optimal
+_TOL_GAP = 1e-7
+# interior-point iterations before the solve reports max_iter
+_MAX_ITER = 200
 # fraction of the distance to the cone boundary taken by each step
 _STEP_DAMPING = 0.99
 
@@ -247,7 +243,7 @@ def _max_step(D_scaled: np.ndarray) -> float:
     return -1.0 / lo
 
 
-def _solve_ipm(C, ops, b, options: SolverOptions) -> SdpSolution:
+def _solve_ipm(C, ops, b) -> SdpSolution:
     N = C.shape[0]
     m = b.size
     normb = 1.0 + np.linalg.norm(b)
@@ -268,12 +264,12 @@ def _solve_ipm(C, ops, b, options: SolverOptions) -> SdpSolution:
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
         pres = float(np.linalg.norm(rp) / normb)
         dres = float(np.linalg.norm(Rd) / normC)
-        optimal = pres <= _TOL_FEAS and dres <= _TOL_FEAS and rel_gap <= options.tol_gap
+        optimal = pres <= _TOL_FEAS and dres <= _TOL_FEAS and rel_gap <= _TOL_GAP
         return rp, Rd, (pobj, dobj, gap, rel_gap, pres, dres), optimal
 
     status = "max_iter"
     it = 0
-    for it in range(1, options.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         rp, Rd, stats, optimal = measure(X, y, Z)
         if not np.isfinite(stats).all():
             raise SolverError(f"interior-point iterate {it} is not finite")
@@ -383,8 +379,7 @@ def _check_order(n: int, d: int, r: int) -> None:
         raise ValueError("r must be <= n")
 
 
-def _outer_sdp(n: int, k: int, fhat: dict, r: int,
-               options: SolverOptions | None) -> OuterBoundResult:
+def _outer_sdp(n: int, k: int, fhat: dict, r: int) -> OuterBoundResult:
     """Solve the order-r Gram SDP of a k x k block input whose entry (i, j),
     i <= j, has Fourier coefficients fhat[i, j]; raise SolverError unless
     the interior-point method converged.
@@ -399,7 +394,7 @@ def _outer_sdp(n: int, k: int, fhat: dict, r: int,
     b = ops.gather([fhat[block] for block in ops.blocks])
     scale = float(np.max(np.abs(b), initial=0.0)) or 1.0
     b = b / scale
-    sol = _solve_ipm(np.eye(k * masks.size), ops, b, options or SolverOptions())
+    sol = _solve_ipm(np.eye(k * masks.size), ops, b)
     if sol.status != "optimal":
         raise SolverError(f"SDP did not converge: status={sol.status}, "
                           f"gap={sol.rel_gap:.2e}, pres={sol.primal_res:.2e}")
@@ -427,24 +422,22 @@ def _outer_sdp(n: int, k: int, fhat: dict, r: int,
     )
 
 
-def outer_cube(f: CubePolynomial, r: int,
-               options: SolverOptions | None = None) -> OuterBoundResult:
+def outer_cube(f: CubePolynomial, r: int) -> OuterBoundResult:
     """The order-r SOS lower bound on min f over {0,1}^n.
 
     Monotone nondecreasing in r, equal to the minimum once 2r >= n + deg - 1.
     Raises SolverError if the interior-point method does not converge.
     """
     _check_order(f.n, f.degree, r)
-    return _outer_sdp(f.n, 1, {(0, 0): spectrum(f)}, r, options)
+    return _outer_sdp(f.n, 1, {(0, 0): spectrum(f)}, r)
 
 
-def outer_matrix(F: MatrixPolynomial, r: int,
-                 options: SolverOptions | None = None) -> OuterBoundResult:
+def outer_matrix(F: MatrixPolynomial, r: int) -> OuterBoundResult:
     """Order-r SOS lower bound on min_x lambda_min(F(x)) for a symmetric
     matrix polynomial, via the block Gram over (character, coordinate).
     Raises SolverError if the interior-point method does not converge."""
     _check_order(F.n, F.degree, r)
-    return _outer_sdp(F.n, F.k, F.spectra(), r, options)
+    return _outer_sdp(F.n, F.k, F.spectra(), r)
 
 
 # ---------------------------------------------------------------------------

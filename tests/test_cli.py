@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cubesos.cli import main
+from cubesos.config import SolverError
 from cubesos.cube_fourier import write_polynomial_json
 from cubesos.instances import maxcut_instance, random_poly
 
@@ -260,6 +261,18 @@ def test_inner_solver_failure_exits_3(capsys, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize("edges, line", [
+    ([[0, 2], [1, 2]], "error: edge [0, 2]: endpoints must be integers 1..3"),
+    ([[1, 4]], "error: edge [1, 4]: endpoints must be integers 1..3"),
+], ids=["vertex-0", "vertex-above-n"])
+def test_graph_endpoint_out_of_range_exits_2(capsys, tmp_path, edges, line):
+    # vertices are 1..n; vertex 0 would wrap to vertex n through W[i - 1, j - 1]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 3, "edges": edges}))
+    assert run_cli(capsys, "bounds", "--instance", f"maxcut:{path}", "--r", "1",
+                   "--which", "brute", "--quiet") == (2, "", line + "\n")
+
+
 def test_max_n_flag_enforces_cap(capsys, monkeypatch):
     monkeypatch.setenv("CUBESOS_MAX_N", "24")  # snapshot so teardown restores
     code, _, err = run_cli(capsys, "bounds", "--instance", "random:n=6,d=2,seed=1",
@@ -294,6 +307,10 @@ def _infeasible_lp(*args, **kwargs):
     return LpSolution("infeasible", None, None)
 
 
+def _unconverged_outer(f, r):
+    raise SolverError("SDP did not converge: status=max_iter")
+
+
 # argv, (module, attribute, replacement) patched for the call, exit code, the
 # one stderr line
 EXIT_CODES = [
@@ -301,6 +318,13 @@ EXIT_CODES = [
                  "error: invalid literal for int() with base 10: 'x'", id="sweep-roots-bad-n"),
     pytest.param(["sweep", "--mode", "errors", "--n", "3", "--d", "5"], None, 2,
                  "error: d must be <= n", id="sweep-errors-d-above-n"),
+    pytest.param(["sweep", "--mode", "errors", "--d", "5", "--n", "8", "--r-fractions", "0.2",
+                  "--samples", "1"], None, 2,
+                 "error: r=2 too small for degree 5", id="sweep-errors-order-too-small"),
+    pytest.param(["sweep", "--mode", "errors", "--d", "2", "--n", "8", "--r-fractions", "0.5",
+                  "--samples", "2"], ("outer_hierarchy", "outer_cube", _unconverged_outer), 3,
+                 "solver failure: SDP did not converge: status=max_iter",
+                 id="sweep-errors-solve-fails"),
     pytest.param(["sweep", "--mode", "roots", "--q", "1"], None, 2,
                  "error: q must be >= 2", id="sweep-roots-q1"),
     pytest.param(["gamma", "--dmax", "3", "--q", "1"], None, 2,

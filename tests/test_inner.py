@@ -366,14 +366,15 @@ def test_gather_and_transform_products_equal_formed_matrix(rng, k):
     _, spectra = _operator_input(k)
     A = inner_hierarchy._XorBlocks(9, k, spectra, 3)
     v = rng.standard_normal(A.shape[0])
-    expect = A.dense() @ v
+    # not A.dense(), which would make the formed matrix A's product
+    expect = _block_matrix(A.masks, k, spectra) @ v
     transforms = A @ v
-    A.gather = A._gather_matrix()
+    A.matrix = A._gather_matrix()
     gather = A @ v
     scale = np.max(np.abs(expect))
     assert np.max(np.abs(transforms - expect)) <= 1e-12 * scale
     assert np.max(np.abs(gather - expect)) <= 1e-12 * scale
-    assert A.gather.indices.dtype == np.int32
+    assert A.matrix.indices.dtype == np.int32
 
 
 @pytest.mark.parametrize("k", [1, 2, 3], ids=["scalar", "k=2", "k=3"])
@@ -397,6 +398,28 @@ def test_three_products_match_dense_reference(monkeypatch, lanczos_calls, gather
     _assert_close(res.diagnostics["eigenvalue"], expect)
     _assert_close(res.value, expect)
     assert res.diagnostics["eig_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("k, lanczos, calls", [(1, False, 1), (2, False, 3), (1, True, 1)],
+                         ids=["dense-scalar", "dense-k=2", "gather"])
+def test_solve_transforms_only_for_the_f_tables(monkeypatch, lanczos_calls, gather_builds,
+                                                k, lanczos, calls):
+    # one transform per spectrum builds the F tables; the value and residual
+    # come from the formed matrix or the gather the solve ran on, not from
+    # further transforms
+    solve, _ = _operator_input(k)
+    monkeypatch.setattr(inner_hierarchy, "_DENSE_RATIO", 0 if lanczos else float("inf"))
+    monkeypatch.setattr(inner_hierarchy, "_GATHER_RATIO", 0.0)
+    fwht_calls = []
+
+    def counted(v):
+        fwht_calls.append(v.size)
+        return fwht(v)
+
+    monkeypatch.setattr(inner_hierarchy, "fwht", counted)
+    res = solve()
+    assert len(fwht_calls) == calls
+    assert lanczos_calls == gather_builds == ([res.diagnostics["matrix_size"]] if lanczos else [])
 
 
 def test_product_selection_follows_the_spectrum(lanczos_calls, gather_builds):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cubesos import outer_hierarchy
 from cubesos.cube_fourier import (
     CubePolynomial,
     MatrixPolynomial,
@@ -13,7 +14,6 @@ from cubesos.instances import maxcut_instance, random_matrix_poly, random_poly
 from cubesos.outer_hierarchy import (
     OuterBoundResult,
     SolverError,
-    SolverOptions,
     _DenseConstraints,
     _solve_ipm,
     _XorConstraints,
@@ -27,9 +27,9 @@ def weight_poly(n):
     return CubePolynomial.from_terms(n, [([i + 1], 1.0) for i in range(n)])
 
 
-def solve_dense(C, mats, b, **options):
+def solve_dense(C, mats, b):
     return _solve_ipm(np.asarray(C, dtype=np.float64), _DenseConstraints(mats),
-                      np.asarray(b, dtype=np.float64), SolverOptions(**options))
+                      np.asarray(b, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +78,11 @@ def test_sdp_diagonal_reduces_to_lp():
     assert sol.primal_obj == pytest.approx(lp.value, abs=1e-6)
 
 
-def test_sdp_max_iter_is_not_reported_optimal():
+def test_sdp_max_iter_is_not_reported_optimal(monkeypatch):
+    monkeypatch.setattr(outer_hierarchy, "_MAX_ITER", 1)
     E11 = np.zeros((2, 2))
     E11[0, 0] = 1.0
-    sol = solve_dense(np.eye(2), [E11], [1.0], max_iter=1)
+    sol = solve_dense(np.eye(2), [E11], [1.0])
     assert sol.status != "optimal"
 
 
@@ -298,10 +299,10 @@ def test_outer_non_finite_iterate_raises(monkeypatch):
         outer_cube(random_poly(4, 2, seed=1), 1)
 
 
-def test_outer_unconverged_raises_with_diagnostics():
+def test_outer_unconverged_raises_with_diagnostics(monkeypatch):
+    monkeypatch.setattr(outer_hierarchy, "_MAX_ITER", 1)
     f = random_poly(5, 2, seed=9)
     F = random_matrix_poly(4, 2, 2, seed=15)
-    for call in (lambda: outer_cube(f, 2, options=SolverOptions(max_iter=1)),
-                 lambda: outer_matrix(F, 2, options=SolverOptions(max_iter=1))):
+    for call in (lambda: outer_cube(f, 2), lambda: outer_matrix(F, 2)):
         with pytest.raises(SolverError, match=r"status=max_iter, gap=.*, pres="):
             call()
