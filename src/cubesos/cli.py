@@ -66,11 +66,16 @@ def _load_instance(args):
         edges = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if W[i, j]]
         f = maxcut_instance(W) if kind == "maxcut" else stable_set_instance(edges, n)
     elif kind == "random":
-        params = dict(kv.partition("=")[::2] for kv in rest.split(",") if kv)
+        hint = "(use random:n=..,d=..,seed=..)"
+        params = {}
+        for key, _, value in (kv.partition("=") for kv in rest.split(",") if kv):
+            if key not in ("n", "d", "seed") or key in params:
+                problem = "repeats" if key in params else "has unknown"
+                raise ValueError(f"instance {args.instance!r} {problem} key {key!r} {hint}")
+            params[key] = value
         missing = [f"{key}=" for key in ("n", "d") if key not in params]
         if missing:
-            raise ValueError(f"instance {args.instance!r} lacks {' and '.join(missing)} "
-                             "(use random:n=..,d=..,seed=..)")
+            raise ValueError(f"instance {args.instance!r} lacks {' and '.join(missing)} {hint}")
         f = random_poly(int(params["n"]), int(params["d"]), int(params.get("seed", 0)))
     else:
         raise ValueError(f"unknown instance kind {kind!r} (use maxcut:/stable:/random:)")
@@ -115,7 +120,8 @@ def cmd_bounds(args) -> str:
         res = inner_cube(f, args.r)
         timings["inner"] = time.perf_counter() - t0
         report["inner"] = {"r": args.r, "value": res.value,
-                           "matrix_size": res.diagnostics["matrix_size"]}
+                           "matrix_size": res.diagnostics["matrix_size"],
+                           "product": res.diagnostics["product"]}
     if "outer" in which:
         t0 = time.perf_counter()
         res = outer_cube(f, args.r)

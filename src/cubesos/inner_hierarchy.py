@@ -5,30 +5,29 @@ is the characters (orthonormal under the uniform measure mu), so the order-r
 bound is the smallest eigenvalue of A[a,b] = fhat(a XOR b) over |a|,|b| <= r;
 a k x k matrix input fills k^2 such blocks from the spectra of its entries,
 and scalar input is the k = 1 case of the same block matrix. A is XOR
-convolution by fhat restricted to those characters, and A v has three
-products, picked by one cost rule:
+convolution by fhat restricted to those characters. ``_cube_bound`` picks
+the product A v once, by one cost rule, and builds only that one:
 
-- the transforms: two Walsh-Hadamard transforms per block, v to the
-  square-root density p on the cube, times F's values, and back to the
-  characters of weight <= r (k n 2^n units);
-- the sparse XOR gather: row a of a block reads fhat only on its support S
-  at weights <= 2r, at the columns a XOR c of weight <= r, so A is one CSR
-  matrix built from N x |S| lookups (_GATHER_RATIO units per lookup);
-- the formed matrix, for eigh.
+- the formed matrix, solved by eigh, below a size switch (the cube of the
+  size against the cheaper of the other two products' costs);
+- above it, Lanczos (ARPACK) on the cheaper of
+  - the sparse XOR gather: row a of a block reads fhat only on its support S
+    at weights <= 2r, at the columns a XOR c of weight <= r, so A is one CSR
+    matrix built from N x |S| lookups (_GATHER_RATIO units per lookup);
+  - the transforms: two Walsh-Hadamard transforms per block, v to the
+    square-root density p on the cube, times F's values, and back to the
+    characters of weight <= r (k n 2^n units).
 
-A product costs the cheaper of the first two. Above a size switch (the cube
-of the size against that cost) the eigenpair comes from Lanczos (ARPACK) on
-the cheaper product, and A is never formed densely; below it A is formed and
-solved by eigh, and the sparse gather is never built.
 On the integer grid [0:n] the basis is the w-orthonormal Krawtchouk family,
-whose multiplication matrix entries are exact finite sums over the grid.
+whose multiplication matrix entries are exact finite sums over the grid; that
+matrix is always formed and solved by eigh.
 
 The value reported is the Rayleigh quotient v^T A v / v^T v of the computed
 eigenvector v, on the product the solve ran on, not the eigenvalue. By
 Parseval it is the integral of f against the density p^2 / <p, p> of v, and
 every p gives a feasible density, so the value bounds the minimum from above
 even if the eigen-solve is loose. The eigenvalue is kept as
-``diagnostics["eigenvalue"]``.
+``diagnostics["eigenvalue"]``, and the product as ``diagnostics["product"]``.
 """
 
 from __future__ import annotations
@@ -70,12 +69,11 @@ class InnerBoundResult:
 
 
 # The solver switch, at the measured crossover (one BLAS thread). Dense eigh
-# costs about size^3 flops. Lanczos costs some tens of products, each of
-# ``product_cost`` units (for the cube operator the cheaper of its two
-# products, in transform units: k n 2^n for k transforms of n passes over 2^n
-# points; size^2 for a formed matrix) plus a fixed overhead in ARPACK and
-# numpy calls worth about _PRODUCT_OVERHEAD units. Dense while
-# size^3 <= _DENSE_RATIO * (product_cost + _PRODUCT_OVERHEAD): N = 130 at
+# costs about size^3 flops. Lanczos costs some tens of products, each of the
+# cheaper product's cost (in transform units: k n 2^n for k transforms of n
+# passes over 2^n points) plus a fixed overhead in ARPACK and numpy calls
+# worth about _PRODUCT_OVERHEAD units. Dense while
+# size^3 <= _DENSE_RATIO * (that cost + _PRODUCT_OVERHEAD): N = 130 at
 # n = 9 stays dense (3 ms against 6), and N = 299 at n = 12 goes to Lanczos
 # (11 ms against 18).
 _DENSE_RATIO = 250
@@ -91,20 +89,16 @@ _GATHER_CHUNK = 1 << 15  # lookups per row chunk while the gather is built
 
 
 def _smallest_eigenpair(A) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and a unit eigenvector of the symmetric operator A
-    (``shape``, ``product_cost``, ``dense()``, ``use_cheapest_product()`` and
-    ``A @ v``): eigh on the formed matrix below the size switch; above it,
-    Lanczos (ARPACK eigsh) on A's cheapest product (the sparse gather, for the
-    cube operator, is built only here). Either way the matrix or product the
-    solve ran on stays A's product."""
-    size = A.shape[0]
-    if size ** 3 <= _DENSE_RATIO * (A.product_cost + _PRODUCT_OVERHEAD):
-        w, v = np.linalg.eigh(A.dense())
-        return float(w[0]), v[:, 0]
+    """Smallest eigenvalue and a unit eigenvector of the symmetric A: eigh
+    if A is a formed matrix (an ndarray), with the eigenvector copied out of
+    eigh's matrix; else Lanczos (ARPACK eigsh) on the product A @ v."""
+    if isinstance(A, np.ndarray):
+        w, v = np.linalg.eigh(A)
+        return float(w[0]), v[:, 0].copy()
     # imported here, so that callers with small problems never load it
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    A.use_cheapest_product()
+    size = A.shape[0]
     op = LinearOperator(A.shape, matvec=A.__matmul__, dtype=np.float64)
     # a seeded random start: ones or e_0 can lie in A's kernel, where ARPACK stops
     v0 = np.random.default_rng(0).standard_normal(size)
@@ -115,9 +109,10 @@ def _smallest_eigenpair(A) -> tuple[float, np.ndarray]:
     return float(w[0]), v[:, 0]
 
 
-def _result(A, order: int, extra: dict | None = None) -> InnerBoundResult:
-    size = A.shape[0]
-    if A.is_zero:
+def _result(A, size: int, order: int, extra: dict | None = None) -> InnerBoundResult:
+    """The bound from the product A of a size x size operator; A = None is
+    the zero operator."""
+    if A is None:
         # every density of degree <= 2r integrates f to 0 (on the cube: f has
         # no spectrum at weights <= 2r), and Lanczos would break down at its
         # first product
@@ -136,27 +131,6 @@ def _result(A, order: int, extra: dict | None = None) -> InnerBoundResult:
     return InnerBoundResult(value, order, vec, diag)
 
 
-class _GridOperator:
-    """A[i,j] = <g p_i, p_j>_w over the w-orthonormal Krawtchouk family p_i of
-    degree <= r on [0:n]: an exact finite sum over the grid, formed densely."""
-
-    def __init__(self, g: np.ndarray, measure: DiscreteMeasure, r: int):
-        table = orthonormal_table(measure.n, r, measure.q)
-        self.matrix = (table * (g * measure.weights)) @ table.T
-        self.shape = self.matrix.shape
-        self.product_cost = self.matrix.size
-        self.is_zero = not self.matrix.any()
-
-    def dense(self) -> np.ndarray:
-        return self.matrix
-
-    def use_cheapest_product(self) -> None:
-        """The formed matrix is the only product."""
-
-    def __matmul__(self, v) -> np.ndarray:
-        return self.matrix @ v
-
-
 def inner_univariate_values(
     g_values: np.ndarray, measure: DiscreteMeasure, r: int
 ) -> InnerBoundResult:
@@ -171,7 +145,8 @@ def inner_univariate_values(
     gv = np.asarray(g_values, dtype=np.float64)
     if gv.shape != (n + 1,):
         raise ValueError("g_values must have length n+1")
-    return _result(_GridOperator(gv, measure, r), r)
+    table = orthonormal_table(n, r, measure.q)
+    return _result((table * (gv * measure.weights)) @ table.T, r + 1, r)
 
 
 def inner_univariate(g_coeffs, measure: DiscreteMeasure, r: int) -> InnerBoundResult:
@@ -236,70 +211,70 @@ def _gather_block(pos: np.ndarray, masks: np.ndarray, support: np.ndarray,
     return data, indices, indptr
 
 
-class _XorBlocks:
-    """The block matrix A[(i,a),(j,b)] = Fhat_ij(a XOR b) over characters of
-    weight <= r, as an operator. A v is F p on the cube, for p the
-    square-root density of v, restricted back to those characters (two
-    transforms per block), until ``dense`` forms the matrix or
-    ``use_cheapest_product`` builds the sparse gather; that matrix is then
-    the product."""
+def _gather_matrix(n: int, masks: np.ndarray, k: int, spectra: dict, supports: dict):
+    """The block matrix as one CSR matrix with int32 indices: row a of block
+    (i, j) holds Fhat_ij(c) at column a XOR c, for each c in supports[i, j]
+    with |a XOR c| <= r; block (j, i) is block (i, j)."""
+    import scipy.sparse as sp
 
-    def __init__(self, n: int, k: int, spectra: dict, r: int):
-        self.n, self.k, self.spectra = n, k, spectra
-        self.masks = masks_up_to_weight(n, r)
-        self.shape = (k * self.masks.size,) * 2
-        low = popcount_table(n) <= 2 * r  # A reads each spectrum only there
-        self.supports = {ij: np.flatnonzero(low & (fhat != 0))
-                         for ij, fhat in spectra.items()}
-        self.is_zero = not any(s.size for s in self.supports.values())
-        # k transforms of 2^n points, n passes each; against one lookup per
-        # (character, support) pair, twice for a block off the diagonal
-        self.transform_cost = k * n << n
-        lookups = self.masks.size * sum(s.size * (1 if i == j else 2)
-                                        for (i, j), s in self.supports.items())
-        self.product_cost = min(self.transform_cost, _GATHER_RATIO * lookups)
-        self.matrix = None  # A formed (dense, or the CSR gather), once it is the product
-        # F(x) at every cube point, shape (k, k, 2^n)
-        self.tables = np.zeros((k, k, 1 << n))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for (i, j), fhat in spectra.items():
-                self.tables[i, j] = self.tables[j, i] = finite_table(fwht(fhat), n)
+    masks = masks.astype(np.int32)
+    N = masks.size
+    pos = np.full(1 << n, -1, dtype=np.int32)  # basis index, -1 above weight r
+    pos[masks] = np.arange(N, dtype=np.int32)
+    blocks = {ij: sp.csr_matrix(_gather_block(pos, masks, support, spectra[ij]), shape=(N, N))
+              for ij, support in supports.items()}
+    if k == 1:
+        return blocks[0, 0]
+    return sp.bmat([[blocks[min(i, j), max(i, j)] for j in range(k)]
+                    for i in range(k)], format="csr")
 
-    def dense(self) -> np.ndarray:
-        self.matrix = _block_matrix(self.masks, self.k, self.spectra)
-        return self.matrix
 
-    def use_cheapest_product(self) -> None:
-        """Make A v the sparse gather if it costs less than the transforms."""
-        if self.product_cost < self.transform_cost:
-            self.matrix = self._gather_matrix()
+class _Transforms:
+    """The block matrix as the product A v = F p on the cube, for p the
+    square-root density of v, restricted back to the characters ``masks``:
+    two transforms per block over the F tables, shape (k, k, 2^n)."""
 
-    def _gather_matrix(self):
-        """A as one CSR matrix with int32 indices: row a of block (i, j)
-        holds Fhat_ij(c) at column a XOR c, for each c in the support of
-        Fhat_ij with |a XOR c| <= r; block (j, i) is block (i, j)."""
-        import scipy.sparse as sp
-
-        masks = self.masks.astype(np.int32)
-        N = masks.size
-        pos = np.full(1 << self.n, -1, dtype=np.int32)  # basis index, -1 above weight r
-        pos[masks] = np.arange(N, dtype=np.int32)
-        blocks = {ij: sp.csr_matrix(_gather_block(pos, masks, support, self.spectra[ij]),
-                                    shape=(N, N))
-                  for ij, support in self.supports.items()}
-        if self.k == 1:
-            return blocks[0, 0]
-        return sp.bmat([[blocks[min(i, j), max(i, j)] for j in range(self.k)]
-                        for i in range(self.k)], format="csr")
+    def __init__(self, masks: np.ndarray, tables: np.ndarray):
+        self.masks, self.tables = masks, tables
+        self.shape = (tables.shape[0] * masks.size,) * 2
 
     def __matmul__(self, v) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix @ v
+        k, _, cube = self.tables.shape
         # p_i(x) = sum_a v[(i,a)] chi_a(x), then (F p)(x) = F(x) p(x), on the cube
-        coeffs = np.zeros((self.k, 1 << self.n))
-        coeffs[:, self.masks] = np.reshape(v, (self.k, -1))
+        coeffs = np.zeros((k, cube))
+        coeffs[:, self.masks] = np.reshape(v, (k, -1))
         fp = np.einsum("ijx,jx->ix", self.tables, [fwht(c) for c in coeffs])
-        return np.concatenate([fwht(c)[self.masks] for c in fp]) / (1 << self.n)
+        return np.concatenate([fwht(c)[self.masks] for c in fp]) / cube
+
+
+def _cube_bound(n: int, k: int, spectra: dict, r: int) -> InnerBoundResult:
+    """The bound from the block matrix A[(i,a),(j,b)] = Fhat_ij(a XOR b)
+    over characters of weight <= r, on the one product the cost rule picks;
+    ``diagnostics["product"]`` names it."""
+    masks = masks_up_to_weight(n, r)
+    size = k * masks.size
+    low = popcount_table(n) <= 2 * r  # A reads each spectrum only there
+    supports = {ij: np.flatnonzero(low & (fhat != 0)) for ij, fhat in spectra.items()}
+    # F(x) at every cube point: checked finite for every product, and the
+    # data the transforms read
+    tables = np.zeros((k, k, 1 << n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (i, j), fhat in spectra.items():
+            tables[i, j] = tables[j, i] = finite_table(fwht(fhat), n)
+    # k transforms of 2^n points, n passes each; against one lookup per
+    # (character, support) pair, twice for a block off the diagonal
+    transform_cost = k * n << n
+    lookups = masks.size * sum(s.size * (1 if i == j else 2) for (i, j), s in supports.items())
+    cheaper = min(transform_cost, _GATHER_RATIO * lookups)
+    if not any(s.size for s in supports.values()):
+        product, A = "zero", None
+    elif size ** 3 <= _DENSE_RATIO * (cheaper + _PRODUCT_OVERHEAD):
+        product, A = "dense", _block_matrix(masks, k, spectra)
+    elif cheaper < transform_cost:
+        product, A = "gather", _gather_matrix(n, masks, k, spectra, supports)
+    else:
+        product, A = "transforms", _Transforms(masks, tables)
+    return _result(A, size, r, {"k": k, "product": product})
 
 
 def inner_cube(f: CubePolynomial, r: int) -> InnerBoundResult:
@@ -309,7 +284,7 @@ def inner_cube(f: CubePolynomial, r: int) -> InnerBoundResult:
     exact at r = n, monotone nonincreasing in r.
     """
     _check_order(f.n, r)
-    return _result(_XorBlocks(f.n, 1, {(0, 0): spectrum(f)}, r), r, {"k": 1})
+    return _cube_bound(f.n, 1, {(0, 0): spectrum(f)}, r)
 
 
 def symmetrize_to_univariate(f: CubePolynomial) -> np.ndarray:
@@ -335,4 +310,4 @@ def inner_matrix(F: MatrixPolynomial, r: int) -> InnerBoundResult:
     matrix-valued polynomial: smallest eigenvalue of the block matrix
     A[(i,a),(j,b)] = Fhat_ij(a XOR b)."""
     _check_order(F.n, r)
-    return _result(_XorBlocks(F.n, F.k, F.spectra(), r), r, {"k": F.k})
+    return _cube_bound(F.n, F.k, F.spectra(), r)

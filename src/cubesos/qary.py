@@ -119,26 +119,19 @@ class QaryPolynomial:
         size = self.q ** self.n
         # q^n points count against the cap as ceil(log2(q^n)) binary variables
         check_cap((size - 1).bit_length())
-        # coordinate i cycles with period q^(n-i); built one at a time to keep
-        # memory at O(q^n), not O(n q^n)
-        powers: dict[tuple, np.ndarray] = {}
-
-        def coordinate_power(i: int, e: int) -> np.ndarray:
-            key = (i, e)
-            if key not in powers:
-                base = np.arange(self.q, dtype=np.float64) ** e
-                inner = self.q ** (self.n - 1 - i)
-                powers[key] = np.tile(np.repeat(base, inner), self.q ** i)
-            return powers[key]
-
-        vals = np.zeros(size)
+        # summed over the (q,)*n grid, whose C order is the lexicographic one;
+        # each power of x_i broadcasts along axis i, so memory stays at two
+        # q^n arrays
+        shape = (self.q,) * self.n
+        vals, term = np.zeros(shape), np.empty(shape)
         for exps, coef in self.terms.items():
-            term = np.full(size, coef)
+            term.fill(coef)
             for i, e in enumerate(exps):
                 if e:
-                    term *= coordinate_power(i, e)
+                    term *= (np.arange(self.q, dtype=np.float64) ** e).reshape(
+                        (self.q,) + (1,) * (self.n - 1 - i))
             vals += term
-        return vals
+        return vals.ravel()
 
 
 def qary_brute_min(f: QaryPolynomial) -> tuple[float, np.ndarray]:

@@ -80,6 +80,28 @@ def test_bounds_deterministic_modulo_timestamp(capsys, k2_file):
     assert strip(out1) == strip(out2)
 
 
+@pytest.mark.parametrize("instance, r, size, product", [
+    ("random:n=13,d=3,seed=1", 5, 2380, "transforms"),
+    ("maxcut:G16", 4, 2517, "gather"),
+    ("random:n=16,d=2,seed=1", 4, 2517, "gather"),
+    ("random:n=9,d=2,seed=1", 3, 130, "dense"),
+])
+def test_bounds_reports_inner_product(capsys, tmp_path, instance, r, size, product):
+    # the benchmark's inner_eig shapes, and the n = 9, r = 3 shape of outer_sdp
+    if instance == "maxcut:G16":
+        rng = np.random.default_rng(16)
+        edges = [[i, j] for i in range(1, 17) for j in range(i + 1, 17) if rng.random() < 0.5]
+        path = tmp_path / "g16.json"
+        path.write_text(json.dumps({"n": 16, "edges": edges,
+                                    "weights": rng.integers(1, 4, len(edges)).tolist()}))
+        instance = f"maxcut:{path}"
+    code, out, _ = run_cli(capsys, "bounds", "--instance", instance, "--r", str(r),
+                           "--which", "inner", "--quiet")
+    assert code == 0
+    inner = json.loads(out)["inner"]
+    assert (inner["matrix_size"], inner["product"]) == (size, product)
+
+
 def test_certify_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "cert.json"
     code, _, err = run_cli(capsys, "certify", "--instance", "random:n=8,d=2,seed=5",
@@ -334,6 +356,13 @@ EXIT_CODES = [
     pytest.param(["bounds", "--instance", "random:n=4", "--r", "1"], None, 2,
                  "error: instance 'random:n=4' lacks d= (use random:n=..,d=..,seed=..)",
                  id="bounds-random-without-d"),
+    pytest.param(["bounds", "--instance", "random:n=5,d=2,sed=7", "--r", "1", "--which", "brute"],
+                 None, 2, "error: instance 'random:n=5,d=2,sed=7' has unknown key 'sed' "
+                 "(use random:n=..,d=..,seed=..)", id="bounds-random-unknown-key"),
+    pytest.param(["bounds", "--instance", "random:n=5,d=2,seed=1,n=7", "--r", "1",
+                  "--which", "brute"],
+                 None, 2, "error: instance 'random:n=5,d=2,seed=1,n=7' repeats key 'n' "
+                 "(use random:n=..,d=..,seed=..)", id="bounds-random-repeated-key"),
     pytest.param(["certify", "--instance", "random:n=6,d=2,seed=1", "--r", "3"],
                  ("inner_hierarchy", "_smallest_eigenpair", _nan_eigenpair), 3,
                  "solver failure: eigenvalue solve failed: eigenvalue=nan, "

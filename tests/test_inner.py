@@ -340,14 +340,14 @@ def gather_builds(monkeypatch):
     """Records the size of every sparse-gather matrix built, so a test can
     tell which product Lanczos ran on."""
     builds = []
-    build = inner_hierarchy._XorBlocks._gather_matrix
+    build = inner_hierarchy._gather_matrix
 
-    def counted(self):
-        G = build(self)
+    def counted(*args):
+        G = build(*args)
         builds.append(G.shape[0])
         return G
 
-    monkeypatch.setattr(inner_hierarchy._XorBlocks, "_gather_matrix", counted)
+    monkeypatch.setattr(inner_hierarchy, "_gather_matrix", counted)
     return builds
 
 
@@ -364,17 +364,20 @@ def _operator_input(k):
 @pytest.mark.parametrize("k", [1, 2, 3], ids=["scalar", "k=2", "k=3"])
 def test_gather_and_transform_products_equal_formed_matrix(rng, k):
     _, spectra = _operator_input(k)
-    A = inner_hierarchy._XorBlocks(9, k, spectra, 3)
-    v = rng.standard_normal(A.shape[0])
-    # not A.dense(), which would make the formed matrix A's product
-    expect = _block_matrix(A.masks, k, spectra) @ v
-    transforms = A @ v
-    A.matrix = A._gather_matrix()
-    gather = A @ v
+    masks = masks_up_to_weight(9, 3)
+    tables = np.zeros((k, k, 1 << 9))
+    for (i, j), fhat in spectra.items():
+        tables[i, j] = tables[j, i] = fwht(fhat)
+    supports = {ij: np.flatnonzero(fhat) for ij, fhat in spectra.items()}
+    G = inner_hierarchy._gather_matrix(9, masks, k, spectra, supports)
+    v = rng.standard_normal(k * masks.size)
+    expect = _block_matrix(masks, k, spectra) @ v
+    transforms = inner_hierarchy._Transforms(masks, tables) @ v
+    gather = G @ v
     scale = np.max(np.abs(expect))
     assert np.max(np.abs(transforms - expect)) <= 1e-12 * scale
     assert np.max(np.abs(gather - expect)) <= 1e-12 * scale
-    assert A.matrix.indices.dtype == np.int32
+    assert G.indices.dtype == np.int32
 
 
 @pytest.mark.parametrize("k", [1, 2, 3], ids=["scalar", "k=2", "k=3"])
@@ -476,6 +479,14 @@ def test_univariate_value_is_density_integral():
     res = inner_univariate_values(g, measure, r)
     pw = (res.density_coeffs @ orthonormal_table(n, r, 2)) ** 2 * measure.weights
     assert res.value == pytest.approx(float(pw @ g / pw.sum()), abs=1e-14)
+
+
+def test_eigh_eigenvector_is_owned():
+    # a column view would keep eigh's whole eigenvector matrix alive
+    res = inner_cube(random_poly(9, 3, 1), 3)
+    assert res.density_coeffs.base is None
+    assert res.diagnostics["product"] == "dense"
+    assert inner_univariate([0.0, 1.0], DiscreteMeasure(20, 2), 5).density_coeffs.base is None
 
 
 def test_lanczos_failure_raises_solver_error(monkeypatch):

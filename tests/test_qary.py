@@ -61,6 +61,23 @@ def test_brute_min_matches_reverse_enumeration():
     assert f.evaluate(arg) == pytest.approx(val, abs=1e-12)
 
 
+def test_value_table_peak_memory():
+    # x_i and x_i^2 for every i: a q^n table per (variable, exponent) pair
+    # would hold 2n of them
+    import tracemalloc
+
+    n, q = 10, 3
+    f = QaryPolynomial(n, q, {tuple(e * (j == i) for j in range(n)): 1.0
+                              for i in range(n) for e in (1, 2)})
+    tracemalloc.start()
+    try:
+        f.value_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * q**n, peak / (8 * q**n)
+
+
 def test_inner_symmetrized_identity():
     res = qary_inner_symmetrized([0.0, 1.0], 12, 3, 3)
     assert res.value == pytest.approx(least_root(12, 3, 4), abs=1e-8)
