@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "config": ["CapExceededError", "CertificationError", "SolverError"],
     "cube_fourier": [
-        "CubePolynomial", "FourierPolynomial", "MatrixPolynomial", "brute_force_min", "evaluate", "fourier_transform",
-        "harmonic_parts", "inverse_fourier", "sup_norm", "fwht",
+        "CubePolynomial", "MatrixPolynomial", "brute_force_min", "evaluate",
+        "harmonic_parts", "sup_norm", "fwht",
     ],
     "gamma_constants": [
         "GammaTable", "build_gamma_table", "c_d", "chebyshev_coeffs", "gamma_d",
@@ -25,17 +25,17 @@ _EXPORTS = {
                   "stable_set_instance"],
     "kernel_certifier": [
         "KernelSpec", "SosCubeCertificate",
-        "certify", "choose_kernel", "error_sweep", "funk_hecke_apply",
+        "certify", "choose_kernel", "error_sweep",
     ],
     "krawtchouk": [
-        "DiscreteMeasure", "JacobiMatrix", "kraw_eval",
+        "DiscreteMeasure", "kraw_eval",
         "kraw_step_bound_check", "least_root", "levenshtein_phi",
         "limit_poly_eval",
     ],
     "outer_hierarchy": [
         "OuterBoundResult", "outer_cube", "outer_matrix", "verify_sos_certificate",
     ],
-    "qary": ["QaryPolynomial", "qary_brute_min", "qary_inner_symmetrized"],
+    "qary": ["QaryPolynomial", "qary_brute_min"],
 }
 
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

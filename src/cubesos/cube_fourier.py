@@ -4,7 +4,10 @@ Multilinear representation (monomials are subsets, since x_i^2 = x_i on the
 cube), evaluation, Walsh-Hadamard transform, the exact change of basis from
 monomials to characters chi_a(x) = (-1)^{a.x} and back (no value table in
 between), harmonic (fixed Fourier weight) components, sup-norm and exact
-minimization by enumeration. Whole-cube quantities come from the value
+minimization by enumeration. The Fourier side has one representation: a
+dense array of the 2^n coefficients indexed by mask (``spectrum`` and
+``from_spectrum``), and ``harmonic_parts`` gives the fixed-weight components
+as value tables, one row per weight. Whole-cube quantities come from the value
 table: the minimum and its lexicographically smallest minimizer, the
 sup-norm, and any translate p(x XOR x0), which is the table re-indexed by
 XOR with the mask of x0 (no polynomial is rebuilt). Matrix polynomials give
@@ -19,6 +22,7 @@ leftmost.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +31,6 @@ from .config import check_cap
 
 __all__ = [
     "CubePolynomial",
-    "FourierPolynomial",
     "MatrixPolynomial",
     "DimensionMismatchError",
     "fwht",
@@ -36,9 +39,6 @@ __all__ = [
     "finite_table",
     "spectrum",
     "from_spectrum",
-    "fourier_transform",
-    "fourier_to_values",
-    "inverse_fourier",
     "harmonic_parts",
     "sup_norm",
     "brute_force_min",
@@ -231,18 +231,6 @@ class CubePolynomial:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class FourierPolynomial:
-    """Expansion p = sum_a coeffs[a] * chi_a over characters chi_a(x) = (-1)^{a.x}."""
-
-    n: int
-    coeffs: dict = field(default_factory=dict)
-
-    def parseval(self) -> float:
-        """sum of squared Fourier coefficients (= mean of p^2 over the cube)."""
-        return float(sum(c * c for c in self.coeffs.values()))
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -306,28 +294,12 @@ def from_spectrum(n: int, fhat: np.ndarray) -> CubePolynomial:
     return CubePolynomial(n, {int(m): float(a[m]) for m in np.flatnonzero(a)})
 
 
-def fourier_transform(p: CubePolynomial) -> FourierPolynomial:
-    """The nonzero Fourier coefficients of p; the support lies within deg(p)."""
+def harmonic_parts(p: CubePolynomial) -> np.ndarray:
+    """Value tables of the components p_k of p on the weight-k characters,
+    k = 0..deg(p): shape (deg(p) + 1, 2^n), rows summing to p's table."""
     fhat = spectrum(p)
-    return FourierPolynomial(p.n, {int(a): float(fhat[a]) for a in np.flatnonzero(fhat)})
-
-
-def fourier_to_values(fp: FourierPolynomial) -> np.ndarray:
-    return fwht(_coef_array(fp.n, fp.coeffs))
-
-
-def inverse_fourier(fp: FourierPolynomial) -> CubePolynomial:
-    """Multilinear polynomial with the given Fourier expansion."""
-    return from_spectrum(fp.n, _coef_array(fp.n, fp.coeffs))
-
-
-def harmonic_parts(p: CubePolynomial) -> tuple:
-    """Split p into components p_k supported on weight-k characters, k = 0..deg(p):
-    a tuple of FourierPolynomial indexed by k."""
-    buckets: list[dict] = [dict() for _ in range(p.degree + 1)]
-    for a, c in fourier_transform(p).coeffs.items():
-        buckets[a.bit_count()][a] = c
-    return tuple(FourierPolynomial(p.n, b) for b in buckets)
+    weight = popcount_table(p.n)
+    return np.stack([fwht(np.where(weight == k, fhat, 0.0)) for k in range(p.degree + 1)])
 
 
 def sup_norm(p: CubePolynomial) -> float:
@@ -424,11 +396,16 @@ class MatrixPolynomial:
 
 # polynomial files: {"n": int, "terms": [{"vars": [..1-based..], "coef": float}]}
 # or Fourier form:  {"n": int, "fourier": [{"a": "<bitstring>", "coef": float}]};
-# both forms sum repeated monomials or characters
+# a file gives exactly one form, and both forms sum repeated monomials or
+# characters
 
 
 def polynomial_from_dict(data: dict) -> CubePolynomial:
-    n = int(data["n"])
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"polynomial JSON field 'n' must be an integer, got {n!r}")
+    if "terms" in data and "fourier" in data:
+        raise ValueError("polynomial JSON has both a 'terms' and a 'fourier' field; give one")
     if "terms" in data:
         return CubePolynomial.from_terms(
             n, [(t["vars"], t["coef"]) for t in data["terms"]]
@@ -443,7 +420,7 @@ def polynomial_from_dict(data: dict) -> CubePolynomial:
                 raise ValueError(f"fourier entry a={bits!r} is not a 0/1 bitstring")
             mask = bitstring_to_mask(bits)
             coeffs[mask] = coeffs.get(mask, 0.0) + float(item["coef"])
-        return inverse_fourier(FourierPolynomial(n, coeffs))
+        return from_spectrum(n, _coef_array(n, coeffs))
     raise ValueError("polynomial JSON needs a 'terms' or 'fourier' field")
 
 
@@ -458,11 +435,11 @@ def polynomial_to_dict(p: CubePolynomial, form: str = "terms") -> dict:
             ],
         }
     if form == "fourier":
-        fp = fourier_transform(p)
-        items = sorted(fp.coeffs.items(), key=lambda mc: (mc[0].bit_count(), mc[0]))
+        fhat = spectrum(p)
+        masks = sorted(np.flatnonzero(fhat).tolist(), key=lambda m: (m.bit_count(), m))
         return {
             "n": p.n,
-            "fourier": [{"a": mask_to_bitstring(m, p.n), "coef": c} for m, c in items],
+            "fourier": [{"a": mask_to_bitstring(m, p.n), "coef": float(fhat[m])} for m in masks],
         }
     raise ValueError(f"unknown form {form!r}")
 

@@ -14,7 +14,6 @@ for these LPs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -42,14 +42,12 @@ from .config import CertificationError, SolverError
 from .cube_fourier import (
     CubePolynomial,
     _argmin_mask,
-    from_spectrum,
     fwht,
     mask_bitstrings,
     mask_to_bitstring,
     mask_to_point,
     point_to_mask,
     popcount_table,
-    spectrum,
     value_table,
 )
 from .gamma_constants import c_d, gamma_d
@@ -63,7 +61,6 @@ __all__ = [
     "CertificationError",
     "SingularOperatorError",
     "choose_kernel",
-    "funk_hecke_apply",
     "certify",
     "error_sweep",
 ]
@@ -91,8 +88,6 @@ class KernelSpec:
     lambda_tilde: float       # sum_{i<=d} (1 - lam_i)
     lambda_abs: float         # sum_{i<=d} |1/lam_i - 1|
     delta: float              # gamma_d * lambda_abs
-    xi: float                 # least Krawtchouk root xi_{r+1}^n (nan if r = n)
-    apriori_delta: float      # 2 C_d xi_{r+1}^n / n  (0 if r = n: bound exact)
 
 
 def choose_kernel(n: int, d: int, r: int) -> KernelSpec:
@@ -123,38 +118,18 @@ def choose_kernel(n: int, d: int, r: int) -> KernelSpec:
     if np.any(np.abs(low) < 1e-14):
         raise SingularOperatorError("kernel operator is singular on low harmonics")
     lam_abs = float(np.abs(1.0 / low - 1.0).sum())
-    if r + 1 <= n:
-        xi = least_root(n, 2, r + 1)
-        apriori = 2.0 * c_d(d) * xi / n
-    else:
-        xi, apriori = float("nan"), 0.0
     return KernelSpec(
-        n, d, r, u_coeffs, u_values, lambdas, lam_tilde, lam_abs,
-        gamma_d(d) * lam_abs, xi, apriori,
+        n, d, r, u_coeffs, u_values, lambdas, lam_tilde, lam_abs, gamma_d(d) * lam_abs,
     )
 
 
 def _apply_by_weight(factors: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Scale the weight-k Fourier component of a value table by factors[k]."""
+    """Scale the weight-k Fourier component of a value table by factors[k]:
+    the one harmonic multiplier. With factors = lam it applies the kernel
+    operator T, and with 1/lam on the weights <= deg f it applies T^{-1}."""
     fhat = fwht(values) / values.size
     fhat *= factors[popcount_table(n)]
     return fwht(fhat)
-
-
-def funk_hecke_apply(
-    spec: KernelSpec, p: CubePolynomial, invert: bool = False
-) -> CubePolynomial:
-    """Apply the kernel operator (or its inverse) to p: the weight-k harmonic
-    component is multiplied by lam_k (or 1/lam_k)."""
-    deg = p.degree
-    if deg > 2 * spec.r:
-        raise ValueError("polynomial degree exceeds the kernel's reach")
-    lam = spec.lambdas[: deg + 1]
-    if invert and np.any(np.abs(lam) < 1e-14):
-        raise SingularOperatorError("cannot invert: some eigenvalue is zero")
-    factors = np.zeros(p.n + 1)
-    factors[: deg + 1] = 1.0 / lam if invert else lam
-    return from_spectrum(p.n, spectrum(p) * factors[popcount_table(p.n)])
 
 
 def _translated(vals: np.ndarray, mask: int) -> np.ndarray:

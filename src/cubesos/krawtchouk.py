@@ -8,7 +8,9 @@ orthogonal on the integer grid [0:n] with respect to the discrete measure
 w(t) = (q-1)^t C(n,t) / q^n, with K_k(0) = (q-1)^k C(n,k) = ||K_k||^2_w.
 Everything here works with the normalization Khat_k = K_k / K_k(0), whose
 values stay in [-1, 1] at integer arguments, and with the orthonormal family
-p_k = K_k / ||K_k||_w used for Jacobi matrices.
+p_k = K_k / ||K_k||_w. In that basis multiplication by t is the Jacobi
+matrix, kept as its diagonal and off-diagonal; the least root xi_r^n of K_r
+is its smallest eigenvalue, cross-checked by bisecting Khat_r.
 
 The three-term recurrence in the Khat normalization reads
 
@@ -30,11 +32,9 @@ from .config import SolverError
 
 __all__ = [
     "DiscreteMeasure",
-    "JacobiMatrix",
     "RootCrossCheckError",
     "kraw_int",
     "kraw_eval",
-    "kraw_eval_real",
     "kraw_hat_table",
     "orthonormal_table",
     "jacobi_matrix",
@@ -146,11 +146,6 @@ def kraw_eval(n: int, q: int, k: int, t: int) -> float:
     return float(kraw_hat_table(n, k, q, t=[float(t)])[k, 0])
 
 
-def kraw_eval_real(n: int, q: int, k: int, t: float) -> float:
-    """Khat_k at a real argument (used for root bracketing/bisection)."""
-    return float(kraw_hat_table(n, k, q, t=[float(t)])[k, 0])
-
-
 def orthonormal_table(n: int, kmax: int, q: int = 2, t=None) -> np.ndarray:
     """Values of the w-orthonormal family p_k = Khat_k * ||K_k||_w."""
     scale = np.array([math.sqrt(kraw_norm_sq(n, q, k)) for k in range(kmax + 1)])
@@ -161,34 +156,10 @@ def orthonormal_table(n: int, kmax: int, q: int = 2, t=None) -> np.ndarray:
 # Jacobi matrices and extremal roots
 
 
-@dataclass(frozen=True)
-class JacobiMatrix:
-    """Symmetric tridiagonal matrix of multiplication by t in the orthonormal
-    Krawtchouk basis; its eigenvalues are the roots of the next polynomial."""
-
-    n: int
-    q: int
-    order: int
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        if self.order == 1:
-            return self.diag.copy()
-        return sla.eigh_tridiagonal(self.diag, self.offdiag, eigvals_only=True)
-
-    def smallest_eigenvalue(self) -> float:
-        if self.order == 1:
-            return float(self.diag[0])
-        # LAPACK bisection on the Sturm sequence
-        w = sla.eigh_tridiagonal(
-            self.diag, self.offdiag, select="i", select_range=(0, 0), eigvals_only=True
-        )
-        return float(w[0])
-
-
-def jacobi_matrix(n: int, q: int, order: int) -> JacobiMatrix:
-    """Order-r Jacobi matrix; eigenvalues are the roots of K_r."""
+def jacobi_matrix(n: int, q: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the order-r Jacobi matrix: multiplication
+    by t in the orthonormal Krawtchouk basis, whose eigenvalues are the roots
+    of K_r."""
     if q < 2:
         raise ValueError("q must be >= 2")
     if not 1 <= order <= n:
@@ -197,7 +168,7 @@ def jacobi_matrix(n: int, q: int, order: int) -> JacobiMatrix:
     diag = ((q - 1) * (n - k) + k) / q
     koff = np.arange(order - 1, dtype=np.float64)
     off = np.sqrt((q - 1) * (koff + 1) * (n - koff)) / q
-    return JacobiMatrix(n, q, order, diag, off)
+    return diag, off
 
 
 def _bisect_least_root(n: int, q: int, r: int, grid_points: int) -> float | None:
@@ -211,7 +182,7 @@ def _bisect_least_root(n: int, q: int, r: int, grid_points: int) -> float | None
     flo = vals[sign_change[0]]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fmid = kraw_eval_real(n, q, r, mid)
+        fmid = kraw_hat_table(n, r, q, t=[mid])[r, 0]
         if flo * fmid > 0:
             lo, flo = mid, fmid
         else:
@@ -228,7 +199,9 @@ def least_root(n: int, q: int, r: int) -> float:
     cross-validated against a sign-change bisection of the normalized
     recurrence (agreement to 1e-8 required).
     """
-    xi = jacobi_matrix(n, q, r).smallest_eigenvalue()
+    # LAPACK bisection on the Sturm sequence
+    xi = float(sla.eigh_tridiagonal(*jacobi_matrix(n, q, r), eigvals_only=True,
+                                    select="i", select_range=(0, 0))[0])
     root = _bisect_least_root(n, q, r, grid_points=8 * r + 2)
     if root is None or abs(root - xi) > 1e-8 * max(1.0, abs(xi)):
         root = _bisect_least_root(n, q, r, grid_points=64 * r + 2)
@@ -246,6 +219,8 @@ def levenshtein_phi(t: float, q: int = 2) -> float:
     phi_q(t) = (q-1)/q - ((q-2) t / q + (2/q) sqrt((q-1) t (1-t))); for q = 2
     this is 1/2 - sqrt(t(1-t)).
     """
+    if q < 2:
+        raise ValueError("q must be >= 2")
     hi = (q - 1) / q
     if not -1e-12 <= t <= hi + 1e-12:
         raise ValueError(f"t={t} outside [0, {hi}]")

@@ -1,27 +1,25 @@
 """Polynomials on the q-ary cube {0,...,q-1}^n: the real, symmetric slice.
 
 Exponents live in the quotient by x_i (x_i - 1) ... (x_i - q + 1), so every
-variable's exponent reduces below q. Brute-force minimization, the
-symmetrized inner hierarchy (a univariate problem against the q-ary
-Krawtchouk measure), and the extremal-root curve sweeps live here; the
-complex character machinery is deliberately out of scope.
+variable's exponent reduces below q. Brute-force minimization and the
+extremal-root curve sweeps live here; the symmetrized inner hierarchy is
+the univariate problem ``inner_univariate(F, DiscreteMeasure(n, q), r)``
+against the q-ary Krawtchouk measure. The complex character machinery is
+deliberately out of scope.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import check_cap
-from .inner_hierarchy import InnerBoundResult, inner_univariate
-from .krawtchouk import DiscreteMeasure, least_root, levenshtein_phi
+from .krawtchouk import least_root, levenshtein_phi
 
 __all__ = [
     "QaryPolynomial",
     "qary_brute_min",
-    "qary_inner_symmetrized",
     "phi_q_sweep",
     "qary_polynomial_from_dict",
     "qary_polynomial_to_dict",
@@ -145,13 +143,6 @@ def qary_brute_min(f: QaryPolynomial) -> tuple[float, np.ndarray]:
     return float(vals.min()), point
 
 
-def qary_inner_symmetrized(F_coeffs, n: int, q: int, r: int) -> InnerBoundResult:
-    """Order-r inner bound for a permutation-invariant objective given as a
-    univariate polynomial F in the Hamming weight, computed on [0:n] with the
-    q-ary Krawtchouk measure."""
-    return inner_univariate(F_coeffs, DiscreteMeasure(n, q), r)
-
-
 def qary_polynomial_from_dict(data: dict) -> QaryPolynomial:
     """{"n":..., "q":..., "terms": [{"exps": [...], "coef": ...}]}"""
     return QaryPolynomial.from_terms(
@@ -174,6 +165,8 @@ def phi_q_sweep(q_list, n_list=(), t_points: int = 200):
     xi_{round(tn)}/n columns for each requested n (monotone convergence as n
     grows)."""
     for q in q_list:
+        if q < 2:
+            raise ValueError("q must be >= 2")
         hi = (q - 1) / q
         for t in np.linspace(0.0, hi, t_points):
             row = {"q": q, "t": float(t), "phi_q": levenshtein_phi(float(t), q)}

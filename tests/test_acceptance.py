@@ -15,7 +15,6 @@ import pytest
 from cubesos.cube_fourier import (
     CubePolynomial,
     brute_force_min,
-    fourier_to_values,
     harmonic_parts,
     popcount_table,
     sup_norm,
@@ -267,8 +266,7 @@ def test_criterion_10_harmonic_component_bound():
         f = random_poly(n, d, seed=100000 + s)
         norm = sup_norm(f)
         cap = gamma_d(d) * norm
-        for part in harmonic_parts(f):
-            ok &= float(np.max(np.abs(fourier_to_values(part)))) <= cap + 1e-9
+        ok &= float(np.max(np.abs(harmonic_parts(f)))) <= cap + 1e-9
     for s in range(20):
         n, d, k = 6, 2, 2
         F = random_matrix_poly(n, d, k, seed=101000 + s)
@@ -276,7 +274,7 @@ def test_criterion_10_harmonic_component_bound():
         comps = {}
         for (i, j), poly in F.entries.items():
             for deg, part in enumerate(harmonic_parts(poly)):
-                comps.setdefault(deg, np.zeros((1 << n, k, k)))[:, i, j] = fourier_to_values(part)
+                comps.setdefault(deg, np.zeros((1 << n, k, k)))[:, i, j] = part
         for tables in comps.values():
             ok &= float(np.max(np.abs(np.linalg.eigvalsh(tables)))) <= cap + 1e-9
     elapsed = time.perf_counter() - t0

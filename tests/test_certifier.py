@@ -6,14 +6,13 @@ import pytest
 
 from cubesos.cube_fourier import (
     CubePolynomial,
-    FourierPolynomial,
     brute_force_min,
-    fourier_to_values,
-    fourier_transform,
-    inverse_fourier,
+    from_spectrum,
+    fwht,
     mask_to_bitstring,
     point_to_mask,
     popcount_table,
+    spectrum,
     sup_norm,
     value_table,
 )
@@ -23,9 +22,9 @@ from cubesos.instances import random_poly
 from cubesos.kernel_certifier import (
     CertificationError,
     certify,
+    _apply_by_weight,
     choose_kernel,
     error_sweep,
-    funk_hecke_apply,
 )
 from cubesos.krawtchouk import DiscreteMeasure, kraw_hat_table, kraw_int, least_root
 from cubesos.outer_hierarchy import outer_cube
@@ -103,15 +102,28 @@ def test_linear_estimator_dominates_profile():
 # the averaging operator
 
 
+def _apply_T(spec, values):
+    """T on a value table: the weight-k part scaled by lam_k (0 beyond 2r)."""
+    lam = np.zeros(spec.n + 1)
+    top = min(spec.lambdas.size, spec.n + 1)
+    lam[:top] = spec.lambdas[:top]
+    return _apply_by_weight(lam, values, spec.n)
+
+
+def _apply_T_inverse(spec, values, degree):
+    """T^{-1} on a value table of degree <= degree."""
+    inv = np.zeros(spec.n + 1)
+    inv[:degree + 1] = 1.0 / spec.lambdas[:degree + 1]
+    return _apply_by_weight(inv, values, spec.n)
+
+
 def test_funk_hecke_order_zero_kernel_averages():
     n = 6
     spec = choose_kernel(n, 0, 0)
     p = random_poly(n, 2, seed=3)
-    out = funk_hecke_apply(spec, CubePolynomial.constant(n, 1.0))
-    assert value_table(out) == pytest.approx(np.ones(1 << n))
-    avg = float(value_table(p).mean())
-    out = funk_hecke_apply(spec, CubePolynomial(n, {0: p.terms.get(0, 0.0)}))
-    assert out.terms.get(0, 0.0) == pytest.approx(p.terms.get(0, 0.0))
+    assert _apply_T(spec, np.ones(1 << n)) == pytest.approx(np.ones(1 << n))
+    vals = value_table(p)
+    assert _apply_T(spec, vals) == pytest.approx(np.full(1 << n, vals.mean()))
 
 
 def test_funk_hecke_eigenrelation_vs_direct_sum():
@@ -136,21 +148,22 @@ def test_funk_hecke_eigenrelation_vs_direct_sum():
 def test_funk_hecke_invert_roundtrip():
     n = 7
     spec = choose_kernel(n, 3, 4)
-    p = random_poly(n, 3, seed=4)
-    q = funk_hecke_apply(spec, funk_hecke_apply(spec, p, invert=True))
-    assert np.max(np.abs(value_table(q) - value_table(p))) <= 1e-9
+    vals = value_table(random_poly(n, 3, seed=4))
+    q = _apply_T(spec, _apply_T_inverse(spec, vals, 3))
+    assert np.max(np.abs(q - vals)) <= 1e-9
 
 
 def test_funk_hecke_preserves_degree():
-    # T scales harmonic components, so the output degree is the input's;
-    # with n > 2r a rounding-inflated degree would make the second call fail
+    # T^{-1} scales harmonic components, so its output has no Fourier
+    # coefficient above the input's degree (n > 2r), up to rounding
     n = 10
     spec = choose_kernel(n, 2, 3)
     p = random_poly(n, 2, seed=5)
-    inv_p = funk_hecke_apply(spec, p, invert=True)
-    assert inv_p.degree == p.degree
-    q = funk_hecke_apply(spec, inv_p)
-    assert np.max(np.abs(value_table(q) - value_table(p))) <= 1e-9
+    inv_p = _apply_T_inverse(spec, value_table(p), p.degree)
+    high = popcount_table(n) > p.degree
+    assert np.max(np.abs(fwht(inv_p)[high])) / inv_p.size <= 1e-15 * np.abs(inv_p).max()
+    q = _apply_T(spec, inv_p)
+    assert np.max(np.abs(q - value_table(p))) <= 1e-9
 
 
 def test_operator_norm_surrogate():
@@ -159,8 +172,8 @@ def test_operator_norm_surrogate():
     spec = choose_kernel(n, d, r)
     for seed in range(10):
         p = random_poly(n, d, seed=seed)
-        inv_p = funk_hecke_apply(spec, p, invert=True)
-        dev = np.max(np.abs(value_table(inv_p) - value_table(p)))
+        inv_p = _apply_T_inverse(spec, value_table(p), d)
+        dev = np.max(np.abs(inv_p - value_table(p)))
         assert dev <= gamma_d(d) * spec.lambda_abs * sup_norm(p) + 1e-9
 
 
@@ -313,11 +326,11 @@ def test_certificate_commutes_with_translation(tight):
     f = random_poly(n, 2, seed=11)
     vals = value_table(f)
     assert np.count_nonzero(vals == vals.min()) == 1
-    fhat = fourier_transform(f).coeffs
+    fhat = spectrum(f)
+    pc = popcount_table(n)
     for s in (0b1, 0b101100110, (1 << n) - 1):
         # ghat(a) = fhat(a) (-1)^{|a AND s|}
-        g = inverse_fourier(FourierPolynomial(
-            n, {a: c * (-1) ** (a & s).bit_count() for a, c in fhat.items()}))
+        g = from_spectrum(n, fhat * (1 - 2 * (pc[np.arange(1 << n) & s] % 2)))
         assert g.degree == f.degree
         cf, cg = certify(f, r, tight=tight), certify(g, r, tight=tight)
         assert cg.delta == pytest.approx(cf.delta, rel=1e-12, abs=1e-15)

@@ -334,7 +334,8 @@ def _unconverged_outer(f, r):
 
 
 # argv, (module, attribute, replacement) patched for the call, exit code, the
-# one stderr line
+# one stderr line; a dict in argv is written to a JSON file whose path takes
+# its place
 EXIT_CODES = [
     pytest.param(["sweep", "--mode", "roots", "--n", "x"], None, 2,
                  "error: invalid literal for int() with base 10: 'x'", id="sweep-roots-bad-n"),
@@ -349,6 +350,10 @@ EXIT_CODES = [
                  id="sweep-errors-solve-fails"),
     pytest.param(["sweep", "--mode", "roots", "--q", "1"], None, 2,
                  "error: q must be >= 2", id="sweep-roots-q1"),
+    pytest.param(["sweep", "--mode", "phi", "--q", "1", "--t-points", "2"], None, 2,
+                 "error: q must be >= 2", id="sweep-phi-q1"),
+    pytest.param(["sweep", "--mode", "phi", "--q", "0", "--t-points", "2"], None, 2,
+                 "error: q must be >= 2", id="sweep-phi-q0"),
     pytest.param(["gamma", "--dmax", "3", "--q", "1"], None, 2,
                  "error: q must be >= 2", id="gamma-q1"),
     pytest.param(["gamma", "--dmax", "0"], None, 2,
@@ -363,6 +368,15 @@ EXIT_CODES = [
                   "--which", "brute"],
                  None, 2, "error: instance 'random:n=5,d=2,seed=1,n=7' repeats key 'n' "
                  "(use random:n=..,d=..,seed=..)", id="bounds-random-repeated-key"),
+    pytest.param(["bounds", "--poly", {"n": 2, "terms": [{"vars": [1], "coef": 1}],
+                                       "fourier": [{"a": "11", "coef": 5}]},
+                  "--r", "1", "--which", "brute"], None, 2,
+                 "error: polynomial JSON has both a 'terms' and a 'fourier' field; give one",
+                 id="bounds-poly-both-forms"),
+    pytest.param(["bounds", "--poly", {"n": 2.7, "terms": [{"vars": [1], "coef": 1}]},
+                  "--r", "1", "--which", "brute"], None, 2,
+                 "error: polynomial JSON field 'n' must be an integer, got 2.7",
+                 id="bounds-poly-fractional-n"),
     pytest.param(["certify", "--instance", "random:n=6,d=2,seed=1", "--r", "3"],
                  ("inner_hierarchy", "_smallest_eigenpair", _nan_eigenpair), 3,
                  "solver failure: eigenvalue solve failed: eigenvalue=nan, "
@@ -376,6 +390,14 @@ EXIT_CODES = [
 ]
 
 
+def _as_file(tmp_path, arg):
+    if not isinstance(arg, dict):
+        return arg
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(arg))
+    return str(path)
+
+
 @pytest.mark.parametrize("argv, patch, code, line", EXIT_CODES)
 def test_exit_code_table(capsys, monkeypatch, tmp_path, argv, patch, code, line):
     import importlib
@@ -383,6 +405,7 @@ def test_exit_code_table(capsys, monkeypatch, tmp_path, argv, patch, code, line)
     if patch is not None:
         module, name, replacement = patch
         monkeypatch.setattr(importlib.import_module(f"cubesos.{module}"), name, replacement)
+    argv = [_as_file(tmp_path, arg) for arg in argv]
     assert run_cli(capsys, *argv, "--quiet") == (code, "", line + "\n")
     out_path = tmp_path / "out"
     assert run_cli(capsys, *argv, "--out", str(out_path), "--quiet") == (code, "", line + "\n")

@@ -11,15 +11,12 @@ from cubesos.config import CapExceededError
 from cubesos.cube_fourier import (
     CubePolynomial,
     DimensionMismatchError,
-    FourierPolynomial,
     MatrixPolynomial,
     brute_force_min,
     evaluate,
-    fourier_to_values,
-    fourier_transform,
+    from_spectrum,
     fwht,
     harmonic_parts,
-    inverse_fourier,
     mask_to_bitstring,
     masks_up_to_weight,
     polynomial_from_dict,
@@ -75,31 +72,30 @@ def test_repeated_variables_collapse():
 
 
 def test_fourier_of_constant():
-    fp = fourier_transform(CubePolynomial.constant(3, 1.0))
-    assert fp.coeffs == {0: 1.0}
+    assert spectrum(CubePolynomial.constant(3, 1.0)).tolist() == [1.0] + [0.0] * 7
 
 
 def test_fourier_of_single_variable():
     # x1 = (1 - chi_{e1}) / 2
-    fp = fourier_transform(poly(1, [([1], 1.0)]))
-    assert fp.coeffs[0] == pytest.approx(0.5, abs=1e-15)
-    assert fp.coeffs[1] == pytest.approx(-0.5, abs=1e-15)
+    fhat = spectrum(poly(1, [([1], 1.0)]))
+    assert fhat[0] == pytest.approx(0.5, abs=1e-15)
+    assert fhat[1] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_fourier_of_character_sum():
     # X_k = sum of weight-k characters has all weight-k coefficients equal 1
     n, k = 5, 2
-    masks = [m for m in range(1 << n) if bin(m).count("1") == k]
-    p = inverse_fourier(FourierPolynomial(n, {m: 1.0 for m in masks}))
+    weight_k = popcount_table(n) == k
+    p = from_spectrum(n, weight_k.astype(float))
     assert p.degree == k
-    fp = fourier_transform(p)
-    assert set(fp.coeffs) == set(masks)
-    assert all(c == 1.0 for c in fp.coeffs.values())
+    fhat = spectrum(p)
+    assert np.array_equal(np.flatnonzero(fhat), np.flatnonzero(weight_k))
+    assert np.all(fhat[weight_k] == 1.0)
 
 
 def test_fourier_cap():
     with pytest.raises(CapExceededError):
-        fourier_transform(CubePolynomial.constant(30, 1.0))
+        spectrum(CubePolynomial.constant(30, 1.0))
 
 
 def test_fwht_involution(rng):
@@ -127,7 +123,7 @@ def test_transforms_across_block_boundaries(n, rng):
     fhat = spectrum(p)
     assert np.max(np.abs(fhat - fwht(vals) / vals.size)) <= 1e-15 * np.abs(vals).max()
     assert not fhat[popcount_table(n) > p.degree].any()
-    back = inverse_fourier(fourier_transform(p))
+    back = from_spectrum(n, fhat)
     assert back.degree == p.degree
     for m in range(1 << n):
         assert abs(back.terms.get(m, 0.0) - p.terms.get(m, 0.0)) <= 1e-12
@@ -137,8 +133,7 @@ def test_transforms_across_block_boundaries(n, rng):
 @given(st.integers(2, 6), st.integers(0, 2**30))
 def test_fourier_round_trip(n, seed):
     p = random_poly(n, min(3, n), seed=seed, normalize=False)
-    fp = fourier_transform(p)
-    back = fourier_to_values(fp)
+    back = fwht(spectrum(p))
     assert np.max(np.abs(back - value_table(p))) <= 1e-12
 
 
@@ -146,9 +141,8 @@ def test_fourier_round_trip(n, seed):
 @given(st.integers(2, 6), st.integers(0, 2**30))
 def test_parseval(n, seed):
     p = random_poly(n, min(3, n), seed=seed, normalize=False)
-    fp = fourier_transform(p)
     mean_sq = float(np.mean(value_table(p) ** 2))
-    assert fp.parseval() == pytest.approx(mean_sq, rel=1e-10)
+    assert float(np.sum(spectrum(p) ** 2)) == pytest.approx(mean_sq, rel=1e-10)
 
 
 def test_character_orthonormality_exact():
@@ -172,29 +166,32 @@ def test_character_orthonormality_exact():
 
 
 def test_harmonic_parts_single_variable():
+    # x1 on {0,1}^2, indexed by mask: 1/2 and -chi_{e1}/2
     parts = harmonic_parts(poly(2, [([1], 1.0)]))
-    assert parts[0].coeffs == {0: pytest.approx(0.5)}
-    assert parts[1].coeffs == {1: pytest.approx(-0.5)}
+    assert parts.shape == (2, 4)
+    assert parts[0] == pytest.approx([0.5] * 4)
+    assert parts[1] == pytest.approx([-0.5, 0.5, -0.5, 0.5])
 
 
 def test_harmonic_parts_constant():
     parts = harmonic_parts(CubePolynomial.constant(4, 3.5))
-    assert parts[0].coeffs == {0: pytest.approx(3.5)}
-    assert len(parts) == 1
+    assert parts.shape == (1, 16)
+    assert parts[0] == pytest.approx([3.5] * 16)
 
 
 def test_harmonic_parts_weights_and_sum(rng):
     p = random_poly(6, 3, seed=5)
-    total = np.zeros(1 << 6)
-    for k, part in enumerate(harmonic_parts(p)):
-        assert all(a.bit_count() == k for a in part.coeffs)
-        total += fourier_to_values(part)
-    assert np.max(np.abs(total - value_table(p))) <= 1e-10
+    parts = harmonic_parts(p)
+    pc = popcount_table(6)
+    for k, part in enumerate(parts):
+        # part k has no Fourier coefficient off weight k, up to rounding
+        assert np.max(np.abs(fwht(part)[pc != k])) / part.size <= 1e-15
+    assert np.max(np.abs(parts.sum(axis=0) - value_table(p))) <= 1e-10
 
 
 def test_harmonic_parts_mutually_orthogonal():
     p = random_poly(6, 3, seed=9)
-    tabs = [fourier_to_values(part) for part in harmonic_parts(p)]
+    tabs = harmonic_parts(p)
     for i in range(len(tabs)):
         for j in range(i + 1, len(tabs)):
             inner = np.mean(tabs[i] * tabs[j])
@@ -205,8 +202,7 @@ def test_harmonic_parts_mutually_orthogonal():
 @given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**30))
 def test_fourier_support_within_degree(n, d, seed):
     p = random_poly(n, min(d, n), seed=seed, normalize=False)
-    fp = fourier_transform(p)
-    assert all(a.bit_count() <= p.degree for a in fp.coeffs)
+    assert not spectrum(p)[popcount_table(n) > p.degree].any()
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +211,7 @@ def test_fourier_support_within_degree(n, d, seed):
 
 def test_sup_norm_character():
     n = 4
-    chi = inverse_fourier(FourierPolynomial(n, {5: 1.0}))
+    chi = from_spectrum(n, np.eye(1 << n)[5])
     assert sup_norm(chi) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -299,6 +295,18 @@ def test_fourier_json_rejects_non_binary_bitstring():
 def test_fourier_json_sums_repeats():
     data = {"n": 2, "fourier": [{"a": "10", "coef": 1.0}, {"a": "10", "coef": 0.5}]}
     assert polynomial_from_dict(data).terms == {0: 1.5, 1: -3.0}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"n": 2, "terms": [{"vars": [1], "coef": 1.0}], "fourier": [{"a": "11", "coef": 5.0}]},
+     "both a 'terms' and a 'fourier' field"),
+    ({"n": 2.7, "terms": [{"vars": [1], "coef": 1.0}]}, "field 'n' must be an integer, got 2.7"),
+    ({"n": "2", "fourier": []}, "field 'n' must be an integer, got '2'"),
+    ({"n": True, "terms": []}, "field 'n' must be an integer, got True"),
+], ids=["both-forms", "fractional-n", "string-n", "boolean-n"])
+def test_polynomial_json_rejects_ambiguous_input(data, message):
+    with pytest.raises(ValueError, match=message):
+        polynomial_from_dict(data)
 
 
 def test_bitstring_convention():

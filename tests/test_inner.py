@@ -8,11 +8,10 @@ from cubesos import inner_hierarchy
 from cubesos.config import SolverError
 from cubesos.cube_fourier import (
     CubePolynomial,
-    FourierPolynomial,
     MatrixPolynomial,
     brute_force_min,
+    from_spectrum,
     fwht,
-    inverse_fourier,
     masks_up_to_weight,
     spectrum,
     value_table,
@@ -255,8 +254,15 @@ def _maxcut_g12():
     return maxcut_instance(adj + adj.T)
 
 
+def _characters(n, coeffs):
+    """The polynomial sum_a coeffs[a] chi_a."""
+    fhat = np.zeros(1 << n)
+    fhat[list(coeffs)] = list(coeffs.values())
+    return from_spectrum(n, fhat)
+
+
 def _chi_1234_5678():
-    return inverse_fourier(FourierPolynomial(12, {0b1111: 1.0, 0b11110000: 0.5}))
+    return _characters(12, {0b1111: 1.0, 0b11110000: 0.5})
 
 
 @pytest.mark.parametrize("f, r", [
@@ -292,7 +298,7 @@ def test_matrix_free_constant(lanczos_calls):
 
 
 @pytest.mark.parametrize("f, r", [(CubePolynomial(12, {}), 4),
-                                  (inverse_fourier(FourierPolynomial(12, {0b11111: 1.0})), 2)],
+                                  (_characters(12, {0b11111: 1.0}), 2)],
                          ids=["zero", "chi12345"])
 def test_zero_operator_is_exact_without_lanczos(lanczos_calls, f, r):
     # f has no spectrum at weights <= 2r, so A = 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from cubesos.cube_fourier import popcount_table
 from cubesos.krawtchouk import (
@@ -12,7 +13,6 @@ from cubesos.krawtchouk import (
     StepBoundReport,
     jacobi_matrix,
     kraw_eval,
-    kraw_eval_real,
     kraw_hat_table,
     kraw_int,
     kraw_norm_sq,
@@ -127,8 +127,9 @@ def test_least_root_degree_one():
     assert least_root(12, 3, 1) == pytest.approx(2 * 12 / 3, abs=1e-12)
 
 
-@pytest.mark.parametrize("call", [lambda: least_root(10, 1, 2), lambda: jacobi_matrix(10, 0, 2)],
-                         ids=["least_root", "jacobi_matrix"])
+@pytest.mark.parametrize("call", [lambda: least_root(10, 1, 2), lambda: jacobi_matrix(10, 0, 2),
+                                  lambda: levenshtein_phi(0.0, 1), lambda: levenshtein_phi(0.0, 0)],
+                         ids=["least_root", "jacobi_matrix", "levenshtein_phi", "levenshtein_phi_q0"])
 def test_root_entry_points_reject_q_below_2(call):
     with pytest.raises(ValueError, match="q must be >= 2"):
         call()
@@ -147,8 +148,7 @@ def test_least_root_degree_two():
 
 
 def test_least_root_vs_dense_eigenvalues():
-    J = jacobi_matrix(17, 2, 6)
-    evals = J.eigenvalues()
+    evals = sla.eigh_tridiagonal(*jacobi_matrix(17, 2, 6), eigvals_only=True)
     assert least_root(17, 2, 6) == pytest.approx(evals[0], abs=1e-10)
     assert np.all(evals >= -1e-9) and np.all(evals <= 17 + 1e-9)
     assert np.all(np.diff(evals) > 1e-9)  # distinct
@@ -166,7 +166,8 @@ def test_least_root_midrange_near_phi():
 
 def test_least_root_is_a_sign_change():
     xi = least_root(14, 2, 5)
-    assert kraw_eval_real(14, 2, 5, xi - 1e-6) > 0 > kraw_eval_real(14, 2, 5, xi + 1e-6)
+    below, above = kraw_hat_table(14, 5, 2, t=[xi - 1e-6, xi + 1e-6])[5]
+    assert below > 0 > above
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from cubesos.krawtchouk import (
+    DiscreteMeasure,
     kraw_hat_table,
     kraw_int_table,
     kraw_step_bound_check,
     least_root,
     levenshtein_phi,
 )
-from cubesos.qary import QaryPolynomial, phi_q_sweep, qary_brute_min, qary_inner_symmetrized
+from cubesos.inner_hierarchy import inner_univariate, inner_univariate_values
+from cubesos.qary import QaryPolynomial, phi_q_sweep, qary_brute_min
 
 
 def test_reduction_preserves_evaluation():
@@ -79,12 +81,12 @@ def test_value_table_peak_memory():
 
 
 def test_inner_symmetrized_identity():
-    res = qary_inner_symmetrized([0.0, 1.0], 12, 3, 3)
+    res = inner_univariate([0.0, 1.0], DiscreteMeasure(12, 3), 3)
     assert res.value == pytest.approx(least_root(12, 3, 4), abs=1e-8)
 
 
 def test_inner_symmetrized_constant():
-    res = qary_inner_symmetrized([2.0], 10, 3, 2)
+    res = inner_univariate([2.0], DiscreteMeasure(10, 3), 2)
     assert res.value == pytest.approx(2.0, abs=1e-12)
 
 
@@ -94,9 +96,6 @@ def test_inner_symmetrized_kernel_profile_bound():
     n, q, d, r = 12, 3, 2, 4
     khat = kraw_hat_table(n, d, q)
     g = d - khat[1:d + 1].sum(axis=0)
-    from cubesos.inner_hierarchy import inner_univariate_values
-    from cubesos.krawtchouk import DiscreteMeasure
-
     res = inner_univariate_values(g, DiscreteMeasure(n, q), r)
     assert res.value <= d * (d + 1) * least_root(n, q, r + 1) / n + 1e-9
 
@@ -129,6 +128,12 @@ def test_phi_q_sweep_rows():
     for row in rows:
         if row["q"] == 2:
             assert row["phi_q"] == pytest.approx(levenshtein_phi(row["t"], 2))
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_phi_q_sweep_rejects_q_below_2(q):
+    with pytest.raises(ValueError, match="q must be >= 2"):
+        list(phi_q_sweep([q], t_points=2))
 
 
 def test_phi_q_sweep_endpoint():
