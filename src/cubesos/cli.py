@@ -128,7 +128,8 @@ def cmd_bounds(args) -> str:
         timings["outer"] = time.perf_counter() - t0
         outer = {"r": args.r, "value": res.value,
                  "status": res.diagnostics["status"],
-                 "gap": res.diagnostics["rel_gap"]}
+                 "gap": res.diagnostics["rel_gap"],
+                 "schur": res.diagnostics["schur"]}
         if args.gram:
             outer["gram"] = res.gram.tolist()
         report["outer"] = outer

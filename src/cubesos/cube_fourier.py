@@ -139,17 +139,22 @@ _FROM_FOURIER = _kron_powers([[1, 1], [0, -2]])  # inverse of _TO_FOURIER
 
 def _kron_transform(powers: tuple, values) -> np.ndarray:
     """values (length 2^n) transformed by K^{(x)n}, _BLOCK_BITS bits per pass;
-    returns a new array and never writes into values."""
-    a = np.asarray(values, dtype=np.float64).reshape(-1)
-    if a.size & (a.size - 1):
+    returns a new array and never writes into values. An (R, 2^n) array has
+    each row transformed and comes back transposed, as (2^n, R)."""
+    a = np.asarray(values, dtype=np.float64)
+    size = a.shape[-1]
+    if size & (size - 1):
         raise ValueError("length must be a power of two")
-    n = a.size.bit_length() - 1
+    n = size.bit_length() - 1
+    out_shape = (size, a.shape[0]) if a.ndim == 2 else (-1,)
+    a = a.reshape(-1)
     for done in range(0, n, _BLOCK_BITS):
         b = min(_BLOCK_BITS, n - done)
         # transform the b lowest bits and rotate them to the top (one GEMM);
-        # after n bits in all the bit order is back where it started
+        # after n bits in all the bit order is back where it started, or for
+        # R rows has the row index below the transformed bits
         a = (powers[b] @ a.reshape(-1, 1 << b).T).reshape(-1)
-    return a if n > 0 else a.copy()
+    return (a if n > 0 else a.copy()).reshape(out_shape)
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
@@ -400,10 +405,17 @@ class MatrixPolynomial:
 # characters
 
 
+def json_integer(data: dict, key: str, kind: str = "polynomial") -> int:
+    """data[key] if it is an integer (not a bool); else a ValueError that
+    names the field."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{kind} JSON field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def polynomial_from_dict(data: dict) -> CubePolynomial:
-    n = data["n"]
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"polynomial JSON field 'n' must be an integer, got {n!r}")
+    n = json_integer(data, "n")
     if "terms" in data and "fourier" in data:
         raise ValueError("polynomial JSON has both a 'terms' and a 'fourier' field; give one")
     if "terms" in data:
@@ -457,10 +469,11 @@ def write_polynomial_json(p: CubePolynomial, path, form: str = "terms") -> None:
 def matrix_polynomial_from_dict(data: dict) -> MatrixPolynomial:
     """{"n":..., "k":..., "entries": [{"i":..., "j":..., "poly": [terms...]}]},
     i and j 1-based, symmetric completion applied."""
-    n, k = int(data["n"]), int(data["k"])
+    kind = "matrix polynomial"
+    n, k = json_integer(data, "n", kind), json_integer(data, "k", kind)
     entries = {}
     for item in data["entries"]:
-        i, j = int(item["i"]) - 1, int(item["j"]) - 1
+        i, j = json_integer(item, "i", kind) - 1, json_integer(item, "j", kind) - 1
         poly = CubePolynomial.from_terms(n, [(t["vars"], t["coef"]) for t in item["poly"]])
         entries[(i, j)] = poly
     return MatrixPolynomial.from_entries(n, k, entries)

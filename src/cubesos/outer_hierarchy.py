@@ -18,23 +18,31 @@ become the k - 1 rows tr G_ii - tr G_00 = fhat_ii(0) - fhat_00(0), and
 lambda = (sum_i fhat_ii(0) - tr G) / k.
 
 The constraint map aggregates matrix entries by the XOR of their character
-indices, so the interior-point Schur complement is an XOR cross-correlation
-of the blocks of the scaling matrix and is formed with Walsh-Hadamard
-transforms over 2^{2n} points instead of one dense product per constraint.
-One such backend serves scalar and matrix input.
+indices, so each constraint matrix is a 0/1 partial permutation a -> a XOR c
+(Fujisawa, Kojima & Nakata 1997 form the Schur complement of such sparse
+constraints from their nonzeros). The interior-point Schur complement is
+then formed one of two ways, picked once per solve by a cost rule: one
+product W[:, I] @ W[J, :] per constraint over its index pairs, class-summed
+(no 2^n array), or the XOR cross-correlation of the blocks of the scaling
+matrix through Walsh-Hadamard transforms that touch only the basis rows on
+the way in and the constraint classes on the way out. One such backend
+serves scalar and matrix input; ``diagnostics["schur"]`` names the pick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
 from .config import SolverError
 from .cube_fourier import (
+    _HADAMARD,
     CubePolynomial,
     MatrixPolynomial,
+    _kron_transform,
     fwht,
     masks_up_to_weight,
     spectrum,
@@ -59,6 +67,17 @@ _TOL_GAP = 1e-7
 _MAX_ITER = 200
 # fraction of the distance to the cone boundary taken by each step
 _STEP_DAMPING = 0.99
+# A gathered entry of the pair Schur, with its share of the products, costs
+# about _PAIR_RATIO transform units (one row element through one bit of a
+# transform). Measured on one BLAS thread over n = 3..13, r = 1..3,
+# k = 1..3: a gathered entry costs 6 to 13 units at k = 1 and n >= 6, and
+# the shapes where the two products break even lie between 5.8 and 8.3.
+# The products' (kN)^4 multiply-adds are left out: each costs about 1/200
+# of a gathered entry, so they catch up with the gather only where N^2 is
+# some hundred times m, near r = n/2, where the transforms are cheaper by far.
+_PAIR_RATIO = 7
+# bytes of products, operands and gathered entries per batch of pair rows
+_PAIR_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -117,9 +136,17 @@ class _XorConstraints:
     c != 0. For k > 1 the k - 1 trace rows tr X_ii - tr X_00 follow (E_0 is
     the identity). k = 1 is the scalar Gram problem.
 
-    The Schur entry tr(A W A' W) of blocks (p, q) and (s, t) is the XOR
-    cross-correlation of the zero-padded W_qs and W_pt on F_2^{2n} at shift
-    (c, c'), computed with Walsh-Hadamard transforms of length 4^n.
+    The Schur entry <A, W A' W> is formed by one of two products, picked once
+    per solve by a cost rule and named by ``schur_product``:
+
+    - ``pairs``: E_c' is a partial permutation a -> a XOR c', so W A' W is
+      the one product W[:, I] @ W[J, :] over the index pairs (I, J) of A',
+      and row A' of the Schur complement holds its class sums. No 2^n array;
+      about (kN)^4 multiply-adds and a gather of (kN)^2 / 2 per row.
+    - ``transforms``: the entry of blocks (p, q) and (s, t) is the XOR
+      cross-correlation of the zero-padded W_qs and W_pt on F_2^{2n} at
+      shift (c, c'), through Walsh-Hadamard transforms that read only the N
+      rows of W and write only the rows of the classes.
     """
 
     def __init__(self, n: int, masks: np.ndarray, classes: np.ndarray, k: int):
@@ -139,6 +166,13 @@ class _XorConstraints:
             self._zero = np.array([b * e for b, (i, j) in enumerate(self.blocks) if i == j])
             self._keep = np.setdiff1d(np.arange(len(self.blocks) * e), self._zero)
             self.m = self._keep.size + k - 1
+        # pairs: each extended row gathers the upper half of one kN x kN
+        # product; transforms: n-bit transforms of N + 2^n rows per block and
+        # of 2^n + e rows per block pair
+        size, N, nb = 1 << n, masks.size, len(self.blocks)
+        pairs = nb * e * (k * N) ** 2 // 2
+        transforms = n * size * (nb * (N + size) + nb * (nb + 1) // 2 * (size + e))
+        self.schur_product = "pairs" if _PAIR_RATIO * pairs <= transforms else "transforms"
 
     def _restrict(self, v: np.ndarray) -> np.ndarray:
         """Extended rows (axis 0) -> constraint rows: drop the class-0 rows of
@@ -191,13 +225,85 @@ class _XorConstraints:
         return out
 
     def schur(self, W: np.ndarray) -> np.ndarray:
+        if self.schur_product == "pairs":
+            return self._schur_pairs(W)
+        return self._schur_transforms(W)
+
+    @cached_property
+    def _pair_plan(self):
+        """Index arrays of the pair Schur, built once per solve.
+
+        ``batches`` holds, per block (s, t) and pair count L, the extended
+        rows (c', s, t) whose A' has L index pairs, as (rows, I, J, weight)
+        with I and J of shape (rows, L): W A' W = weight * W[:, I] @ W[J, :].
+        ``upper`` lists the flat positions of the upper triangle (x <= y;
+        x < y for k = 1, where the diagonal is class 0) of a kN x kN product,
+        sorted by the extended row (c, p, q) each sums into; ``starts`` is
+        where each row's segment begins, and ``factor`` counts the lower
+        triangle too: 2 on diagonal blocks at c != 0, else 1 (with its
+        weight 1/2, an off-diagonal A sums block (p, q) once). Every row
+        has at least one pair, so no segment is empty."""
+        N, k, e = self.masks.size, self.k, self._ext.size
+        row_of = np.full(1 << self.n, -1)
+        row_of[self._ext] = np.arange(e)
+        cls = row_of[self._xor_flat]
+        by_class = np.argsort(cls, kind="stable")
+        count = np.bincount(cls[cls >= 0], minlength=e)
+        first = np.searchsorted(cls[by_class], np.arange(e))
+        batches = []
+        for b, (s, t) in enumerate(self.blocks):
+            for L in np.unique(count):
+                rows = np.flatnonzero(count == L)
+                a, a2 = np.divmod(by_class[first[rows, None] + np.arange(L)], N)
+                if s == t:
+                    batches.append((b * e + rows, s * N + a, s * N + a2, 1.0))
+                else:
+                    batches.append((b * e + rows, np.hstack([s * N + a, t * N + a]),
+                                    np.hstack([t * N + a2, s * N + a2]), 0.5))
+        block_of = np.zeros((k, k), dtype=np.int64)
+        factor = np.ones((len(self.blocks), e))
+        for b, (p, q) in enumerate(self.blocks):
+            block_of[p, q] = b
+            if p == q:
+                factor[b, self._ext != 0] = 2.0
+        x, y = np.triu_indices(k * N, 1 if k == 1 else 0)
+        target = block_of[x // N, y // N] * e + row_of[self.masks[x % N] ^ self.masks[y % N]]
+        order = np.argsort(target, kind="stable")
+        starts = np.searchsorted(target[order], np.arange(len(self.blocks) * e))
+        return batches, (x * k * N + y)[order], starts, factor.ravel()
+
+    def _schur_pairs(self, W: np.ndarray) -> np.ndarray:
+        """Schur complement from one product W[:, I] @ W[J, :] per extended
+        row, batched over rows with equal pair count, and its class sums."""
+        batches, upper, starts, factor = self._pair_plan
+        kN = W.shape[0]
+        S = np.empty((factor.size, factor.size))
+        for rows, I, J, weight in batches:
+            # products, their operands and the gathered upper triangles
+            step = max(1, _PAIR_CHUNK_BYTES // (8 * kN * (2 * I.shape[1] + 2 * kN)))
+            for lo in range(0, rows.size, step):
+                # W is symmetric: W[:, I] is W[I, :] transposed
+                M = np.matmul(W[I[lo:lo + step]].transpose(0, 2, 1), W[J[lo:lo + step]])
+                sums = np.add.reduceat(M.reshape(M.shape[0], -1)[:, upper], starts, axis=1)
+                S[rows[lo:lo + step]] = sums * (weight * factor)
+        return self._restrict(self._restrict(S).T)
+
+    def _schur_transforms(self, W: np.ndarray) -> np.ndarray:
+        """Schur complement from the 2-D Walsh-Hadamard spectra of the
+        zero-padded blocks of W: each block's N rows are transformed along
+        the column bits, then every column along the row bits; a product of
+        spectra is transformed back along one axis, cut to the classes, and
+        only those rows are transformed along the other."""
         size = 1 << self.n
         spectra = {}
         for i, j in self.blocks:
-            pad = np.zeros((size, size))
-            pad[np.ix_(self.masks, self.masks)] = W[self._slice(i), self._slice(j)]
-            spectra[i, j] = fwht(pad.ravel()).reshape(size, size)
-            del pad
+            padded = np.zeros((self.masks.size, size))
+            padded[:, self.masks] = W[self._slice(i), self._slice(j)]
+            half = np.zeros((size, size))
+            half[:, self.masks] = _kron_transform(_HADAMARD, padded)
+            del padded
+            spectra[i, j] = _kron_transform(_HADAMARD, half)
+            del half
 
         def spectrum(p, q):
             return spectra[p, q] if p <= q else spectra[q, p].T
@@ -219,10 +325,9 @@ class _XorConstraints:
                 else:
                     acc = sum(spectrum(q, s) * spectrum(p, t)
                               for p, q in sides(i, j) for s, t in sides(i2, j2))
-                G = fwht(acc.ravel()).reshape(size, size)
+                half = _kron_transform(_HADAMARD, acc)[self._ext]
                 del acc
-                block = G[np.ix_(self._ext, self._ext)]
-                del G
+                block = _kron_transform(_HADAMARD, half)[self._ext]
                 block *= (0.5 if i != j else 1.0) * (0.5 if i2 != j2 else 1.0) / (float(size) * size)
                 rows[a][b], rows[b][a] = block, block.T
         S = rows[0][0] if nb == 1 else np.block(rows)
@@ -236,8 +341,9 @@ class _XorConstraints:
 def _max_step(D_scaled: np.ndarray) -> float:
     """Largest alpha with I + alpha * D_scaled >= 0 (capped at 1e6)."""
     # exact: an iterative estimate can sit above lambda_min and let the step
-    # leave the cone
-    lo = float(np.linalg.eigvalsh(D_scaled)[0])
+    # leave the cone; LAPACK's MRRR computes the one eigenvalue only
+    lo = float(sla.eigh(D_scaled, eigvals_only=True, subset_by_index=[0, 0],
+                        driver="evr", check_finite=False)[0])
     if lo >= 0.0:
         return 1e6
     return -1.0 / lo
@@ -291,16 +397,19 @@ def _solve_ipm(C, ops, b) -> SdpSolution:
 
         mu = float(s.sum()) / N
         d = np.sqrt(s)
-        # R maps the scaled space back: R D R^T = X, R^{-T} D R^{-1} = Z
+        # R maps the scaled space back: R D R^T = X, R^{-T} D R^{-1} = Z with
+        # D = diag(d), and W = R R^T
         Rq = sla.solve_triangular(Lz, Q, trans="T", lower=True) * (s ** 0.25)
-        Rinv = (Q * (s ** -0.25)).T @ Lz.T
         W = Rq @ Rq.T
         S = ops.schur(W)
-        # tiny ridge for safety at the central-path tail
-        ridge = 1e-14 * (np.trace(S) / m if m else 1.0)
+        # tiny ridge for safety at the central-path tail, set on S's own
+        # diagonal (S + ridge I without two more m x m arrays)
+        diag = S.diagonal().copy()
+        ridge = 1e-14 * (diag.sum() / m if m else 1.0)
         for attempt in range(5):
+            np.fill_diagonal(S, diag + ridge)
             try:
-                S_fact = sla.cho_factor(S + ridge * np.eye(m), lower=True)
+                S_fact = sla.cho_factor(S, lower=True)
                 break
             except np.linalg.LinAlgError:
                 ridge = max(ridge * 100.0, 1e-12)
@@ -311,41 +420,40 @@ def _solve_ipm(C, ops, b) -> SdpSolution:
         denom = d[:, None] + d[None, :]
 
         def direction(sigma_mu: float, cc: np.ndarray | None):
+            """dy, dZ and the scaled steps R^-1 dX R^-T, R^T dZ R; since
+            dX = V - W dZ W, the first is Vh minus the second."""
             Vh = -np.diag(d * d)
             if sigma_mu:
                 Vh += sigma_mu * np.eye(N)
             if cc is not None:
                 Vh -= cc
             Vh *= 2.0 / denom
-            V = Rq @ Vh @ Rq.T
-            rhs = rp - ops.apply(V) + A_WRdW
+            rhs = rp - ops.apply(Rq @ Vh @ Rq.T) + A_WRdW
             dy = sla.cho_solve(S_fact, rhs)
             dZ = Rd - ops.adjoint(dy)
-            dX = V - W @ dZ @ W
-            return dy, dZ, dX
+            dZh = Rq.T @ dZ @ Rq
+            return dy, dZ, Vh - dZh, dZh
 
         # predictor; step lengths live in the scaled space where both X and Z
-        # look like diag(d): max alpha with I + alpha D^{-1/2} M D^{-1/2} >= 0
+        # look like D: max alpha with I + alpha D^{-1/2} M D^{-1/2} >= 0
         scale = np.sqrt(np.outer(d, d))
-        dy_a, dZ_a, dX_a = direction(0.0, None)
-        dXh = Rinv @ dX_a @ Rinv.T
-        dZh = Rq.T @ dZ_a @ Rq
+        _, _, dXh, dZh = direction(0.0, None)
         ap = min(1.0, _max_step(dXh / scale))
         ad = min(1.0, _max_step(dZh / scale))
-        mu_aff = float(np.tensordot(X + ap * dX_a, Z + ad * dZ_a)) / N
+        # <X + ap dX, Z + ad dZ> = <D + ap dXh, D + ad dZh>
+        D = np.diag(d)
+        mu_aff = float(np.tensordot(D + ap * dXh, D + ad * dZh)) / N
         sigma = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
         # corrector
         cc = dXh @ dZh
         cc = 0.5 * (cc + cc.T)
-        dy, dZ, dX = direction(sigma * mu, cc)
-        dXh = Rinv @ dX @ Rinv.T
-        dZh = Rq.T @ dZ @ Rq
+        dy, dZ, dXh, dZh = direction(sigma * mu, cc)
         ap = min(1.0, _STEP_DAMPING * _max_step(dXh / scale))
         ad = min(1.0, _STEP_DAMPING * _max_step(dZh / scale))
         if ap < 1e-10 and ad < 1e-10:
             break  # stalled
-        X = X + ap * dX
+        X = X + ap * (Rq @ dXh @ Rq.T)
         y = y + ad * dy
         Z = Z + ad * dZ
     else:
@@ -418,6 +526,7 @@ def _outer_sdp(n: int, k: int, fhat: dict, r: int) -> OuterBoundResult:
             "primal_res": sol.primal_res,
             "dual_res": sol.dual_res,
             "k": k,
+            "schur": ops.schur_product,
         },
     )
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_cap
+from .cube_fourier import json_integer
 from .krawtchouk import least_root, levenshtein_phi
 
 __all__ = [
@@ -146,7 +147,7 @@ def qary_brute_min(f: QaryPolynomial) -> tuple[float, np.ndarray]:
 def qary_polynomial_from_dict(data: dict) -> QaryPolynomial:
     """{"n":..., "q":..., "terms": [{"exps": [...], "coef": ...}]}"""
     return QaryPolynomial.from_terms(
-        int(data["n"]), int(data["q"]),
+        json_integer(data, "n", "q-ary polynomial"), json_integer(data, "q", "q-ary polynomial"),
         [(tuple(item["exps"]), float(item["coef"])) for item in data["terms"]],
     )
 

@@ -102,6 +102,16 @@ def test_bounds_reports_inner_product(capsys, tmp_path, instance, r, size, produ
     assert (inner["matrix_size"], inner["product"]) == (size, product)
 
 
+@pytest.mark.parametrize("r,schur", [(2, "pairs"), (3, "transforms")])
+def test_bounds_reports_outer_schur(capsys, r, schur):
+    # the two random shapes of the outer_sdp benchmark
+    code, out, _ = run_cli(capsys, "bounds", "--instance", "random:n=9,d=2,seed=1",
+                           "--r", str(r), "--which", "outer", "--quiet")
+    assert code == 0
+    outer = json.loads(out)["outer"]
+    assert (outer["status"], outer["schur"]) == ("optimal", schur)
+
+
 def test_certify_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "cert.json"
     code, _, err = run_cli(capsys, "certify", "--instance", "random:n=8,d=2,seed=5",

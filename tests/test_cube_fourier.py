@@ -103,6 +103,17 @@ def test_fwht_involution(rng):
     assert np.allclose(fwht(fwht(v)) / 64, v)
 
 
+@pytest.mark.parametrize("rows,n", [(1, 0), (3, 1), (5, 6), (7, 7), (2, 13)])
+def test_row_transforms_come_back_transposed(rows, n, rng):
+    from cubesos.cube_fourier import _HADAMARD, _kron_transform
+
+    a = rng.standard_normal((rows, 1 << n))
+    out = _kron_transform(_HADAMARD, a)
+    assert out.shape == (1 << n, rows)
+    expect = np.stack([fwht(row) for row in a], axis=1)
+    assert np.max(np.abs(out - expect)) <= 1e-14 * np.abs(a).sum()
+
+
 @pytest.mark.parametrize("n", [0, 1, 5, 6, 7, 12, 13])
 def test_transforms_across_block_boundaries(n, rng):
     # sizes on both sides of each pass boundary of the blocked transform
@@ -351,6 +362,22 @@ def test_matrix_polynomial_json():
     assert F.k == 2
     assert F.entry(0, 0).terms == {1: 1.0}
     assert F.entry(1, 0).terms == {6: -0.5}  # symmetric completion
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"n": 2.7, "k": 1, "entries": []}, "field 'n' must be an integer, got 2.7"),
+    ({"n": 2, "k": 1.9, "entries": []}, "field 'k' must be an integer, got 1.9"),
+    ({"n": 2, "k": True, "entries": []}, "field 'k' must be an integer, got True"),
+    ({"n": 2, "k": 2, "entries": [{"i": 1.5, "j": 2, "poly": []}]},
+     "field 'i' must be an integer, got 1.5"),
+    ({"n": 2, "k": 2, "entries": [{"i": 1, "j": "2", "poly": []}]},
+     "field 'j' must be an integer, got '2'"),
+])
+def test_matrix_polynomial_json_rejects_non_integers(data, message):
+    from cubesos.cube_fourier import matrix_polynomial_from_dict
+
+    with pytest.raises(ValueError, match=f"matrix polynomial JSON {message}"):
+        matrix_polynomial_from_dict(data)
 
 
 def test_enumeration_cap_env(monkeypatch):

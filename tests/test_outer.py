@@ -127,7 +127,7 @@ def block_constraint_matrices(n, k, masks, classes):
     return mats
 
 
-@pytest.mark.parametrize("n,k,r", [(4, 1, 2), (4, 2, 2), (4, 3, 2), (3, 3, 1)])
+@pytest.mark.parametrize("n,k,r", [(4, 1, 2), (4, 2, 2), (4, 3, 2), (3, 3, 1), (6, 1, 2), (7, 1, 3)])
 def test_xor_backend_matches_dense(n, k, r):
     rng = np.random.default_rng(100 * n + 10 * k + r)
     masks = masks_up_to_weight(n, r)
@@ -142,9 +142,28 @@ def test_xor_backend_matches_dense(n, k, r):
     def rel(a, b):
         return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
-    assert rel(xor.schur(W), dense.schur(W)) <= 1e-12
+    # both Schur products, whichever the cost rule picks
+    S = dense.schur(W)
+    for schur in (xor.schur, xor._schur_pairs, xor._schur_transforms):
+        assert rel(schur(W), S) <= 1e-12
     assert rel(xor.apply(W), dense.apply(W)) <= 1e-12
     assert rel(xor.adjoint(y), dense.adjoint(y)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,r,product", [(12, 2, "pairs"), (9, 3, "transforms")])
+def test_schur_cost_rule(n, r, product):
+    # the pairs' gather beats 4^n transforms at r = 2; at (9, 3), N = 130
+    # and the transforms are about three times faster
+    ops = _XorConstraints(n, masks_up_to_weight(n, r), masks_up_to_weight(n, 2 * r), 1)
+    assert ops.schur_product == product
+
+
+def test_outer_pairs_reach():
+    # n = 12, r = 2: the pair Schur holds no 4^n array
+    f = random_poly(12, 2, seed=1)
+    res = outer_cube(f, 2)
+    assert (res.diagnostics["status"], res.diagnostics["schur"]) == ("optimal", "pairs")
+    assert res.value <= brute_force_min(f)[0] + 1e-6
 
 
 # ---------------------------------------------------------------------------
