@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from .cube_fourier import CubePolynomial, MatrixPolynomial, sup_norm
+from .cube_fourier import CubePolynomial, MatrixPolynomial, json_integer, sup_norm
 
 __all__ = [
     "maxcut_instance",
@@ -65,6 +65,8 @@ def random_poly(n: int, d: int, seed: int, coeff_dist: str = "uniform",
     """
     if d > n:
         raise ValueError("d must be <= n")
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got d={d}")
     rng = np.random.default_rng(seed)
 
     def draw(size):
@@ -117,7 +119,7 @@ def read_graph_json(path) -> tuple[int, np.ndarray]:
     (n, symmetric weight matrix). Missing weights default to 1."""
     with open(path) as fh:
         data = json.load(fh)
-    n = int(data["n"])
+    n = json_integer(data, "n", "graph")
     edges = data["edges"]
     weights = data.get("weights", [1.0] * len(edges))
     if len(weights) != len(edges):

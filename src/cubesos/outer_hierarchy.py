@@ -20,13 +20,15 @@ lambda = (sum_i fhat_ii(0) - tr G) / k.
 The constraint map aggregates matrix entries by the XOR of their character
 indices, so each constraint matrix is a 0/1 partial permutation a -> a XOR c
 (Fujisawa, Kojima & Nakata 1997 form the Schur complement of such sparse
-constraints from their nonzeros). The interior-point Schur complement is
-then formed one of two ways, picked once per solve by a cost rule: one
-product W[:, I] @ W[J, :] per constraint over its index pairs, class-summed
-(no 2^n array), or the XOR cross-correlation of the blocks of the scaling
-matrix through Walsh-Hadamard transforms that touch only the basis rows on
-the way in and the constraint classes on the way out. One such backend
-serves scalar and matrix input; ``diagnostics["schur"]`` names the pick.
+constraints from their nonzeros). The map and its adjoint read one
+precomputed constraint row per Gram entry and touch no 2^n array. The
+interior-point Schur complement is then formed one of two ways, picked once
+per solve by a cost rule: one product W[:, I] @ W[J, :] per constraint over
+its index pairs, class-summed (no 2^n array), or the XOR cross-correlation
+of the blocks of the scaling matrix through Walsh-Hadamard transforms that
+touch only the basis rows on the way in and the constraint classes on the
+way out. One such backend serves scalar and matrix input;
+``diagnostics["schur"]`` names the pick.
 """
 
 from __future__ import annotations
@@ -136,6 +138,15 @@ class _XorConstraints:
     c != 0. For k > 1 the k - 1 trace rows tr X_ii - tr X_00 follow (E_0 is
     the identity). k = 1 is the scalar Gram problem.
 
+    The map is worked on over extended rows b * e + c: block b of
+    ``blocks``, and index c of the class in ``_ext`` (e of them). ``_row``
+    holds, for each entry (x, y) of the kN x kN Gram, the extended row it
+    feeds: that of block (min(i, j), max(i, j)) and of the class of its two
+    masks, or the dropped slot nb * e when the class is not a row (class 0
+    at k = 1, the diagonal). ``_weight`` is 1 on diagonal-block rows and 1/2
+    on off-diagonal ones. So ``apply`` is one class sum over ``_row`` and
+    ``adjoint`` one gather from it; neither touches a 2^n array.
+
     The Schur entry <A, W A' W> is formed by one of two products, picked once
     per solve by a cost rule and named by ``schur_product``:
 
@@ -153,8 +164,6 @@ class _XorConstraints:
         self.n = n
         self.k = k
         self.masks = masks
-        self.xor = np.bitwise_xor.outer(masks, masks)
-        self._xor_flat = self.xor.ravel()
         self.blocks = [(i, j) for i in range(k) for j in range(i, k)]
         # Every block is worked on over the same extended rows; for k > 1 the
         # class-0 rows of the diagonal blocks are kept there to form the trace
@@ -166,10 +175,23 @@ class _XorConstraints:
             self._zero = np.array([b * e for b, (i, j) in enumerate(self.blocks) if i == j])
             self._keep = np.setdiff1d(np.arange(len(self.blocks) * e), self._zero)
             self.m = self._keep.size + k - 1
+        size, N, nb = 1 << n, masks.size, len(self.blocks)
+        block = np.empty((k, k), dtype=np.int64)
+        for b, (i, j) in enumerate(self.blocks):
+            block[i, j] = block[j, i] = b
+        # class index of each pair of masks by a search of the sorted classes;
+        # a class that is not a row (class 0 at k = 1) goes to the dropped slot
+        xor = np.bitwise_xor.outer(masks, masks)
+        sorter = np.argsort(self._ext)
+        cls = np.append(sorter, e)[np.searchsorted(self._ext, xor, sorter=sorter)]
+        kept = np.append(self._ext, -1)[cls] == xor
+        self._row = np.where(kept[None, :, None, :],
+                             block[:, None, :, None] * e + cls[None, :, None, :],
+                             nb * e).reshape(k * N, k * N)
+        self._weight = np.repeat([1.0 if i == j else 0.5 for i, j in self.blocks], e)
         # pairs: each extended row gathers the upper half of one kN x kN
         # product; transforms: n-bit transforms of N + 2^n rows per block and
         # of 2^n + e rows per block pair
-        size, N, nb = 1 << n, masks.size, len(self.blocks)
         pairs = nb * e * (k * N) ** 2 // 2
         transforms = n * size * (nb * (N + size) + nb * (nb + 1) // 2 * (size + e))
         self.schur_product = "pairs" if _PAIR_RATIO * pairs <= transforms else "transforms"
@@ -202,27 +224,11 @@ class _XorConstraints:
         return self._restrict(np.concatenate([v[self._ext] for v in per_block]))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        sums = []
-        for i, j in self.blocks:
-            s = np.bincount(self._xor_flat, weights=X[self._slice(i), self._slice(j)].ravel(),
-                            minlength=1 << self.n)
-            if i != j:
-                s += np.bincount(self._xor_flat,
-                                 weights=X[self._slice(j), self._slice(i)].ravel(),
-                                 minlength=1 << self.n)
-                s *= 0.5
-            sums.append(s)
-        return self.gather(sums)
+        sums = np.bincount(self._row.ravel(), weights=X.ravel(), minlength=self._weight.size + 1)
+        return self._restrict(sums[:-1] * self._weight)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        y_ext = self._extend(y).reshape(len(self.blocks), -1)
-        N = self.masks.size
-        out = np.empty((self.k * N, self.k * N))
-        for (i, j), yb in zip(self.blocks, y_ext):
-            full = np.zeros(1 << self.n)
-            full[self._ext] = yb if i == j else 0.5 * yb
-            out[self._slice(i), self._slice(j)] = out[self._slice(j), self._slice(i)] = full[self.xor]
-        return out
+        return np.append(self._extend(y) * self._weight, 0.0)[self._row]
 
     def schur(self, W: np.ndarray) -> np.ndarray:
         if self.schur_product == "pairs":
@@ -233,44 +239,35 @@ class _XorConstraints:
     def _pair_plan(self):
         """Index arrays of the pair Schur, built once per solve.
 
-        ``batches`` holds, per block (s, t) and pair count L, the extended
-        rows (c', s, t) whose A' has L index pairs, as (rows, I, J, weight)
-        with I and J of shape (rows, L): W A' W = weight * W[:, I] @ W[J, :].
-        ``upper`` lists the flat positions of the upper triangle (x <= y;
-        x < y for k = 1, where the diagonal is class 0) of a kN x kN product,
-        sorted by the extended row (c, p, q) each sums into; ``starts`` is
-        where each row's segment begins, and ``factor`` counts the lower
-        triangle too: 2 on diagonal blocks at c != 0, else 1 (with its
-        weight 1/2, an off-diagonal A sums block (p, q) once). Every row
-        has at least one pair, so no segment is empty."""
-        N, k, e = self.masks.size, self.k, self._ext.size
-        row_of = np.full(1 << self.n, -1)
-        row_of[self._ext] = np.arange(e)
-        cls = row_of[self._xor_flat]
-        by_class = np.argsort(cls, kind="stable")
-        count = np.bincount(cls[cls >= 0], minlength=e)
-        first = np.searchsorted(cls[by_class], np.arange(e))
+        ``batches`` holds, per pair count L, the extended rows whose A' has L
+        index pairs, as (rows, I, J) with I and J of shape (rows, L):
+        W A' W = _weight[row] * W[:, I] @ W[J, :]. An off-diagonal row has
+        both orientations of its pairs, as ``_row`` is symmetric. ``upper``
+        lists the flat positions of the upper triangle (x <= y) of a kN x kN
+        product that feed a row, sorted by that row; ``starts`` is where
+        each row's segment begins, and ``factor`` is <A, .> on a symmetric
+        matrix per upper sum: 2 * _weight, for the lower triangle, except
+        on the rows of diagonal entries (class 0 of a diagonal block). Every
+        row has at least one pair, so no segment is empty."""
+        row = self._row.ravel()
+        kN, ne = self._row.shape[0], self._weight.size
+        # every Gram entry grouped by its row, in raster order within a row
+        order = np.argsort(row, kind="stable")
+        grouped = row[order]
+        first = np.searchsorted(grouped, np.arange(ne))
+        count = np.bincount(row, minlength=ne + 1)[:ne]
         batches = []
-        for b, (s, t) in enumerate(self.blocks):
-            for L in np.unique(count):
-                rows = np.flatnonzero(count == L)
-                a, a2 = np.divmod(by_class[first[rows, None] + np.arange(L)], N)
-                if s == t:
-                    batches.append((b * e + rows, s * N + a, s * N + a2, 1.0))
-                else:
-                    batches.append((b * e + rows, np.hstack([s * N + a, t * N + a]),
-                                    np.hstack([t * N + a2, s * N + a2]), 0.5))
-        block_of = np.zeros((k, k), dtype=np.int64)
-        factor = np.ones((len(self.blocks), e))
-        for b, (p, q) in enumerate(self.blocks):
-            block_of[p, q] = b
-            if p == q:
-                factor[b, self._ext != 0] = 2.0
-        x, y = np.triu_indices(k * N, 1 if k == 1 else 0)
-        target = block_of[x // N, y // N] * e + row_of[self.masks[x % N] ^ self.masks[y % N]]
-        order = np.argsort(target, kind="stable")
-        starts = np.searchsorted(target[order], np.arange(len(self.blocks) * e))
-        return batches, (x * k * N + y)[order], starts, factor.ravel()
+        for L in np.unique(count):
+            rows = np.flatnonzero(count == L)
+            I, J = np.divmod(order[first[rows, None] + np.arange(L)], kN)
+            batches.append((rows, I, J))
+        x, y = np.divmod(order, kN)
+        upper = order[(x <= y) & (grouped < ne)]
+        starts = np.searchsorted(row[upper], np.arange(ne))
+        factor = 2.0 * self._weight
+        on_diagonal = np.isin(np.arange(ne), self._row.diagonal())
+        factor[on_diagonal] = self._weight[on_diagonal]
+        return batches, upper, starts, factor
 
     def _schur_pairs(self, W: np.ndarray) -> np.ndarray:
         """Schur complement from one product W[:, I] @ W[J, :] per extended
@@ -278,14 +275,15 @@ class _XorConstraints:
         batches, upper, starts, factor = self._pair_plan
         kN = W.shape[0]
         S = np.empty((factor.size, factor.size))
-        for rows, I, J, weight in batches:
+        for rows, I, J in batches:
             # products, their operands and the gathered upper triangles
             step = max(1, _PAIR_CHUNK_BYTES // (8 * kN * (2 * I.shape[1] + 2 * kN)))
             for lo in range(0, rows.size, step):
+                chunk = rows[lo:lo + step]
                 # W is symmetric: W[:, I] is W[I, :] transposed
                 M = np.matmul(W[I[lo:lo + step]].transpose(0, 2, 1), W[J[lo:lo + step]])
                 sums = np.add.reduceat(M.reshape(M.shape[0], -1)[:, upper], starts, axis=1)
-                S[rows[lo:lo + step]] = sums * (weight * factor)
+                S[chunk] = sums * factor * self._weight[chunk, None]
         return self._restrict(self._restrict(S).T)
 
     def _schur_transforms(self, W: np.ndarray) -> np.ndarray:

@@ -387,6 +387,12 @@ EXIT_CODES = [
                   "--r", "1", "--which", "brute"], None, 2,
                  "error: polynomial JSON field 'n' must be an integer, got 2.7",
                  id="bounds-poly-fractional-n"),
+    pytest.param(["bounds", "--instance", "random:n=5,d=-1,seed=1", "--r", "3", "--which", "brute"],
+                 None, 2, "error: d must be >= 0, got d=-1", id="bounds-random-negative-d"),
+    pytest.param(["bounds", "--instance", ("maxcut:", {"n": 3.5, "edges": [[1, 2], [2, 3]]}),
+                  "--r", "1", "--which", "brute"], None, 2,
+                 "error: graph JSON field 'n' must be an integer, got 3.5",
+                 id="bounds-graph-fractional-n"),
     pytest.param(["certify", "--instance", "random:n=6,d=2,seed=1", "--r", "3"],
                  ("inner_hierarchy", "_smallest_eigenpair", _nan_eigenpair), 3,
                  "solver failure: eigenvalue solve failed: eigenvalue=nan, "
@@ -401,6 +407,10 @@ EXIT_CODES = [
 
 
 def _as_file(tmp_path, arg):
+    """A JSON argument written to a file: a dict becomes its path, and a
+    (prefix, dict) pair the prefix and the path."""
+    if isinstance(arg, tuple):
+        return arg[0] + _as_file(tmp_path, arg[1])
     if not isinstance(arg, dict):
         return arg
     path = tmp_path / "input.json"

@@ -108,6 +108,14 @@ def test_random_poly_gaussian():
     assert p.degree == 1
 
 
+def test_random_polys_reject_negative_degree():
+    # a negative d never stops the monomial recursion: it drew all 2^n
+    with pytest.raises(ValueError, match="d=-1"):
+        random_poly(5, -1, seed=1)
+    with pytest.raises(ValueError, match="d=-1"):
+        random_matrix_poly(5, -1, 2, seed=1)
+
+
 def test_random_matrix_poly_normalized_symmetric():
     F = random_matrix_poly(5, 2, 2, seed=4)
     assert F.sup_norm() == pytest.approx(1.0, abs=1e-10)
@@ -121,3 +129,11 @@ def test_read_graph_json(tmp_path):
     n, W = read_graph_json(path)
     assert n == 3
     assert W[0, 1] == 2.0 and W[1, 2] == 1.0 and W[0, 2] == 0.0
+
+
+@pytest.mark.parametrize("n", [3.5, True, "3"])
+def test_read_graph_json_rejects_non_integer_n(tmp_path, n):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": n, "edges": [[1, 2]]}))
+    with pytest.raises(ValueError, match="graph JSON field 'n' must be an integer"):
+        read_graph_json(path)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,32 @@ def test_schur_cost_rule(n, r, product):
     # and the transforms are about three times faster
     ops = _XorConstraints(n, masks_up_to_weight(n, r), masks_up_to_weight(n, 2 * r), 1)
     assert ops.schur_product == product
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_constraint_map_beyond_the_cap(k):
+    # n = 40: apply, adjoint and the pair Schur hold no 2^n array, so the
+    # masks and classes are built by combinations, not by a scan of the cube
+    n = 40
+
+    def up_to_weight(w):
+        return np.array([mask for d in range(w + 1) for mask in
+                         sorted(sum(1 << i for i in c) for c in itertools.combinations(range(n), d))])
+
+    ops = _XorConstraints(n, up_to_weight(1), up_to_weight(2), k)
+    assert ops.schur_product == "pairs"
+    rng = np.random.default_rng(40 + k)
+    B = rng.standard_normal((k * (n + 1), k * (n + 1)))
+    X, W = B + B.T, B @ B.T
+    y = rng.standard_normal(ops.m)
+    Ay = ops.adjoint(y)
+    assert abs(ops.apply(X) @ y - np.tensordot(X, Ay)) <= 1e-12 * np.linalg.norm(X) * np.linalg.norm(Ay)
+    S = ops.schur(W)
+    for j in (0, ops.m // 2, ops.m - 1):
+        unit = np.zeros(ops.m)
+        unit[j] = 1.0
+        column = ops.apply(W @ ops.adjoint(unit) @ W)
+        assert np.max(np.abs(S[:, j] - column)) <= 1e-12 * np.max(np.abs(column))
 
 
 def test_outer_pairs_reach():
