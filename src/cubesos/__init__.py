@@ -28,8 +28,7 @@ _EXPORTS = {
         "certify", "choose_kernel", "error_sweep",
     ],
     "krawtchouk": [
-        "DiscreteMeasure", "kraw_eval",
-        "kraw_step_bound_check", "least_root", "levenshtein_phi",
+        "DiscreteMeasure", "kraw_step_bound_check", "least_root", "levenshtein_phi",
         "limit_poly_eval",
     ],
     "outer_hierarchy": [

@@ -69,11 +69,20 @@ def popcount_table(n: int) -> np.ndarray:
 
 
 def masks_up_to_weight(n: int, r: int) -> np.ndarray:
-    """All masks of weight <= r, sorted by (weight, mask). Deterministic basis order."""
-    pc = popcount_table(n)
-    masks = np.flatnonzero(pc <= r)
-    order = np.lexsort((masks, pc[masks]))
-    return masks[order].astype(np.int64)
+    """All masks of weight <= r, sorted by (weight, mask). Deterministic basis order.
+
+    Grown one weight at a time: the masks of weight w + 1 are those of weight
+    w, each plus one bit above its highest, so nothing of size 2^n is built.
+    """
+    if n > 62:
+        raise ValueError(f"n={n} exceeds 62, the most variables an int64 mask holds")
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    level = np.zeros(1 if r >= 0 else 0, dtype=np.int64)
+    levels = [level]
+    for _ in range(min(r, n)):
+        level = np.sort((level[:, None] | bits)[bits > level[:, None]])
+        levels.append(level)
+    return np.concatenate(levels)
 
 
 def mask_to_bitstring(mask: int, n: int) -> str:
@@ -209,25 +218,6 @@ class CubePolynomial:
         if not self.terms:
             return 0
         return max(m.bit_count() for m in self.terms)
-
-    def evaluate(self, x) -> float:
-        return evaluate(self, x)
-
-    def __add__(self, other):
-        if isinstance(other, CubePolynomial):
-            if other.n != self.n:
-                raise DimensionMismatchError("dimension mismatch")
-            acc = dict(self.terms)
-            for m, c in other.terms.items():
-                acc[m] = acc.get(m, 0.0) + c
-            return CubePolynomial(self.n, {m: c for m, c in acc.items() if c != 0.0})
-        return self + CubePolynomial.constant(self.n, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1.0) * (other if isinstance(other, CubePolynomial)
-                                else CubePolynomial.constant(self.n, float(other)))
 
     def __mul__(self, scalar):
         s = float(scalar)

@@ -55,27 +55,19 @@ def stable_set_instance(edges, n: int) -> CubePolynomial:
     return CubePolynomial.from_terms(n, terms)
 
 
-def random_poly(n: int, d: int, seed: int, coeff_dist: str = "uniform",
-                normalize: bool = True) -> CubePolynomial:
+def random_poly(n: int, d: int, seed: int, normalize: bool = True) -> CubePolynomial:
     """Random multilinear polynomial of degree exactly d, sup-norm 1.
 
-    Coefficients are drawn independently per monomial of size <= d; the
-    top-degree block is resampled if it comes out (numerically) zero, and the
-    result is rescaled to sup-norm 1 unless ``normalize=False``.
+    Coefficients are drawn uniformly from [-1, 1], independently per monomial
+    of size <= d; the top-degree block is resampled if it comes out
+    (numerically) zero, and the result is rescaled to sup-norm 1 unless
+    ``normalize=False``.
     """
     if d > n:
         raise ValueError("d must be <= n")
     if d < 0:
         raise ValueError(f"d must be >= 0, got d={d}")
     rng = np.random.default_rng(seed)
-
-    def draw(size):
-        if coeff_dist == "uniform":
-            return rng.uniform(-1.0, 1.0, size)
-        if coeff_dist == "gaussian":
-            return rng.standard_normal(size)
-        raise ValueError(f"unknown coefficient distribution {coeff_dist!r}")
-
     masks = []
 
     # enumerate masks of weight <= d without a 2^n sweep
@@ -87,10 +79,10 @@ def random_poly(n: int, d: int, seed: int, coeff_dist: str = "uniform",
             emit(mask | (1 << i), i + 1, weight + 1)
 
     emit(0, 0, 0)
-    coefs = draw(len(masks))
+    coefs = rng.uniform(-1.0, 1.0, len(masks))
     top = [k for k, m in enumerate(masks) if m.bit_count() == d]
     while d > 0 and np.max(np.abs(coefs[top])) < 1e-12:
-        coefs[top] = draw(len(top))
+        coefs[top] = rng.uniform(-1.0, 1.0, len(top))
     p = CubePolynomial(n, {m: float(c) for m, c in zip(masks, coefs) if c != 0.0})
     if normalize:
         norm = sup_norm(p)
@@ -120,6 +112,8 @@ def read_graph_json(path) -> tuple[int, np.ndarray]:
     with open(path) as fh:
         data = json.load(fh)
     n = json_integer(data, "n", "graph")
+    if n < 1:
+        raise ValueError(f"graph JSON field 'n' must be >= 1, got {n}")
     edges = data["edges"]
     weights = data.get("weights", [1.0] * len(edges))
     if len(weights) != len(edges):

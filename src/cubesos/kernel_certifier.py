@@ -267,8 +267,8 @@ def error_sweep(
     Yields rows with the observed maxima, the proven bound 2 C_d xi/n, and the
     limiting curve phi(r/n). The outer gap is measured by the moment SDP when
     the character basis has at most 300 elements, and otherwise by the
-    certified gap bound (which can only overstate it). A failed solve raises
-    out of the sweep.
+    certified gap bound (which can only overstate it). Each (n, r) cell runs
+    once, in the order first seen. A failed solve raises out of the sweep.
     """
     from math import comb
 
@@ -277,11 +277,15 @@ def error_sweep(
     from .krawtchouk import levenshtein_phi
     from .outer_hierarchy import outer_cube
 
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got samples={samples}")
+    seen = set()
     for n in n_list:
         for frac in r_fractions:
             r = max(1, round(frac * n))
-            if r + 1 > n:
+            if r + 1 > n or (n, r) in seen:
                 continue
+            seen.add((n, r))
             xi = least_root(n, 2, r + 1)
             bound = 2.0 * c_d(d) * xi / n
             basis_size = sum(comb(n, k) for k in range(r + 1))

@@ -34,7 +34,6 @@ __all__ = [
     "DiscreteMeasure",
     "RootCrossCheckError",
     "kraw_int",
-    "kraw_eval",
     "kraw_hat_table",
     "orthonormal_table",
     "jacobi_matrix",
@@ -132,18 +131,6 @@ def kraw_hat_table(n: int, kmax: int, q: int = 2, t=None) -> np.ndarray:
         den = (q - 1) * (n - k)
         out[k + 1] = (((q - 1) * (n - k) + k - q * tt) * out[k] - k * out[k - 1]) / den
     return out
-
-
-def kraw_eval(n: int, q: int, k: int, t: int) -> float:
-    """Khat_k(t) at an integer argument t in [0:n]."""
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range 0..{n}")
-    if not (float(t).is_integer() and 0 <= t <= n):
-        raise ValueError(f"t={t} must be an integer in 0..{n}")
-    t = int(t)
-    if n <= _EXACT_TABLE_LIMIT:
-        return kraw_int(n, q, k, t) / ((q - 1) ** k * math.comb(n, k))
-    return float(kraw_hat_table(n, k, q, t=[float(t)])[k, 0])
 
 
 def orthonormal_table(n: int, kmax: int, q: int = 2, t=None) -> np.ndarray:

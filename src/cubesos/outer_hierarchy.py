@@ -495,7 +495,7 @@ def _outer_sdp(n: int, k: int, fhat: dict, r: int) -> OuterBoundResult:
     not depend on the scale. Every input thus reaches the IPM at the same scale, even
     coefficients near the float range."""
     masks = masks_up_to_weight(n, r)
-    classes = masks_up_to_weight(n, min(2 * r, n))
+    classes = masks_up_to_weight(n, 2 * r)
     ops = _XorConstraints(n, masks, classes, k)
     b = ops.gather([fhat[block] for block in ops.blocks])
     scale = float(np.max(np.abs(b), initial=0.0)) or 1.0

@@ -3,9 +3,9 @@
 Exponents live in the quotient by x_i (x_i - 1) ... (x_i - q + 1), so every
 variable's exponent reduces below q. Brute-force minimization and the
 extremal-root curve sweeps live here; the symmetrized inner hierarchy is
-the univariate problem ``inner_univariate(F, DiscreteMeasure(n, q), r)``
-against the q-ary Krawtchouk measure. The complex character machinery is
-deliberately out of scope.
+the univariate problem ``inner_univariate_values(F, DiscreteMeasure(n, q), r)``
+on the profile F of values on [0:n], against the q-ary Krawtchouk measure.
+The complex character machinery is deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -15,15 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_cap
-from .cube_fourier import json_integer
 from .krawtchouk import least_root, levenshtein_phi
 
 __all__ = [
     "QaryPolynomial",
     "qary_brute_min",
     "phi_q_sweep",
-    "qary_polynomial_from_dict",
-    "qary_polynomial_to_dict",
 ]
 
 
@@ -142,23 +139,6 @@ def qary_brute_min(f: QaryPolynomial) -> tuple[float, np.ndarray]:
         point[i] = idx % f.q
         idx //= f.q
     return float(vals.min()), point
-
-
-def qary_polynomial_from_dict(data: dict) -> QaryPolynomial:
-    """{"n":..., "q":..., "terms": [{"exps": [...], "coef": ...}]}"""
-    return QaryPolynomial.from_terms(
-        json_integer(data, "n", "q-ary polynomial"), json_integer(data, "q", "q-ary polynomial"),
-        [(tuple(item["exps"]), float(item["coef"])) for item in data["terms"]],
-    )
-
-
-def qary_polynomial_to_dict(f: QaryPolynomial) -> dict:
-    items = sorted(f.terms.items())
-    return {
-        "n": f.n,
-        "q": f.q,
-        "terms": [{"exps": list(exps), "coef": coef} for exps, coef in items],
-    }
 
 
 def phi_q_sweep(q_list, n_list=(), t_points: int = 200):

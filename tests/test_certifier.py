@@ -351,3 +351,9 @@ def test_error_sweep_rows():
         assert row["max_outer_gap"] <= row["bound_2Cd_xi_over_n"] + 1e-6
         assert row["max_inner_gap"] <= row["bound_2Cd_xi_over_n"] + 1e-6
         assert "errors" not in row
+
+
+def test_error_sweep_runs_each_cell_once():
+    # at n = 8, r/n = 0.2 and 0.3 both round to r = 2
+    rows = list(error_sweep(2, [8], [0.2, 0.3], samples=1))
+    assert [(row["n"], row["r"]) for row in rows] == [(8, 2)]

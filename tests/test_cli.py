@@ -358,6 +358,10 @@ EXIT_CODES = [
                   "--samples", "2"], ("outer_hierarchy", "outer_cube", _unconverged_outer), 3,
                  "solver failure: SDP did not converge: status=max_iter",
                  id="sweep-errors-solve-fails"),
+    pytest.param(["sweep", "--mode", "errors", "--d", "2", "--n", "8", "--samples", "0"], None, 2,
+                 "error: samples must be >= 1, got samples=0", id="sweep-errors-no-samples"),
+    pytest.param(["sweep", "--mode", "errors", "--d", "2", "--n", "8", "--samples", "-3"], None, 2,
+                 "error: samples must be >= 1, got samples=-3", id="sweep-errors-negative-samples"),
     pytest.param(["sweep", "--mode", "roots", "--q", "1"], None, 2,
                  "error: q must be >= 2", id="sweep-roots-q1"),
     pytest.param(["sweep", "--mode", "phi", "--q", "1", "--t-points", "2"], None, 2,
@@ -393,6 +397,12 @@ EXIT_CODES = [
                   "--r", "1", "--which", "brute"], None, 2,
                  "error: graph JSON field 'n' must be an integer, got 3.5",
                  id="bounds-graph-fractional-n"),
+    pytest.param(["bounds", "--instance", ("maxcut:", {"n": 0, "edges": []}),
+                  "--r", "1", "--which", "all"], None, 2,
+                 "error: graph JSON field 'n' must be >= 1, got 0", id="bounds-graph-zero-n"),
+    pytest.param(["bounds", "--instance", ("maxcut:", {"n": -1, "edges": []}),
+                  "--r", "1", "--which", "all"], None, 2,
+                 "error: graph JSON field 'n' must be >= 1, got -1", id="bounds-graph-negative-n"),
     pytest.param(["certify", "--instance", "random:n=6,d=2,seed=1", "--r", "3"],
                  ("inner_hierarchy", "_smallest_eigenpair", _nan_eigenpair), 3,
                  "solver failure: eigenvalue solve failed: eigenvalue=nan, "

@@ -262,8 +262,22 @@ def test_popcount_table_matches_bit_count(n):
 
 
 def test_masks_up_to_weight_order():
-    masks = masks_up_to_weight(3, 2)
-    assert list(masks) == [0, 1, 2, 4, 3, 5, 6]
+    assert list(masks_up_to_weight(3, 2)) == [0, 1, 2, 4, 3, 5, 6]
+    # against a scan of the cube, empty below weight 0 and whole above n
+    for n in range(13):
+        for r in range(-1, n + 2):
+            masks = masks_up_to_weight(n, r)
+            assert masks.dtype == np.int64
+            assert masks.tolist() == sorted((m for m in range(2**n) if m.bit_count() <= r),
+                                            key=lambda m: (m.bit_count(), m)), (n, r)
+
+
+def test_masks_up_to_weight_beyond_the_cap(monkeypatch):
+    # grown by weight, not scanned: n = 40 is far above the default cap
+    monkeypatch.delenv("CUBESOS_MAX_N", raising=False)
+    assert masks_up_to_weight(40, 2).size == 1 + 40 + 780
+    with pytest.raises(ValueError, match="n=63"):
+        masks_up_to_weight(63, 1)
 
 
 # ---------------------------------------------------------------------------

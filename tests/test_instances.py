@@ -103,11 +103,6 @@ def test_random_poly_degree_and_norm():
         assert sup_norm(p) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_random_poly_gaussian():
-    p = random_poly(5, 1, seed=1, coeff_dist="gaussian")
-    assert p.degree == 1
-
-
 def test_random_polys_reject_negative_degree():
     # a negative d never stops the monomial recursion: it drew all 2^n
     with pytest.raises(ValueError, match="d=-1"):

@@ -12,7 +12,6 @@ from cubesos.krawtchouk import (
     DiscreteMeasure,
     StepBoundReport,
     jacobi_matrix,
-    kraw_eval,
     kraw_hat_table,
     kraw_int,
     kraw_norm_sq,
@@ -54,22 +53,16 @@ def test_entry_points_do_not_import_scipy_stats():
 
 def test_khat_degree_zero_and_one():
     for n in (5, 17):
+        table = kraw_hat_table(n, 1)
+        assert table[0].tolist() == [1.0] * (n + 1)
         for t in range(n + 1):
-            assert kraw_eval(n, 2, 0, t) == 1.0
-            assert kraw_eval(n, 2, 1, t) == pytest.approx(1 - 2 * t / n, abs=1e-14)
+            assert table[1, t] == pytest.approx(1 - 2 * t / n, abs=1e-14)
 
 
 def test_khat_small_value():
     # K_2^4(1) = C(3,2) - C(1,1) C(3,1) = 0
-    assert kraw_eval(4, 2, 2, 1) == pytest.approx(0.0, abs=1e-14)
+    assert kraw_hat_table(4, 2)[2, 1] == pytest.approx(0.0, abs=1e-14)
     assert kraw_int(4, 2, 2, 1) == 0
-
-
-def test_kraw_eval_validates_range():
-    with pytest.raises(ValueError):
-        kraw_eval(4, 2, 5, 1)
-    with pytest.raises(ValueError):
-        kraw_eval(4, 2, 2, 7)
 
 
 def test_recurrence_matches_defining_sum():
@@ -195,7 +188,7 @@ def test_limit_polynomial():
     for t in (0.0, 0.2, 0.7):
         assert limit_poly_eval(2, t) == pytest.approx((1 - 2 * t) ** 2)
     # convergence at finite n
-    assert abs(kraw_eval(400, 2, 3, 100) - 0.5**3) <= 0.01
+    assert abs(kraw_hat_table(400, 3)[3, 100] - 0.5**3) <= 0.01
 
 
 def test_limit_polynomial_qary():

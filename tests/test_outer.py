@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -162,15 +160,10 @@ def test_schur_cost_rule(n, r, product):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_constraint_map_beyond_the_cap(k):
-    # n = 40: apply, adjoint and the pair Schur hold no 2^n array, so the
-    # masks and classes are built by combinations, not by a scan of the cube
+    # n = 40: the basis builder, apply, adjoint and the pair Schur hold no
+    # 2^n array
     n = 40
-
-    def up_to_weight(w):
-        return np.array([mask for d in range(w + 1) for mask in
-                         sorted(sum(1 << i for i in c) for c in itertools.combinations(range(n), d))])
-
-    ops = _XorConstraints(n, up_to_weight(1), up_to_weight(2), k)
+    ops = _XorConstraints(n, masks_up_to_weight(n, 1), masks_up_to_weight(n, 2), k)
     assert ops.schur_product == "pairs"
     rng = np.random.default_rng(40 + k)
     B = rng.standard_normal((k * (n + 1), k * (n + 1)))

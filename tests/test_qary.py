@@ -145,25 +145,3 @@ def test_phi_q_sweep_endpoint():
 def test_cap_enforced():
     with pytest.raises(ValueError):
         QaryPolynomial.from_terms(30, 3, [((0,) * 30, 1.0)]).value_table()
-
-
-@pytest.mark.parametrize("data, message", [
-    ({"n": 2.7, "q": 3, "terms": []}, "field 'n' must be an integer, got 2.7"),
-    ({"n": 2, "q": 3.5, "terms": []}, "field 'q' must be an integer, got 3.5"),
-    ({"n": 2, "q": True, "terms": []}, "field 'q' must be an integer, got True"),
-])
-def test_qary_json_rejects_non_integers(data, message):
-    from cubesos.qary import qary_polynomial_from_dict
-
-    with pytest.raises(ValueError, match=f"q-ary polynomial JSON {message}"):
-        qary_polynomial_from_dict(data)
-
-
-def test_qary_json_round_trip():
-    from cubesos.qary import qary_polynomial_from_dict, qary_polynomial_to_dict
-
-    f = QaryPolynomial.from_terms(3, 3, [((2, 0, 1), 1.5), ((0, 0, 0), -1.0)])
-    data = qary_polynomial_to_dict(f)
-    assert data["n"] == 3 and data["q"] == 3
-    g = qary_polynomial_from_dict(data)
-    assert g.terms == f.terms
