@@ -1,8 +1,10 @@
 """Inner and outer sum-of-squares hierarchies on the boolean and q-ary cube,
 with Krawtchouk-root error bounds and explicit kernel certificates.
 
-Submodules are imported lazily so light entry points (the constants table,
-argument parsing) do not pay for scipy.
+Submodules are imported lazily, and no module imports scipy when it loads:
+the outer interior-point method, the inner Lanczos solve and ``least_root``
+import it at their first call. ``certify``, the constants table, brute force
+and the dense inner bound run on numpy alone.
 """
 
 __version__ = "0.1.0"
@@ -19,7 +21,7 @@ _EXPORTS = {
     ],
     "inner_hierarchy": [
         "InnerBoundResult", "inner_cube", "inner_cube_symmetrized",
-        "inner_matrix", "inner_univariate",
+        "inner_matrix",
     ],
     "instances": ["maxcut_instance", "random_poly", "random_matrix_poly",
                   "stable_set_instance"],

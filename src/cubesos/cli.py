@@ -251,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", required=True, choices=["roots", "phi", "errors"])
     s.add_argument("--q", help="comma list of alphabet sizes")
     s.add_argument("--n", help="comma list of dimensions")
-    s.add_argument("--r-max", type=int, default=None)
+    s.add_argument("--r-max", type=int, default=None,
+                   help="roots: largest r (default n//2), capped at (q-1)n/q, "
+                        "where phi_q(r/n) ends")
     s.add_argument("--t-points", type=int, default=200)
     s.add_argument("--d", type=int, default=2)
     s.add_argument("--r-fractions", help="comma list of r/n values for error sweeps")
@@ -273,13 +275,17 @@ def main(argv=None) -> int:
     """Run one subcommand; the only place that maps a failure to an exit
     code and a stderr line, and the only place that writes the output."""
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        # must happen before numpy/BLAS initialization (imports are deferred)
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-    if args.max_n is not None:
-        os.environ["CUBESOS_MAX_N"] = str(args.max_n)
     try:
+        if args.threads is not None:
+            if args.threads < 1:
+                raise ValueError(f"--threads {args.threads} must be >= 1")
+            # must happen before numpy/BLAS initialization (imports are deferred)
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ[var] = str(args.threads)
+        if getattr(args, "r", 0) < 0:
+            raise ValueError(f"--r {args.r} must be >= 0")
+        if args.max_n is not None:
+            os.environ["CUBESOS_MAX_N"] = str(args.max_n)
         text = args.func(args)
         if args.out:
             with open(args.out, "w") as fh:

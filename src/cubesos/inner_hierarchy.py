@@ -51,7 +51,6 @@ from .krawtchouk import DiscreteMeasure, orthonormal_table
 
 __all__ = [
     "InnerBoundResult",
-    "inner_univariate",
     "inner_univariate_values",
     "inner_cube",
     "inner_cube_symmetrized",
@@ -147,15 +146,6 @@ def inner_univariate_values(
         raise ValueError("g_values must have length n+1")
     table = orthonormal_table(n, r, measure.q)
     return _result((table * (gv * measure.weights)) @ table.T, r + 1, r)
-
-
-def inner_univariate(g_coeffs, measure: DiscreteMeasure, r: int) -> InnerBoundResult:
-    """Order-r inner bound for the polynomial with the given monomial
-    coefficients (ascending), over [0:n] with the measure's weights."""
-    coeffs = np.asarray(g_coeffs, dtype=np.float64).ravel()
-    t = np.arange(measure.n + 1, dtype=np.float64)
-    gv = np.polynomial.polynomial.polyval(t, coeffs)
-    return inner_univariate_values(gv, measure, r)
 
 
 def _check_order(n: int, r: int) -> None:

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .config import SolverError
 
@@ -186,9 +185,12 @@ def least_root(n: int, q: int, r: int) -> float:
     cross-validated against a sign-change bisection of the normalized
     recurrence (agreement to 1e-8 required).
     """
+    # imported here, so that the callers that never need a root never load scipy
+    from scipy.linalg import eigh_tridiagonal
+
     # LAPACK bisection on the Sturm sequence
-    xi = float(sla.eigh_tridiagonal(*jacobi_matrix(n, q, r), eigvals_only=True,
-                                    select="i", select_range=(0, 0))[0])
+    xi = float(eigh_tridiagonal(*jacobi_matrix(n, q, r), eigvals_only=True,
+                                select="i", select_range=(0, 0))[0])
     root = _bisect_least_root(n, q, r, grid_points=8 * r + 2)
     if root is None or abs(root - xi) > 1e-8 * max(1.0, abs(xi)):
         root = _bisect_least_root(n, q, r, grid_points=64 * r + 2)
@@ -253,10 +255,13 @@ def kraw_step_bound_check(n: int, q: int, d: int) -> StepBoundReport:
 
 
 def root_sweep_rows(ns, qs, r_max=None):
-    """Rows (n, q, r, xi, xi/n, phi_q(r/n)) for r = 1..r_max (default n//2)."""
+    """Rows (n, q, r, xi, xi/n, phi_q(r/n)) for r = 1..r_max (default n//2),
+    capped at floor((q-1) n / q): phi_q is defined on [0, (q-1)/q] only."""
     for q in qs:
+        if q < 2:
+            raise ValueError("q must be >= 2")
         for n in ns:
-            top = n // 2 if r_max is None else min(r_max, n)
+            top = min(n // 2 if r_max is None else r_max, (q - 1) * n // q)
             for r in range(1, top + 1):
                 xi = least_root(n, q, r)
                 yield {

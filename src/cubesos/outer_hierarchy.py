@@ -33,11 +33,12 @@ way out. One such backend serves scalar and matrix input;
 
 from __future__ import annotations
 
+import importlib
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .config import SolverError
 from .cube_fourier import (
@@ -59,6 +60,26 @@ __all__ = [
     "verify_sos_certificate",
     "SosVerification",
 ]
+
+
+class _LazyModule:
+    """Stands in for a module until it is needed: each attribute lookup reads
+    the module from ``sys.modules``, importing it on the first. The global
+    bound to the stand-in is never rebound, so a caller that replaces that
+    global (the tracer in ``perfbench/spans.py`` does) keeps its replacement
+    in place."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        module = sys.modules.get(self._name) or importlib.import_module(self._name)
+        return getattr(module, attr)
+
+
+# scipy.linalg takes a few tenths of a second and about 20 MiB to import, and
+# only the interior-point method reads it
+sla = _LazyModule("scipy.linalg")
 
 
 # relative primal and dual residual at which an iterate counts as feasible

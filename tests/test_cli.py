@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -219,6 +221,44 @@ def test_sweep_roots_row_count(capsys):
     assert len(lines) == 51  # header + r = 1..50
 
 
+@pytest.mark.parametrize("q, top", [("2", 5), ("3", 6)])
+def test_sweep_roots_caps_r_where_phi_ends(capsys, q, top):
+    # phi_q(r/n) is defined for r/n <= (q-1)/q only, so an --r-max past
+    # floor((q-1) n / q) stops there instead of failing
+    code, out, _ = run_cli(capsys, "sweep", "--mode", "roots", "--n", "10", "--q", q,
+                           "--r-max", "20", "--quiet")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert [int(row.split(",")[2]) for row in rows] == list(range(1, top + 1))
+
+
+def test_certify_gamma_and_dense_bounds_run_without_scipy(tmp_path):
+    # certify, gamma, brute force and the dense inner product run on numpy
+    # alone; the outer interior-point method imports scipy at its first call
+    out = {name: str(tmp_path / name) for name in ("cert.json", "gamma.txt", "inner.json",
+                                                   "outer.json")}
+    instance = ["--instance", "random:n=9,d=2,seed=1", "--r", "3"]
+    light = [["certify", *instance, "--verify", "--out", out["cert.json"]],
+             ["gamma", "--dmax", "3", "--out", out["gamma.txt"]],
+             ["bounds", *instance, "--which", "inner,brute", "--out", out["inner.json"]]]
+    outer = ["bounds", *instance, "--which", "outer", "--out", out["outer.json"]]
+    code = ("import json, sys\n"
+            "from cubesos.cli import main\n"
+            "light, outer = json.loads(sys.argv[1])\n"
+            "codes = [main(argv + ['--quiet']) for argv in light]\n"
+            "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "codes.append(main(outer + ['--quiet']))\n"
+            "print(json.dumps({'codes': codes, 'scipy': scipy}))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps([light, outer])],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "scipy": []}
+    with open(out["inner.json"]) as fh:
+        assert json.load(fh)["inner"]["product"] == "dense"
+    with open(out["outer.json"]) as fh:
+        assert json.load(fh)["outer"]["status"] == "optimal"
+
+
 def test_sweep_phi_reproduces_curves(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--mode", "phi", "--q", "2,3,4,5",
                            "--t-points", "200", "--quiet")
@@ -372,6 +412,14 @@ EXIT_CODES = [
                  "error: q must be >= 2", id="gamma-q1"),
     pytest.param(["gamma", "--dmax", "0"], None, 2,
                  "error: --dmax 0 must be >= 1", id="gamma-dmax0"),
+    pytest.param(["gamma", "--dmax", "2", "--threads", "0"], None, 2,
+                 "error: --threads 0 must be >= 1", id="gamma-threads0"),
+    pytest.param(["gamma", "--dmax", "2", "--threads", "-2"], None, 2,
+                 "error: --threads -2 must be >= 1", id="gamma-negative-threads"),
+    pytest.param(["bounds", "--instance", "random:n=6,d=2,seed=1", "--r", "-1", "--which", "brute"],
+                 None, 2, "error: --r -1 must be >= 0", id="bounds-negative-r"),
+    pytest.param(["certify", "--instance", "random:n=6,d=2,seed=1", "--r", "-1"], None, 2,
+                 "error: --r -1 must be >= 0", id="certify-negative-r"),
     pytest.param(["bounds", "--instance", "random:n=4", "--r", "1"], None, 2,
                  "error: instance 'random:n=4' lacks d= (use random:n=..,d=..,seed=..)",
                  id="bounds-random-without-d"),

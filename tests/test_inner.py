@@ -21,12 +21,18 @@ from cubesos.inner_hierarchy import (
     inner_cube,
     inner_cube_symmetrized,
     inner_matrix,
-    inner_univariate,
     inner_univariate_values,
     symmetrize_to_univariate,
 )
 from cubesos.instances import maxcut_instance, random_matrix_poly, random_poly
 from cubesos.krawtchouk import DiscreteMeasure, least_root
+
+
+def univariate(coeffs, measure, r):
+    """The inner bound of the polynomial with ascending monomial coefficients
+    ``coeffs``, from its values on [0:n]."""
+    grid = np.polynomial.polynomial.polyval(np.arange(measure.n + 1.0), coeffs)
+    return inner_univariate_values(grid, measure, r)
 
 
 def weight_poly(n):
@@ -40,28 +46,28 @@ def weight_poly(n):
 def test_univariate_identity_gives_least_root():
     for n in (8, 20, 41):
         for r in (1, 2, n // 3):
-            res = inner_univariate([0.0, 1.0], DiscreteMeasure(n, 2), r)
+            res = univariate([0.0, 1.0], DiscreteMeasure(n, 2), r)
             assert res.value == pytest.approx(least_root(n, 2, r + 1), abs=1e-9)
 
 
 def test_univariate_order_zero_is_mean():
-    res = inner_univariate([0.0, 1.0], DiscreteMeasure(10, 2), 0)
+    res = univariate([0.0, 1.0], DiscreteMeasure(10, 2), 0)
     assert res.value == pytest.approx(5.0, abs=1e-12)
 
 
 def test_univariate_constant():
     for r in (0, 2, 5):
-        res = inner_univariate([3.25], DiscreteMeasure(9, 2), r)
+        res = univariate([3.25], DiscreteMeasure(9, 2), r)
         assert res.value == pytest.approx(3.25, abs=1e-12)
 
 
 def test_univariate_qary_identity():
-    res = inner_univariate([0.0, 1.0], DiscreteMeasure(12, 3), 3)
+    res = univariate([0.0, 1.0], DiscreteMeasure(12, 3), 3)
     assert res.value == pytest.approx(least_root(12, 3, 4), abs=1e-9)
 
 
 def test_univariate_density_is_unit_norm():
-    res = inner_univariate([0.0, 0.0, 1.0], DiscreteMeasure(8, 2), 3)
+    res = univariate([0.0, 0.0, 1.0], DiscreteMeasure(8, 2), 3)
     assert np.linalg.norm(res.density_coeffs) == pytest.approx(1.0, abs=1e-12)
     assert res.diagnostics["eig_residual"] <= 1e-10
 
@@ -492,7 +498,7 @@ def test_eigh_eigenvector_is_owned():
     res = inner_cube(random_poly(9, 3, 1), 3)
     assert res.density_coeffs.base is None
     assert res.diagnostics["product"] == "dense"
-    assert inner_univariate([0.0, 1.0], DiscreteMeasure(20, 2), 5).density_coeffs.base is None
+    assert univariate([0.0, 1.0], DiscreteMeasure(20, 2), 5).density_coeffs.base is None
 
 
 def test_lanczos_failure_raises_solver_error(monkeypatch):

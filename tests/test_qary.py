@@ -12,7 +12,7 @@ from cubesos.krawtchouk import (
     least_root,
     levenshtein_phi,
 )
-from cubesos.inner_hierarchy import inner_univariate, inner_univariate_values
+from cubesos.inner_hierarchy import inner_univariate_values
 from cubesos.qary import QaryPolynomial, phi_q_sweep, qary_brute_min
 
 
@@ -81,12 +81,14 @@ def test_value_table_peak_memory():
 
 
 def test_inner_symmetrized_identity():
-    res = inner_univariate([0.0, 1.0], DiscreteMeasure(12, 3), 3)
+    grid = np.polynomial.polynomial.polyval(np.arange(13.0), [0.0, 1.0])
+    res = inner_univariate_values(grid, DiscreteMeasure(12, 3), 3)
     assert res.value == pytest.approx(least_root(12, 3, 4), abs=1e-8)
 
 
 def test_inner_symmetrized_constant():
-    res = inner_univariate([2.0], DiscreteMeasure(10, 3), 2)
+    grid = np.polynomial.polynomial.polyval(np.arange(11.0), [2.0])
+    res = inner_univariate_values(grid, DiscreteMeasure(10, 3), 2)
     assert res.value == pytest.approx(2.0, abs=1e-12)
 
 
