@@ -40,21 +40,20 @@ def _say(args, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-def _csv(rows, fieldnames=None) -> str:
-    """CSV text of the rows, with a header from fieldnames (default: the
-    first row's keys); no rows give the empty text."""
-    rows = list(rows)
+def _csv(rows, fieldnames) -> str:
+    """CSV text of the rows under a header of the fieldnames, which is
+    written even when there are no rows."""
     buf = io.StringIO()
-    if rows:
-        writer = csv.DictWriter(buf, fieldnames=fieldnames or list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()
 
 
 def _load_instance(args):
-    """The polynomial named by --poly or --instance. Its n is kept on args,
-    where ``main`` reads it for an out-of-memory message."""
+    """The polynomial named by --poly or --instance, refused when --r exceeds
+    its n, whichever bounds are asked for. Its n is kept on args, where
+    ``main`` reads it for an out-of-memory message."""
     from .cube_fourier import read_polynomial_json
     from .instances import maxcut_instance, random_poly, read_graph_json, stable_set_instance
 
@@ -80,6 +79,8 @@ def _load_instance(args):
     else:
         raise ValueError(f"unknown instance kind {kind!r} (use maxcut:/stable:/random:)")
     args.n = f.n
+    if args.r > f.n:
+        raise ValueError(f"--r {args.r} must be <= n={f.n}")
     return f
 
 
@@ -171,12 +172,14 @@ def cmd_sweep(args) -> str:
         from .krawtchouk import root_sweep_rows
 
         return _csv(root_sweep_rows(_numbers(args.n or "100"), _numbers(args.q or "2"),
-                                    args.r_max))
+                                    args.r_max),
+                    ["n", "q", "r", "xi", "xi_over_n", "phi_q(r/n)"])
     if args.mode == "phi":
         from .qary import phi_q_sweep
 
-        return _csv(phi_q_sweep(_numbers(args.q or "2,3,4,5"), _numbers(args.n or ""),
-                                args.t_points))
+        ns = _numbers(args.n or "")
+        return _csv(phi_q_sweep(_numbers(args.q or "2,3,4,5"), ns, args.t_points),
+                    ["q", "t", "phi_q"] + [f"xi_over_n[n={n}]" for n in dict.fromkeys(ns)])
     from .kernel_certifier import error_sweep
 
     rows = error_sweep(args.d, _numbers(args.n or "10,12"),

@@ -6,7 +6,13 @@ import json
 
 import numpy as np
 
-from .cube_fourier import CubePolynomial, MatrixPolynomial, json_integer, sup_norm
+from .cube_fourier import (
+    CubePolynomial,
+    MatrixPolynomial,
+    json_integer,
+    masks_up_to_weight,
+    sup_norm,
+)
 
 __all__ = [
     "maxcut_instance",
@@ -68,17 +74,9 @@ def random_poly(n: int, d: int, seed: int, normalize: bool = True) -> CubePolyno
     if d < 0:
         raise ValueError(f"d must be >= 0, got d={d}")
     rng = np.random.default_rng(seed)
-    masks = []
-
-    # enumerate masks of weight <= d without a 2^n sweep
-    def emit(mask, start, weight):
-        masks.append(mask)
-        if weight == d:
-            return
-        for i in range(start, n):
-            emit(mask | (1 << i), i + 1, weight + 1)
-
-    emit(0, 0, 0)
+    # each monomial draws in the order of its increasing tuple of variables
+    masks = sorted(masks_up_to_weight(n, d).tolist(),
+                   key=lambda m: [i for i in range(n) if m >> i & 1])
     coefs = rng.uniform(-1.0, 1.0, len(masks))
     top = [k for k, m in enumerate(masks) if m.bit_count() == d]
     while d > 0 and np.max(np.abs(coefs[top])) < 1e-12:

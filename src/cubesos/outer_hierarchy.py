@@ -23,12 +23,12 @@ indices, so each constraint matrix is a 0/1 partial permutation a -> a XOR c
 constraints from their nonzeros). The map and its adjoint read one
 precomputed constraint row per Gram entry and touch no 2^n array. The
 interior-point Schur complement is then formed one of two ways, picked once
-per solve by a cost rule: one product W[:, I] @ W[J, :] per constraint over
-its index pairs, class-summed (no 2^n array), or the XOR cross-correlation
-of the blocks of the scaling matrix through Walsh-Hadamard transforms that
-touch only the basis rows on the way in and the constraint classes on the
-way out. One such backend serves scalar and matrix input;
-``diagnostics["schur"]`` names the pick.
+per solve by a cost rule: row A' is the constraint map applied to W A' W,
+the one product W[:, I] @ W[J, :] over the index pairs of A' (no 2^n
+array), or the XOR cross-correlation of the blocks of the scaling matrix
+through Walsh-Hadamard transforms that touch only the basis rows on the way
+in and the constraint classes on the way out. One such backend serves
+scalar and matrix input; ``diagnostics["schur"]`` names the pick.
 """
 
 from __future__ import annotations
@@ -90,17 +90,20 @@ _TOL_GAP = 1e-7
 _MAX_ITER = 200
 # fraction of the distance to the cone boundary taken by each step
 _STEP_DAMPING = 0.99
-# A gathered entry of the pair Schur, with its share of the products, costs
+# A summed entry of the pair Schur, with its share of the products, costs
 # about _PAIR_RATIO transform units (one row element through one bit of a
 # transform). Measured on one BLAS thread over n = 3..13, r = 1..3,
-# k = 1..3: a gathered entry costs 6 to 13 units at k = 1 and n >= 6, and
-# the shapes where the two products break even lie between 5.8 and 8.3.
-# The products' (kN)^4 multiply-adds are left out: each costs about 1/200
-# of a gathered entry, so they catch up with the gather only where N^2 is
-# some hundred times m, near r = n/2, where the transforms are cheaper by far.
-_PAIR_RATIO = 7
-# bytes of products, operands and gathered entries per batch of pair rows
-_PAIR_CHUNK_BYTES = 4 << 20
+# k = 1..3: where n >= 6 and the two products are within 1.5x of each
+# other, a summed entry cost 2.2 to 4.5 units over two runs. The products'
+# (kN)^4 multiply-adds ride in the ratio: (kN)^2 / m of them per summed
+# entry, each 1/10 to 1/38 of one, about 8 at r = 2 (a quarter to a half of
+# the time) and 36 at r = 3 (half). They outgrow the sums only near
+# r = n/2, where the transforms are cheaper by far.
+_PAIR_RATIO = 3.5
+# bytes of products, operands and class-sum index per chunk of pair rows; a
+# chunk that outgrows a 2 MiB L2 cache slows the class sums: at n = 9, r = 2
+# the pair Schur took 1.7 ms at 1 MiB and 3.5 ms at 4 MiB
+_PAIR_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -173,8 +176,9 @@ class _XorConstraints:
 
     - ``pairs``: E_c' is a partial permutation a -> a XOR c', so W A' W is
       the one product W[:, I] @ W[J, :] over the index pairs (I, J) of A',
-      and row A' of the Schur complement holds its class sums. No 2^n array;
-      about (kN)^4 multiply-adds and a gather of (kN)^2 / 2 per row.
+      and row A' of the Schur complement is ``apply`` of it: one class sum
+      over ``_row`` for a chunk of products at once. No 2^n array; about
+      (kN)^4 multiply-adds and (kN)^2 summed entries per row.
     - ``transforms``: the entry of blocks (p, q) and (s, t) is the XOR
       cross-correlation of the zero-padded W_qs and W_pt on F_2^{2n} at
       shift (c, c'), through Walsh-Hadamard transforms that read only the N
@@ -210,10 +214,10 @@ class _XorConstraints:
                              block[:, None, :, None] * e + cls[None, :, None, :],
                              nb * e).reshape(k * N, k * N)
         self._weight = np.repeat([1.0 if i == j else 0.5 for i, j in self.blocks], e)
-        # pairs: each extended row gathers the upper half of one kN x kN
-        # product; transforms: n-bit transforms of N + 2^n rows per block and
-        # of 2^n + e rows per block pair
-        pairs = nb * e * (k * N) ** 2 // 2
+        # pairs: each extended row class-sums one kN x kN product;
+        # transforms: n-bit transforms of N + 2^n rows per block and of
+        # 2^n + e rows per block pair
+        pairs = nb * e * (k * N) ** 2
         transforms = n * size * (nb * (N + size) + nb * (nb + 1) // 2 * (size + e))
         self.schur_product = "pairs" if _PAIR_RATIO * pairs <= transforms else "transforms"
 
@@ -244,9 +248,16 @@ class _XorConstraints:
         the order of ``blocks``); with Fourier coefficients this is b."""
         return self._restrict(np.concatenate([v[self._ext] for v in per_block]))
 
+    def _class_sums(self, X: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """<A, X_p> on every extended row of p stacked kN x kN matrices, by one
+        bincount over ``index``: ``_row`` repeated, copy p offset by p (ne + 1)."""
+        ne = self._weight.size
+        p = X.size // self._row.size
+        sums = np.bincount(index[:X.size], weights=X.ravel(), minlength=p * (ne + 1))
+        return sums.reshape(p, ne + 1)[:, :-1] * self._weight
+
     def apply(self, X: np.ndarray) -> np.ndarray:
-        sums = np.bincount(self._row.ravel(), weights=X.ravel(), minlength=self._weight.size + 1)
-        return self._restrict(sums[:-1] * self._weight)
+        return self._restrict(self._class_sums(X, self._row.ravel())[0])
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return np.append(self._extend(y) * self._weight, 0.0)[self._row]
@@ -258,53 +269,37 @@ class _XorConstraints:
 
     @cached_property
     def _pair_plan(self):
-        """Index arrays of the pair Schur, built once per solve.
-
-        ``batches`` holds, per pair count L, the extended rows whose A' has L
-        index pairs, as (rows, I, J) with I and J of shape (rows, L):
-        W A' W = _weight[row] * W[:, I] @ W[J, :]. An off-diagonal row has
-        both orientations of its pairs, as ``_row`` is symmetric. ``upper``
-        lists the flat positions of the upper triangle (x <= y) of a kN x kN
-        product that feed a row, sorted by that row; ``starts`` is where
-        each row's segment begins, and ``factor`` is <A, .> on a symmetric
-        matrix per upper sum: 2 * _weight, for the lower triangle, except
-        on the rows of diagonal entries (class 0 of a diagonal block). Every
-        row has at least one pair, so no segment is empty."""
+        """The chunks (rows, I, J) of the pair Schur and its class-sum index.
+        A chunk holds extended rows whose A' has L index pairs (both
+        orientations off the diagonal), I and J of shape (rows, L), so
+        W A' W = _weight[row] * W[:, I] @ W[J, :], and as many rows as fit
+        _PAIR_CHUNK_BYTES with their products, operands and index."""
         row = self._row.ravel()
         kN, ne = self._row.shape[0], self._weight.size
         # every Gram entry grouped by its row, in raster order within a row
         order = np.argsort(row, kind="stable")
-        grouped = row[order]
-        first = np.searchsorted(grouped, np.arange(ne))
+        first = np.searchsorted(row[order], np.arange(ne))
         count = np.bincount(row, minlength=ne + 1)[:ne]
         batches = []
         for L in np.unique(count):
             rows = np.flatnonzero(count == L)
             I, J = np.divmod(order[first[rows, None] + np.arange(L)], kN)
-            batches.append((rows, I, J))
-        x, y = np.divmod(order, kN)
-        upper = order[(x <= y) & (grouped < ne)]
-        starts = np.searchsorted(row[upper], np.arange(ne))
-        factor = 2.0 * self._weight
-        on_diagonal = np.isin(np.arange(ne), self._row.diagonal())
-        factor[on_diagonal] = self._weight[on_diagonal]
-        return batches, upper, starts, factor
+            step = max(1, _PAIR_CHUNK_BYTES // (8 * kN * (2 * L + 2 * kN)))
+            batches += [(rows[lo:lo + step], I[lo:lo + step], J[lo:lo + step])
+                        for lo in range(0, rows.size, step)]
+        most = max(chunk.size for chunk, _, _ in batches)
+        index = (row + (ne + 1) * np.arange(most)[:, None]).ravel()
+        return batches, index
 
     def _schur_pairs(self, W: np.ndarray) -> np.ndarray:
-        """Schur complement from one product W[:, I] @ W[J, :] per extended
-        row, batched over rows with equal pair count, and its class sums."""
-        batches, upper, starts, factor = self._pair_plan
-        kN = W.shape[0]
-        S = np.empty((factor.size, factor.size))
+        """Schur complement whose row A' is ``apply`` of W A' W, a chunk of
+        products W[:, I] @ W[J, :] at a time."""
+        batches, index = self._pair_plan
+        S = np.empty((self._weight.size, self._weight.size))
         for rows, I, J in batches:
-            # products, their operands and the gathered upper triangles
-            step = max(1, _PAIR_CHUNK_BYTES // (8 * kN * (2 * I.shape[1] + 2 * kN)))
-            for lo in range(0, rows.size, step):
-                chunk = rows[lo:lo + step]
-                # W is symmetric: W[:, I] is W[I, :] transposed
-                M = np.matmul(W[I[lo:lo + step]].transpose(0, 2, 1), W[J[lo:lo + step]])
-                sums = np.add.reduceat(M.reshape(M.shape[0], -1)[:, upper], starts, axis=1)
-                S[chunk] = sums * factor * self._weight[chunk, None]
+            # W is symmetric: W[:, I] is W[I, :] transposed
+            M = np.matmul(W[I].transpose(0, 2, 1), W[J])
+            S[rows] = self._class_sums(M, index) * self._weight[rows, None]
         return self._restrict(self._restrict(S).T)
 
     def _schur_transforms(self, W: np.ndarray) -> np.ndarray:

@@ -232,6 +232,17 @@ def test_sweep_roots_caps_r_where_phi_ends(capsys, q, top):
     assert [int(row.split(",")[2]) for row in rows] == list(range(1, top + 1))
 
 
+@pytest.mark.parametrize("argv, header", [
+    (["--mode", "roots", "--n", "10", "--r-max", "0"], "n,q,r,xi,xi_over_n,phi_q(r/n)"),
+    (["--mode", "roots", "--n", "1"], "n,q,r,xi,xi_over_n,phi_q(r/n)"),
+    (["--mode", "phi", "--q", "2", "--n", "10,10", "--t-points", "0"],
+     "q,t,phi_q,xi_over_n[n=10]"),
+])
+def test_empty_sweep_writes_its_header(capsys, argv, header):
+    # no row fits, yet the columns are known: the output is the header alone
+    assert run_cli(capsys, "sweep", *argv) == (0, header + "\r\n", "")
+
+
 def test_certify_gamma_and_dense_bounds_run_without_scipy(tmp_path):
     # certify, gamma, brute force and the dense inner product run on numpy
     # alone; the outer interior-point method imports scipy at its first call
@@ -420,6 +431,12 @@ EXIT_CODES = [
                  None, 2, "error: --r -1 must be >= 0", id="bounds-negative-r"),
     pytest.param(["certify", "--instance", "random:n=6,d=2,seed=1", "--r", "-1"], None, 2,
                  "error: --r -1 must be >= 0", id="certify-negative-r"),
+    pytest.param(["bounds", "--instance", "random:n=6,d=2,seed=1", "--r", "9", "--which", "brute"],
+                 None, 2, "error: --r 9 must be <= n=6", id="bounds-brute-r-above-n"),
+    pytest.param(["bounds", "--instance", "random:n=6,d=2,seed=1", "--r", "9", "--which", "outer"],
+                 None, 2, "error: --r 9 must be <= n=6", id="bounds-outer-r-above-n"),
+    pytest.param(["certify", "--instance", "random:n=6,d=2,seed=1", "--r", "9"], None, 2,
+                 "error: --r 9 must be <= n=6", id="certify-r-above-n"),
     pytest.param(["bounds", "--instance", "random:n=4", "--r", "1"], None, 2,
                  "error: instance 'random:n=4' lacks d= (use random:n=..,d=..,seed=..)",
                  id="bounds-random-without-d"),

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cubesos.cube_fourier import brute_force_min, sup_norm, value_table
+from cubesos.cube_fourier import CubePolynomial, brute_force_min, sup_norm, value_table
 from cubesos.instances import (
     maxcut_instance,
     random_matrix_poly,
@@ -103,8 +103,44 @@ def test_random_poly_degree_and_norm():
         assert sup_norm(p) == pytest.approx(1.0, abs=1e-12)
 
 
+def _random_poly_by_recursion(n, d, seed, normalize=True):
+    """The generator as it was before it read masks_up_to_weight: a
+    depth-first recursion over the monomials, each drawing in preorder."""
+    rng = np.random.default_rng(seed)
+    masks = []
+
+    def emit(mask, start, weight):
+        masks.append(mask)
+        if weight == d:
+            return
+        for i in range(start, n):
+            emit(mask | (1 << i), i + 1, weight + 1)
+
+    emit(0, 0, 0)
+    coefs = rng.uniform(-1.0, 1.0, len(masks))
+    top = [k for k, m in enumerate(masks) if m.bit_count() == d]
+    while d > 0 and np.max(np.abs(coefs[top])) < 1e-12:
+        coefs[top] = rng.uniform(-1.0, 1.0, len(top))
+    p = CubePolynomial(n, {m: float(c) for m, c in zip(masks, coefs) if c != 0.0})
+    if normalize:
+        norm = sup_norm(p)
+        if norm > 0:
+            p = p * (1.0 / norm)
+    return p
+
+
+@pytest.mark.parametrize("n,d", [(0, 0), (1, 1), (4, 0), (4, 4), (6, 3), (9, 2), (9, 3),
+                                 (12, 2), (13, 3), (13, 5), (16, 2)])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_random_poly_matches_the_recursive_enumerator(n, d, seed):
+    # the same monomials draw the same coefficients, bit for bit and in the
+    # same term order, so every seeded instance (the benchmark's too) stays
+    new, old = random_poly(n, d, seed), _random_poly_by_recursion(n, d, seed)
+    assert list(new.terms.items()) == list(old.terms.items())
+
+
 def test_random_polys_reject_negative_degree():
-    # a negative d never stops the monomial recursion: it drew all 2^n
+    # a negative d is refused, not read as an empty set of monomials
     with pytest.raises(ValueError, match="d=-1"):
         random_poly(5, -1, seed=1)
     with pytest.raises(ValueError, match="d=-1"):

@@ -128,7 +128,7 @@ def block_constraint_matrices(n, k, masks, classes):
 
 
 @pytest.mark.parametrize("n,k,r", [(4, 1, 2), (4, 2, 2), (4, 3, 2), (3, 3, 1), (6, 1, 2), (7, 1, 3)])
-def test_xor_backend_matches_dense(n, k, r):
+def test_xor_backend_matches_dense(monkeypatch, n, k, r):
     rng = np.random.default_rng(100 * n + 10 * k + r)
     masks = masks_up_to_weight(n, r)
     classes = masks_up_to_weight(n, min(2 * r, n))
@@ -146,6 +146,16 @@ def test_xor_backend_matches_dense(n, k, r):
     S = dense.schur(W)
     for schur in (xor.schur, xor._schur_pairs, xor._schur_transforms):
         assert rel(schur(W), S) <= 1e-12
+    # a chunk budget of 3 to 6 rows (a row has at most kN index pairs): some
+    # batch of the pair Schur spans several chunks and ends on a partial one
+    kN = k * masks.size
+    monkeypatch.setattr(outer_hierarchy, "_PAIR_CHUNK_BYTES", 3 * 8 * kN * 4 * kN)
+    small = _XorConstraints(n, masks, classes, k)
+    chunks = {}
+    for rows, I, _ in small._pair_plan[0]:
+        chunks.setdefault(I.shape[1], []).append(rows.size)
+    assert any(len(sizes) > 1 and sizes[-1] < sizes[0] for sizes in chunks.values())
+    assert rel(small._schur_pairs(W), S) <= 1e-12
     assert rel(xor.apply(W), dense.apply(W)) <= 1e-12
     assert rel(xor.adjoint(y), dense.adjoint(y)) <= 1e-12
 
