@@ -2,9 +2,9 @@
 with Krawtchouk-root error bounds and explicit kernel certificates.
 
 Submodules are imported lazily, and no module imports scipy when it loads:
-the outer interior-point method, the inner Lanczos solve and ``least_root``
-import it at their first call. ``certify``, the constants table, brute force
-and the dense inner bound run on numpy alone.
+the outer interior-point method and the inner Lanczos solve and gather import
+it at their first call. ``certify``, the constants table, brute force, the
+dense inner bound and the Krawtchouk roots run on numpy alone.
 """
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ _EXPORTS = {
     ],
     "krawtchouk": [
         "DiscreteMeasure", "kraw_step_bound_check", "least_root", "levenshtein_phi",
-        "limit_poly_eval",
     ],
     "outer_hierarchy": [
         "OuterBoundResult", "outer_cube", "outer_matrix", "verify_sos_certificate",

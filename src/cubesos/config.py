@@ -23,8 +23,7 @@ class CapExceededError(ValueError):
 
 class SolverError(RuntimeError):
     """Raised when a numerical solve (the outer interior-point method, an
-    eigen-solve, an LP or a root cross-check) fails to produce a finite,
-    converged answer."""
+    eigen-solve or an LP) fails to produce a finite, converged answer."""
 
 
 class CertificationError(RuntimeError):

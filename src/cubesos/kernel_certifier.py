@@ -264,12 +264,14 @@ def error_sweep(
     """Empirical worst-case normalized errors of both hierarchies on random
     degree-d instances.
 
-    Yields rows with the observed maxima, the proven bound 2 C_d xi/n, and the
-    limiting curve phi(r/n). The outer gap is measured by the moment SDP when
-    the character basis has at most 300 elements, and otherwise by the
-    certified gap bound (which can only overstate it). Each (n, r) cell runs
+    Yields rows with the observed maxima, the proven bound 2 C_d xi/n (taken
+    exactly and rounded up to a float), and the limiting curve phi(r/n). The
+    outer gap is measured by the moment SDP when the character basis has at
+    most 300 elements, and otherwise by the certified gap bound (which can
+    only overstate it). Each (n, r) cell runs
     once, in the order first seen. A failed solve raises out of the sweep.
     """
+    from fractions import Fraction
     from math import comb
 
     from .inner_hierarchy import inner_cube
@@ -286,8 +288,10 @@ def error_sweep(
             if r + 1 > n or (n, r) in seen:
                 continue
             seen.add((n, r))
-            xi = least_root(n, 2, r + 1)
-            bound = 2.0 * c_d(d) * xi / n
+            exact = Fraction(2 * c_d(d)) * Fraction(least_root(n, 2, r + 1)) / n
+            bound = float(exact)
+            if bound < exact:
+                bound = math.nextafter(bound, math.inf)
             basis_size = sum(comb(n, k) for k in range(r + 1))
             use_sdp = basis_size <= 300 and 2 * r >= d
             max_outer = 0.0

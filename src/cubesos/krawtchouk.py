@@ -9,8 +9,12 @@ w(t) = (q-1)^t C(n,t) / q^n, with K_k(0) = (q-1)^k C(n,k) = ||K_k||^2_w.
 Everything here works with the normalization Khat_k = K_k / K_k(0), whose
 values stay in [-1, 1] at integer arguments, and with the orthonormal family
 p_k = K_k / ||K_k||_w. In that basis multiplication by t is the Jacobi
-matrix, kept as its diagonal and off-diagonal; the least root xi_r^n of K_r
-is its smallest eigenvalue, cross-checked by bisecting Khat_r.
+matrix J, whose order-r eigenvalues are the roots of K_r. The matrix q J has
+integer diagonal and squared off-diagonal entries, so the number of roots at
+or below a float t is an exact Sturm count: the signs of the LDL^T pivots of
+q (J - t I), taken in Fractions. `least_root` bisects with the same count in
+floats, proves both ends of the bracket exactly and returns its upper end;
+no second evaluator cross-checks it.
 
 The three-term recurrence in the Khat normalization reads
 
@@ -27,26 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SolverError
-
 __all__ = [
     "DiscreteMeasure",
-    "RootCrossCheckError",
     "kraw_int",
     "kraw_hat_table",
     "orthonormal_table",
     "jacobi_matrix",
     "least_root",
     "levenshtein_phi",
-    "limit_poly_eval",
     "kraw_step_bound_check",
     "StepBoundReport",
     "root_sweep_rows",
 ]
-
-
-class RootCrossCheckError(SolverError):
-    """Jacobi eigenvalue and sign-change bisection disagree beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -142,64 +138,70 @@ def orthonormal_table(n: int, kmax: int, q: int = 2, t=None) -> np.ndarray:
 # Jacobi matrices and extremal roots
 
 
-def jacobi_matrix(n: int, q: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the order-r Jacobi matrix: multiplication
-    by t in the orthonormal Krawtchouk basis, whose eigenvalues are the roots
-    of K_r."""
+def _scaled_jacobi(n: int, q: int, order: int) -> tuple[list[int], list[int]]:
+    """The integer entries of q J, for J the order-r Jacobi matrix: diagonal
+    (q-1)(n-k) + k for k < r, and squared off-diagonal (q-1)(k+1)(n-k) for
+    k < r - 1."""
     if q < 2:
         raise ValueError("q must be >= 2")
     if not 1 <= order <= n:
         raise ValueError(f"order={order} out of range 1..{n}")
-    k = np.arange(order, dtype=np.float64)
-    diag = ((q - 1) * (n - k) + k) / q
-    koff = np.arange(order - 1, dtype=np.float64)
-    off = np.sqrt((q - 1) * (koff + 1) * (n - koff)) / q
-    return diag, off
+    return ([(q - 1) * (n - k) + k for k in range(order)],
+            [(q - 1) * (k + 1) * (n - k) for k in range(order - 1)])
 
 
-def _bisect_least_root(n: int, q: int, r: int, grid_points: int) -> float | None:
-    """First sign change of Khat_r on [0, n] located by scan + bisection."""
-    ts = np.linspace(0.0, float(n), grid_points)
-    vals = kraw_hat_table(n, r, q, t=ts)[r]
-    sign_change = np.flatnonzero((vals[:-1] > 0) & (vals[1:] <= 0))
-    if sign_change.size == 0:
-        return None
-    lo, hi = ts[sign_change[0]], ts[sign_change[0] + 1]
-    flo = vals[sign_change[0]]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = kraw_hat_table(n, r, q, t=[mid])[r, 0]
-        if flo * fmid > 0:
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, lo):
-            break
-    return 0.5 * (lo + hi)
+def jacobi_matrix(n: int, q: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the order-r Jacobi matrix: multiplication
+    by t in the orthonormal Krawtchouk basis, whose eigenvalues are the roots
+    of K_r."""
+    diag, off_sq = _scaled_jacobi(n, q, order)
+    return np.array(diag) / q, np.sqrt(off_sq) / q
+
+
+def _roots_below(q: int, jacobi: tuple[list[int], list[int]], t) -> int:
+    """The number of roots of K_r at or below t: the negative pivots of the
+    LDL^T of q (J - t I), with J given by `_scaled_jacobi`.
+
+    It runs in the arithmetic of t: floats give an estimate, Fractions an
+    exact count. A zero pivot counts as negative, as it is at t + eps, where
+    the pivot after it is +inf; so the count is that of the roots <= t.
+    """
+    diag, off_sq = jacobi
+    s = q * t
+    count, d = 0, None  # None: the previous pivot is infinite, or there is none
+    for k, a in enumerate(diag):
+        if d == 0:
+            d = None
+            continue
+        d = a - s if d is None else a - s - off_sq[k - 1] / d
+        count += d <= 0
+    return count
 
 
 def least_root(n: int, q: int, r: int) -> float:
-    """xi_r^n: the least root of the degree-r Krawtchouk polynomial.
+    """xi_r^n: the least root of the degree-r Krawtchouk polynomial, rounded up.
 
-    Computed as the smallest eigenvalue of the order-r Jacobi matrix and
-    cross-validated against a sign-change bisection of the normalized
-    recurrence (agreement to 1e-8 required).
+    Float Sturm counts bisect an estimate [lo, hi] on [0, n]. Exact counts in
+    Fractions then prove that no root lies at or below lo and one lies at or
+    below hi, each end widened by a doubling number of ulps until its count
+    holds. The upper end is returned, since every bound grows with xi.
     """
-    # imported here, so that the callers that never need a root never load scipy
-    from scipy.linalg import eigh_tridiagonal
+    from fractions import Fraction  # here, so that the solvers that need no root never load it
 
-    # LAPACK bisection on the Sturm sequence
-    xi = float(eigh_tridiagonal(*jacobi_matrix(n, q, r), eigvals_only=True,
-                                select="i", select_range=(0, 0))[0])
-    root = _bisect_least_root(n, q, r, grid_points=8 * r + 2)
-    if root is None or abs(root - xi) > 1e-8 * max(1.0, abs(xi)):
-        root = _bisect_least_root(n, q, r, grid_points=64 * r + 2)
-    if root is None or abs(root - xi) > 1e-8 * max(1.0, abs(xi)):
-        raise RootCrossCheckError(
-            f"least root disagreement for (n={n}, q={q}, r={r}): "
-            f"eigenvalue {xi!r} vs bisection {root!r}"
-        )
-    return xi
+    jacobi = _scaled_jacobi(n, q, r)
+    lo, hi = 0.0, float(n)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _roots_below(q, jacobi, mid):
+            hi = mid
+        else:
+            lo = mid
+    ulps = 1
+    while _roots_below(q, jacobi, Fraction(lo)):
+        lo, ulps = max(lo - ulps * math.ulp(lo), 0.0), 2 * ulps
+    ulps = 1
+    while not _roots_below(q, jacobi, Fraction(hi)):
+        hi, ulps = hi + ulps * math.ulp(hi), 2 * ulps
+    return hi
 
 
 def levenshtein_phi(t: float, q: int = 2) -> float:
@@ -215,14 +217,6 @@ def levenshtein_phi(t: float, q: int = 2) -> float:
         raise ValueError(f"t={t} outside [0, {hi}]")
     t = min(max(t, 0.0), hi)
     return max(0.0, hi - ((q - 2) * t / q + (2.0 / q) * math.sqrt((q - 1) * t * (1.0 - t))))
-
-
-def limit_poly_eval(k: int, t: float, q: int = 2) -> float:
-    """Khat_k^infinity(t) = (1 - q t/(q-1))^k, the n -> infinity limit of
-    Khat_k^n(n t)."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    return (1.0 - q * t / (q - 1)) ** k
 
 
 @dataclass(frozen=True)

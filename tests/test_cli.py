@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from cubesos.cli import main
 from cubesos.config import SolverError
 from cubesos.cube_fourier import write_polynomial_json
+from cubesos.gamma_constants import c_d
 from cubesos.instances import maxcut_instance, random_poly
+from cubesos.krawtchouk import least_root
 
 
 @pytest.fixture
@@ -244,14 +247,18 @@ def test_empty_sweep_writes_its_header(capsys, argv, header):
 
 
 def test_certify_gamma_and_dense_bounds_run_without_scipy(tmp_path):
-    # certify, gamma, brute force and the dense inner product run on numpy
-    # alone; the outer interior-point method imports scipy at its first call
+    # certify, gamma, brute force, the dense inner product and the Krawtchouk
+    # root sweeps run on numpy alone; the outer interior-point method imports
+    # scipy at its first call
     out = {name: str(tmp_path / name) for name in ("cert.json", "gamma.txt", "inner.json",
-                                                   "outer.json")}
+                                                   "roots.csv", "phi.csv", "outer.json")}
     instance = ["--instance", "random:n=9,d=2,seed=1", "--r", "3"]
     light = [["certify", *instance, "--verify", "--out", out["cert.json"]],
              ["gamma", "--dmax", "3", "--out", out["gamma.txt"]],
-             ["bounds", *instance, "--which", "inner,brute", "--out", out["inner.json"]]]
+             ["bounds", *instance, "--which", "inner,brute", "--out", out["inner.json"]],
+             ["sweep", "--mode", "roots", "--n", "30", "--q", "2,3", "--out", out["roots.csv"]],
+             ["sweep", "--mode", "phi", "--q", "2,3", "--n", "20", "--t-points", "5",
+              "--out", out["phi.csv"]]]
     outer = ["bounds", *instance, "--which", "outer", "--out", out["outer.json"]]
     code = ("import json, sys\n"
             "from cubesos.cli import main\n"
@@ -263,7 +270,7 @@ def test_certify_gamma_and_dense_bounds_run_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, json.dumps([light, outer])],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "scipy": []}
+    assert json.loads(proc.stdout) == {"codes": [0] * 6, "scipy": []}
     with open(out["inner.json"]) as fh:
         assert json.load(fh)["inner"]["product"] == "dense"
     with open(out["outer.json"]) as fh:
@@ -289,6 +296,9 @@ def test_sweep_errors(capsys):
     header = lines[0].split(",")
     row = dict(zip(header, lines[1].split(",")))
     assert float(row["max_outer_gap"]) <= float(row["bound_2Cd_xi_over_n"]) + 1e-6
+    # the printed bound is never under the exact 2 C_d xi / n
+    exact = Fraction(2 * c_d(2)) * Fraction(least_root(8, 2, 5)) / 8
+    assert Fraction(float(row["bound_2Cd_xi_over_n"])) >= exact
 
 
 def test_gamma_csv(capsys):

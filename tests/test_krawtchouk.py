@@ -11,6 +11,8 @@ from cubesos.cube_fourier import popcount_table
 from cubesos.krawtchouk import (
     DiscreteMeasure,
     StepBoundReport,
+    _roots_below,
+    _scaled_jacobi,
     jacobi_matrix,
     kraw_hat_table,
     kraw_int,
@@ -18,7 +20,6 @@ from cubesos.krawtchouk import (
     kraw_step_bound_check,
     least_root,
     levenshtein_phi,
-    limit_poly_eval,
     orthonormal_table,
     root_sweep_rows,
 )
@@ -118,8 +119,14 @@ def test_zonal_identity_exact():
 
 
 def test_least_root_degree_one():
-    assert least_root(10, 2, 1) == pytest.approx(5.0, abs=1e-12)
-    assert least_root(12, 3, 1) == pytest.approx(2 * 12 / 3, abs=1e-12)
+    # the root (q-1) n / q is returned exactly when it is a float, and else
+    # as the float just above it
+    assert least_root(10, 2, 1) == 5.0
+    for q in (2, 3, 5, 7):
+        for n in range(1, 40):
+            root = Fraction((q - 1) * n, q)
+            xi = least_root(n, q, 1)
+            assert Fraction(xi) >= root > Fraction(math.nextafter(xi, 0.0))
 
 
 @pytest.mark.parametrize("call", [lambda: least_root(10, 1, 2), lambda: jacobi_matrix(10, 0, 2),
@@ -128,13 +135,6 @@ def test_least_root_degree_one():
 def test_root_entry_points_reject_q_below_2(call):
     with pytest.raises(ValueError, match="q must be >= 2"):
         call()
-
-
-def test_root_cross_check_failure_is_a_solver_error():
-    from cubesos.config import SolverError
-    from cubesos.krawtchouk import RootCrossCheckError
-
-    assert issubclass(RootCrossCheckError, SolverError)
 
 
 def test_least_root_degree_two():
@@ -165,6 +165,51 @@ def test_least_root_is_a_sign_change():
     assert below > 0 > above
 
 
+def _kraw_at(n, q, r, x):
+    """K_r(x) from its defining sum, with generalized binomials at a rational x."""
+    def binom(y, i):
+        return math.prod((y - j for j in range(i)), start=Fraction(1)) / math.factorial(i)
+
+    return sum((-1) ** i * (q - 1) ** (r - i) * binom(x, i) * binom(n - x, r - i)
+               for i in range(r + 1))
+
+
+def test_least_root_is_at_or_above_the_root():
+    # K_r changes sign on [0, xi], so a root lies at or below xi: checked in
+    # exact arithmetic from the defining sum, without the Sturm count
+    for n in (14, 30):
+        for q in (2, 3):
+            for r in range(1, (n // 2 if q == 2 else (q - 1) * n // q) + 1):
+                xi = Fraction(least_root(n, q, r))
+                assert _kraw_at(n, q, r, xi) * _kraw_at(n, q, r, 0) <= 0, (n, q, r)
+
+
+@pytest.mark.parametrize("n, q, r_max", [(100, 2, 50), (100, 3, 66), (40, 5, 32),
+                                         (400, 2, 200)])
+def test_least_root_bracket_is_proven_and_narrow(n, q, r_max):
+    # by exact counts, no root lies at or below xi (1 - 1e-13) and one lies at
+    # or below xi
+    for r in range(1, r_max + 1):
+        jacobi = _scaled_jacobi(n, q, r)
+        xi = Fraction(least_root(n, q, r))
+        assert _roots_below(q, jacobi, xi) >= 1, (n, q, r)
+        assert _roots_below(q, jacobi, xi * (1 - Fraction(1, 10**13))) == 0, (n, q, r)
+
+
+def test_sturm_count_treats_a_zero_pivot_as_negative():
+    # at t = (q-1) n / q the first pivot of q (J - t I) is 0 (and for q = 2
+    # and odd r, t is itself a root of K_r); the count there must be the
+    # count of roots <= t, which is the count just above t
+    for n in (10, 12, 21):
+        for q in (2, 3, 5):
+            t = Fraction((q - 1) * n, q)
+            for r in range(1, 9):
+                jacobi = _scaled_jacobi(n, q, r)
+                assert _roots_below(q, jacobi, t) == _roots_below(
+                    q, jacobi, t + Fraction(1, 10**30)), (n, q, r)
+    assert _roots_below(2, _scaled_jacobi(10, 2, 3), Fraction(5)) == 2
+
+
 # ---------------------------------------------------------------------------
 # phi and the limit polynomials
 
@@ -183,6 +228,14 @@ def test_phi_qary_endpoint():
 def test_phi_domain():
     with pytest.raises(ValueError):
         levenshtein_phi(0.6, 2)
+
+
+def limit_poly_eval(k: int, t: float, q: int = 2) -> float:
+    """Khat_k^infinity(t) = (1 - q t/(q-1))^k, the n -> infinity limit of
+    Khat_k^n(n t)."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("t must lie in [0, 1]")
+    return (1.0 - q * t / (q - 1)) ** k
 
 
 def test_limit_polynomial():
