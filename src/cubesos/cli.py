@@ -2,22 +2,26 @@
 
 Machine-readable JSON/CSV goes to stdout (or --out); human-oriented progress
 goes to stderr and is silenced by --quiet. Each subcommand only computes: it
-returns its output text or raises. ``main`` alone maps a failure to its exit
-code and its one stderr line, for every subcommand: 0 success;
-2 input error (``error: ...``), which is any exception not named below,
-including a polynomial whose value table or spectrum is not finite;
+returns its output, as one text or as an iterable of text pieces (``certify``
+streams its weight records a block at a time), or raises. ``main`` alone maps
+a failure to its exit code and its one stderr line, for every subcommand:
+0 success; 2 input error (``error: ...``), which is any exception not named
+below, including a polynomial whose value table or spectrum is not finite;
 3 ``SolverError`` (``solver failure: ...``: an interior-point, eigen-solve,
 LP or root failure, or a certificate that fails ``certify --verify``) or
 ``MemoryError`` (``out of memory: ...``); 4 ``CertificationError``
 (``certification failed: ...``: no certificate at the requested order).
-``main`` writes the output after success only, so nothing is written on a
-nonzero exit.
+``main`` writes --out through a temporary file beside it, renamed over it on
+success and removed on any failure, so nothing is written on a nonzero exit.
+On stdout the pieces go out as they are made; every check runs before the
+first piece, so only a failure while writing can leave a partial text there.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -89,7 +93,8 @@ def _numbers(text: str, kind=int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns its output text and raises on failure
+# subcommands: each returns its output text, or an iterable of text pieces,
+# and raises on failure
 
 
 def cmd_bounds(args) -> str:
@@ -150,7 +155,7 @@ def cmd_bounds(args) -> str:
     return json.dumps(report, indent=1) + "\n"
 
 
-def cmd_certify(args) -> str:
+def cmd_certify(args):
     from .kernel_certifier import RESIDUAL_TOL, certify
 
     f = _load_instance(args)
@@ -164,7 +169,7 @@ def cmd_certify(args) -> str:
         if not wmin >= 0.0:
             raise SolverError(f"verification failed: min weight {wmin:.3e} < 0")
     _say(args, f"delta={cert.delta} (original frame: {cert.delta_original})")
-    return cert.to_json()
+    return cert.json_pieces()
 
 
 def cmd_sweep(args) -> str:
@@ -222,7 +227,10 @@ def cmd_gamma(args) -> str:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call; parsing does not change it."""
     ap = argparse.ArgumentParser(prog="cubesos",
                                  description="Sum-of-squares hierarchy bounds on the boolean cube")
     common = argparse.ArgumentParser(add_help=False)
@@ -274,6 +282,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _write_out(path: str, pieces) -> None:
+    """Write the pieces to a temporary file beside path and rename it over
+    path; on any failure remove it, leaving path as it was. A symlink, or a
+    path that exists and is not a regular file (a device such as /dev/null,
+    a pipe), is written in place instead, since renaming would replace it."""
+    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path, "w") as fh:
+            fh.writelines(pieces)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     """Run one subcommand; the only place that maps a failure to an exit
     code and a stderr line, and the only place that writes the output."""
@@ -289,12 +317,12 @@ def main(argv=None) -> int:
             raise ValueError(f"--r {args.r} must be >= 0")
         if args.max_n is not None:
             os.environ["CUBESOS_MAX_N"] = str(args.max_n)
-        text = args.func(args)
+        output = args.func(args)
+        pieces = (output,) if isinstance(output, str) else output
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            _write_out(args.out, pieces)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
         return EXIT_OK
     except CertificationError as exc:
         code, message = EXIT_CERT, f"certification failed: {exc}"

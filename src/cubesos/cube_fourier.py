@@ -89,14 +89,13 @@ def mask_to_bitstring(mask: int, n: int) -> str:
     return "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
 
 
-def mask_bitstrings(n: int) -> list[str]:
-    """``mask_to_bitstring(mask, n)`` for every mask in [0, 2^n), in mask
-    order: the bit table plus ord("0") as UCS-4 code points, viewed as
-    n-character strings."""
+def mask_bitstrings(n: int, start: int, stop: int) -> list[str]:
+    """``mask_to_bitstring(mask, n)`` for every mask in [start, stop), in
+    mask order: the bit table of that range plus ord("0") as UCS-4 code
+    points, viewed as n-character strings."""
     if n == 0:
-        return [""]
-    check_cap(n)
-    codes = (np.arange(1 << n, dtype="<u4")[:, None] >> np.arange(n, dtype="<u4")) & 1
+        return [""] * (stop - start)
+    codes = (np.arange(start, stop, dtype="<u4")[:, None] >> np.arange(n, dtype="<u4")) & 1
     codes += ord("0")
     return codes.view(f"<U{n}").ravel().tolist()
 

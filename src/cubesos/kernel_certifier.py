@@ -22,12 +22,14 @@ value table that is not finite (``value_table`` refuses it), or whose range
 max f - min f overflows (coefficients near the float range), is rejected
 with ``ValueError``.
 
-``SosCubeCertificate.to_json`` writes the certificate from its arrays: the
-scalar fields through ``json.dumps(..., indent=1)``, the 2^n weight records
-in mask order with all bitstrings built at once and each weight as its
-shortest round-trip float (``float.__repr__``, which is what ``json`` writes
-for a finite float). Non-finite fields are refused, so the text is always
-strict JSON. ``to_dict`` parses that text back.
+``SosCubeCertificate.json_pieces`` streams the certificate from its arrays:
+the scalar fields through ``json.dumps(..., indent=1)``, then the 2^n weight
+records in mask order, formatted a fixed block at a time (the bitstrings of
+one block of masks, each weight as its shortest round-trip float:
+``float.__repr__``, which is what ``json`` writes for a finite float), so no
+more than one block of text exists at once. Non-finite fields are refused
+before the first piece, so the text is always strict JSON. ``to_json`` is
+the join of the same pieces, and ``to_dict`` parses it back.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ __all__ = [
     "error_sweep",
 ]
 
+
+# Weight records formatted per piece of ``SosCubeCertificate.json_pieces``:
+# about 1.1 MB of text at n = 20, so writing a certificate holds one block,
+# not 2^n records.
+_RECORD_BLOCK = 1 << 14
 
 # Largest pointwise residual |sum_y w_y u^2(d(x, y)) - (h + delta)| that
 # counts as a verified certificate; the test suite checks against the same.
@@ -185,15 +192,20 @@ class SosCubeCertificate:
             "delta_original": self.delta_original,
         }
 
-    def to_json(self) -> str:
+    def json_pieces(self):
         """The certificate as JSON text in ``json.dumps(..., indent=1)``
-        layout, newline-terminated; raises ValueError on a non-finite field."""
+        layout, newline-terminated, as an iterator of pieces: the head, one
+        piece per block of ``_RECORD_BLOCK`` weight records, and the tail.
+
+        Every field is checked for finiteness here, before the first piece
+        exists, so a non-finite field raises ValueError and nothing is
+        produced."""
         finite = np.isfinite(self.weights)
         if not finite.all():
             bad = int(np.argmin(finite))
             raise ValueError(f"certificate weight {self.weights[bad]} at "
                              f"y={mask_to_bitstring(bad, self.n)} is not finite")
-        head = json.dumps({
+        head, _, tail = json.dumps({
             "delta": self.delta,
             "r": self.r,
             "u_coeffs": [float(c) for c in self.u_coeffs],
@@ -201,12 +213,23 @@ class SosCubeCertificate:
             "translate": mask_to_bitstring(point_to_mask(self.translate), self.n),
             "scale": self.scale,
             "residual": self.residual,
-        }, indent=1, allow_nan=False)
-        records = ",\n".join(
-            f'  {{\n   "y": "{y}",\n   "w": {w!r}\n  }}'
-            for y, w in zip(mask_bitstrings(self.n), self.weights.tolist())
-        )
-        return head.replace('"weights": []', f'"weights": [\n{records}\n ]', 1) + "\n"
+        }, indent=1, allow_nan=False).partition('"weights": []')
+        return self._pieces(head, tail)
+
+    def _pieces(self, head: str, tail: str):
+        n, size = self.n, self.weights.size
+        yield head + '"weights": [\n'
+        for start in range(0, size, _RECORD_BLOCK):
+            stop = min(start + _RECORD_BLOCK, size)
+            records = zip(mask_bitstrings(n, start, stop), self.weights[start:stop].tolist())
+            block = ",\n".join(f'  {{\n   "y": "{y}",\n   "w": {w!r}\n  }}' for y, w in records)
+            yield block + (",\n" if stop < size else "\n")
+        yield " ]" + tail + "\n"
+
+    def to_json(self) -> str:
+        """The whole text of ``json_pieces``; raises ValueError on a
+        non-finite field."""
+        return "".join(self.json_pieces())
 
     def to_dict(self) -> dict:
         return json.loads(self.to_json())

@@ -36,7 +36,6 @@ __all__ = [
     "kraw_int",
     "kraw_hat_table",
     "orthonormal_table",
-    "jacobi_matrix",
     "least_root",
     "levenshtein_phi",
     "kraw_step_bound_check",
@@ -148,14 +147,6 @@ def _scaled_jacobi(n: int, q: int, order: int) -> tuple[list[int], list[int]]:
         raise ValueError(f"order={order} out of range 1..{n}")
     return ([(q - 1) * (n - k) + k for k in range(order)],
             [(q - 1) * (k + 1) * (n - k) for k in range(order - 1)])
-
-
-def jacobi_matrix(n: int, q: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the order-r Jacobi matrix: multiplication
-    by t in the orthonormal Krawtchouk basis, whose eigenvalues are the roots
-    of K_r."""
-    diag, off_sq = _scaled_jacobi(n, q, order)
-    return np.array(diag) / q, np.sqrt(off_sq) / q
 
 
 def _roots_below(q: int, jacobi: tuple[list[int], list[int]], t) -> int:

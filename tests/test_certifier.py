@@ -268,6 +268,18 @@ def test_to_json_matches_record_by_record_json(n, r, tight):
     assert cert.to_dict() == json.loads(text)
 
 
+@pytest.mark.parametrize("n, r", [(5, 3), (9, 4)])
+def test_json_pieces_span_blocks_and_end_on_a_partial_one(monkeypatch, n, r):
+    from cubesos import kernel_certifier
+
+    monkeypatch.setattr(kernel_certifier, "_RECORD_BLOCK", 3)
+    cert = certify(random_poly(n, 2, seed=n), r)
+    pieces = list(cert.json_pieces())
+    assert (1 << n) % 3 != 0  # the last block is partial
+    assert len(pieces) == 1 + -(-(1 << n) // 3) + 1  # head, every block, tail
+    assert "".join(pieces) == _json_of_records(cert) == cert.to_json()
+
+
 def test_to_json_refuses_non_finite_weights():
     cert = certify(random_poly(5, 2, seed=2), 3)
     for bad in (np.nan, np.inf):
@@ -275,6 +287,9 @@ def test_to_json_refuses_non_finite_weights():
         w[6] = bad
         with pytest.raises(ValueError, match="y=01100"):
             dataclasses.replace(cert, weights=w).to_json()
+        # refused when the stream is made, before its first piece
+        with pytest.raises(ValueError, match="y=01100"):
+            dataclasses.replace(cert, weights=w).json_pieces()
 
 
 def test_certify_rejects_non_finite_value_table():

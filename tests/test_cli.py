@@ -130,14 +130,60 @@ def test_certify_roundtrip(capsys, tmp_path):
 
 
 def test_certify_out_file_matches_stdout(capsys, tmp_path):
+    from cubesos.kernel_certifier import certify
+
     out_path = tmp_path / "cert.json"
     argv = ("certify", "--instance", "random:n=7,d=2,seed=3", "--r", "3", "--verify", "--quiet")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     code, nothing, _ = run_cli(capsys, *argv, "--out", str(out_path))
     assert code == 0 and nothing == ""
-    assert out_path.read_text() == out
+    text = certify(random_poly(7, 2, 3), 3).to_json()
+    assert out_path.read_bytes() == out.encode() == text.encode()
+    assert list(tmp_path.iterdir()) == [out_path]  # no temporary file left
     assert len(json.loads(out)["weights"]) == 1 << 7
+
+
+def test_certify_out_is_untouched_when_the_stream_fails(capsys, monkeypatch, tmp_path):
+    # the stream raises after its first piece: neither --out nor the
+    # temporary file beside it is left, and an earlier --out is kept
+    from cubesos.kernel_certifier import SosCubeCertificate
+
+    pieces = SosCubeCertificate._pieces
+
+    def failing(self, head, tail):
+        stream = pieces(self, head, tail)
+        yield next(stream)
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(SosCubeCertificate, "_pieces", failing)
+    out_path = tmp_path / "cert.json"
+    argv = ("certify", "--instance", "random:n=6,d=2,seed=1", "--r", "3",
+            "--out", str(out_path), "--quiet")
+    assert run_cli(capsys, *argv) == (2, "", "error: No space left on device\n")
+    assert list(tmp_path.iterdir()) == []
+    out_path.write_text("earlier\n")
+    assert run_cli(capsys, *argv)[0] == 2
+    assert list(tmp_path.iterdir()) == [out_path]
+    assert out_path.read_text() == "earlier\n"
+
+
+def test_out_through_a_symlink_writes_its_target(capsys, tmp_path):
+    # renaming over a symlink would replace the link, so it is written in place
+    target, link = tmp_path / "cert.json", tmp_path / "link.json"
+    target.write_text("earlier\n")
+    link.symlink_to(target)
+    argv = ("certify", "--instance", "random:n=5,d=2,seed=1", "--r", "3", "--quiet")
+    code, out, _ = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--out", str(link))[0] == code == 0
+    assert link.is_symlink() and target.read_text() == out
+    assert sorted(tmp_path.iterdir()) == [target, link]
+
+
+def test_parser_is_built_once():
+    from cubesos.cli import build_parser
+
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,7 +13,6 @@ from cubesos.krawtchouk import (
     StepBoundReport,
     _roots_below,
     _scaled_jacobi,
-    jacobi_matrix,
     kraw_hat_table,
     kraw_int,
     kraw_norm_sq,
@@ -23,6 +22,14 @@ from cubesos.krawtchouk import (
     orthonormal_table,
     root_sweep_rows,
 )
+
+
+def jacobi_matrix(n: int, q: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the order-r Jacobi matrix: multiplication
+    by t in the orthonormal Krawtchouk basis, whose eigenvalues are the roots
+    of K_r."""
+    diag, off_sq = _scaled_jacobi(n, q, order)
+    return np.array(diag) / q, np.sqrt(off_sq) / q
 
 
 def test_measure_weights_sum_to_one():
