@@ -43,6 +43,9 @@ GAMMA_TABLE_KNOWN = (1, 2, 4, 8, 20, 48, 112, 256, 576, 1280)
 # simplex
 
 
+_LP_TOL = 1e-9  # pivoting, ratio-test and feasibility tolerance of solve_lp
+
+
 @dataclass(frozen=True)
 class LpSolution:
     status: str  # optimal | unbounded | infeasible
@@ -50,7 +53,7 @@ class LpSolution:
     value: float | None
 
 
-def solve_lp(c, A, b, sense: str = "max", tol: float = 1e-9) -> LpSolution:
+def solve_lp(c, A, b, sense: str = "max") -> LpSolution:
     """Optimize c.x subject to A x <= b, x >= 0.
 
     Dense-tableau two-phase simplex. Pivots follow Dantzig's rule until the
@@ -64,7 +67,7 @@ def solve_lp(c, A, b, sense: str = "max", tol: float = 1e-9) -> LpSolution:
     c = np.asarray(c, dtype=np.float64).ravel()
     m, nvars = A.shape
     if sense == "min":
-        inner = solve_lp(-c, A, b, "max", tol)
+        inner = solve_lp(-c, A, b, "max")
         value = None if inner.value is None else -inner.value
         return LpSolution(inner.status, inner.x, value)
     if sense != "max":
@@ -101,7 +104,7 @@ def solve_lp(c, A, b, sense: str = "max", tol: float = 1e-9) -> LpSolution:
             in_basis[:] = False
             in_basis[basis] = True
             z = obj[basis] @ T[:, :-1] - obj[:ncols]
-            candidates = (z < -tol) & ~in_basis
+            candidates = (z < -_LP_TOL) & ~in_basis
             if not candidates.any():
                 return "optimal"
             if bland:
@@ -110,17 +113,17 @@ def solve_lp(c, A, b, sense: str = "max", tol: float = 1e-9) -> LpSolution:
                 zc = np.where(candidates, z, 0.0)
                 entering = int(np.argmin(zc))
             col = T[:, entering]
-            pos = col > tol
+            pos = col > _LP_TOL
             if not pos.any():
                 return "unbounded"
             ratios = np.full(m, np.inf)
             ratios[pos] = T[pos, -1] / col[pos]
             best = ratios.min()
-            ties = np.flatnonzero(ratios <= best + tol)
+            ties = np.flatnonzero(ratios <= best + _LP_TOL)
             leave = int(ties[np.argmin(basis[ties])])  # Bland tie-break
             pivot(leave, entering)
             value = obj[basis] @ T[:, -1]
-            if value > last_value + tol:
+            if value > last_value + _LP_TOL:
                 stall = 0
             else:
                 stall += 1
@@ -132,14 +135,14 @@ def solve_lp(c, A, b, sense: str = "max", tol: float = 1e-9) -> LpSolution:
         phase1 = np.zeros(ncols)
         phase1[nvars + m:] = -1.0  # maximize -(sum of artificials)
         run(phase1)
-        if phase1[basis] @ T[:, -1] < -tol:
+        if phase1[basis] @ T[:, -1] < -_LP_TOL:
             return LpSolution("infeasible", None, None)
         # drive any leftover artificial out of the basis
         for i in range(m):
             if basis[i] >= nvars + m:
                 row = T[i, :nvars + m]
                 j = int(np.argmax(np.abs(row)))
-                if abs(row[j]) > tol:
+                if abs(row[j]) > _LP_TOL:
                     pivot(i, j)
         T[:, nvars + m:ncols] = 0.0
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SolverError
+from .config import SolverError, check_order
 from .cube_fourier import (
     CubePolynomial,
     MatrixPolynomial,
@@ -140,17 +140,12 @@ def inner_univariate_values(
     eigenvalue; the eigenvector is the optimal square-root density.
     """
     n = measure.n
-    _check_order(n, r)
+    check_order(n, r)
     gv = np.asarray(g_values, dtype=np.float64)
     if gv.shape != (n + 1,):
         raise ValueError("g_values must have length n+1")
     table = orthonormal_table(n, r, measure.q)
     return _result((table * (gv * measure.weights)) @ table.T, r + 1, r)
-
-
-def _check_order(n: int, r: int) -> None:
-    if not 0 <= r <= n:
-        raise ValueError(f"r={r} out of range 0..{n}")
 
 
 def _block_matrix(masks: np.ndarray, k: int, spectra: dict) -> np.ndarray:
@@ -273,7 +268,7 @@ def inner_cube(f: CubePolynomial, r: int) -> InnerBoundResult:
     Smallest eigenvalue of (fhat(a XOR b)) over characters of weight <= r;
     exact at r = n, monotone nonincreasing in r.
     """
-    _check_order(f.n, r)
+    check_order(f.n, r)
     return _cube_bound(f.n, 1, {(0, 0): spectrum(f)}, r)
 
 
@@ -299,5 +294,5 @@ def inner_matrix(F: MatrixPolynomial, r: int) -> InnerBoundResult:
     """Order-r inner bound on min_x lambda_min(F(x)) for a symmetric
     matrix-valued polynomial: smallest eigenvalue of the block matrix
     A[(i,a),(j,b)] = Fhat_ij(a XOR b)."""
-    _check_order(F.n, r)
+    check_order(F.n, r)
     return _cube_bound(F.n, F.k, F.spectra(), r)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import CertificationError, SolverError
+from .config import CertificationError, SolverError, check_order
 from .cube_fourier import (
     CubePolynomial,
     _argmin_mask,
@@ -102,12 +102,7 @@ def choose_kernel(n: int, d: int, r: int) -> KernelSpec:
     over unit-norm u of degree r, i.e. the order-r inner bound of
     g(t) = d - sum_{i=1..d} Khat_i(t) on [0:n].
     """
-    if not 0 <= d <= n:
-        raise ValueError("need 0 <= d <= n")
-    if not d <= 2 * r:
-        raise ValueError(f"2r={2*r} < d={d}: kernel degree cannot reach the input degree")
-    if r > n:
-        raise ValueError("r must be <= n")
+    check_order(n, r, d)
     measure = DiscreteMeasure(n, 2)
     khat = kraw_hat_table(n, min(2 * r, n), 2)
     g = d - khat[1:d + 1].sum(axis=0) if d >= 1 else np.zeros(n + 1)
@@ -245,8 +240,6 @@ def certify(f: CubePolynomial, r: int, tight: bool = False) -> SosCubeCertificat
     way ``delta_original`` bounds f_min minus the order-r SOS lower bound.
     """
     n, d = f.n, f.degree
-    if 2 * r < d:
-        raise ValueError(f"r={r} too small for degree {d}")
     spec = choose_kernel(n, d, r)
     if spec.lambda_tilde >= 1.0:
         raise CertificationError(
@@ -316,7 +309,7 @@ def error_sweep(
             if bound < exact:
                 bound = math.nextafter(bound, math.inf)
             basis_size = sum(comb(n, k) for k in range(r + 1))
-            use_sdp = basis_size <= 300 and 2 * r >= d
+            use_sdp = basis_size <= 300
             max_outer = 0.0
             max_inner = 0.0
             for s in range(samples):

@@ -16,12 +16,10 @@ q (J - t I), taken in Fractions. `least_root` bisects with the same count in
 floats, proves both ends of the bracket exactly and returns its upper end;
 no second evaluator cross-checks it.
 
-The three-term recurrence in the Khat normalization reads
-
-    Khat_{k+1}(t) = [((q-1)(n-k) + k - q t) Khat_k(t) - k Khat_{k-1}(t)]
-                    / ((q-1)(n-k)),
-
-which for q = 2 reduces to Khat_{k+1} = [(n-2t) Khat_k - k Khat_{k-1}]/(n-k).
+The tables are exact at every n: the integer values K_k(t) come from the
+unnormalized three-term recurrence, and each is divided once by the integer
+norm K_k(0). Python's int / int division is correctly rounded at any size,
+so every entry of `kraw_hat_table` is the correctly rounded Khat_k(t).
 """
 
 from __future__ import annotations
@@ -95,42 +93,29 @@ def kraw_norm_sq(n: int, q: int, k: int) -> float:
     return float((q - 1) ** k * math.comb(n, k))
 
 
-_EXACT_TABLE_LIMIT = 512  # beyond this the norms overflow float64 anyway
+def kraw_hat_table(n: int, kmax: int, q: int = 2) -> np.ndarray:
+    """Normalized values Khat_k(t) for k = 0..kmax and t = 0..n, shape
+    (kmax+1, n+1).
 
-
-def kraw_hat_table(n: int, kmax: int, q: int = 2, t=None) -> np.ndarray:
-    """Normalized values Khat_k(t), shape (kmax+1, len(t)); t defaults to 0..n.
-
-    On the integer grid the table is produced from the exact integer
-    recurrence and rounded once, so every entry is correct to machine
-    precision (the float recurrence loses absolute accuracy in the high
+    Each entry is the exact integer K_k(t) of `kraw_int_table` divided by
+    the integer norm (q-1)^k C(n,k), so it is the correctly rounded value
+    at every n (a float recurrence loses absolute accuracy in the high
     degree, high argument corner, which the orthonormal family amplifies).
-    Real arguments run through the float recurrence.
     """
     if kmax > n:
         raise ValueError("degree exceeds n")
-    if t is None and n <= _EXACT_TABLE_LIMIT:
-        rows = kraw_int_table(n, q, kmax)
-        out = np.empty((kmax + 1, n + 1))
-        for k, row in enumerate(rows):
-            norm = (q - 1) ** k * math.comb(n, k)
-            out[k] = [v / norm for v in row]
-        return out
-    tt = np.arange(n + 1, dtype=np.float64) if t is None else np.atleast_1d(np.asarray(t, dtype=np.float64))
-    out = np.empty((kmax + 1, tt.size))
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = 1.0 - q * tt / ((q - 1) * n)
-    for k in range(1, kmax):
-        den = (q - 1) * (n - k)
-        out[k + 1] = (((q - 1) * (n - k) + k - q * tt) * out[k] - k * out[k - 1]) / den
+    out = np.empty((kmax + 1, n + 1))
+    for k, row in enumerate(kraw_int_table(n, q, kmax)):
+        norm = (q - 1) ** k * math.comb(n, k)
+        out[k] = [v / norm for v in row]
     return out
 
 
-def orthonormal_table(n: int, kmax: int, q: int = 2, t=None) -> np.ndarray:
-    """Values of the w-orthonormal family p_k = Khat_k * ||K_k||_w."""
+def orthonormal_table(n: int, kmax: int, q: int = 2) -> np.ndarray:
+    """Values p_k(t) = Khat_k(t) * ||K_k||_w of the w-orthonormal family,
+    for t = 0..n."""
     scale = np.array([math.sqrt(kraw_norm_sq(n, q, k)) for k in range(kmax + 1)])
-    return kraw_hat_table(n, kmax, q, t) * scale[:, None]
+    return kraw_hat_table(n, kmax, q) * scale[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import SolverError
+from .config import SolverError, check_order
 from .cube_fourier import (
     _HADAMARD,
     CubePolynomial,
@@ -444,6 +444,9 @@ def _solve_ipm(C, ops, b) -> SdpSolution:
             Vh *= 2.0 / denom
             rhs = rp - ops.apply(Rq @ Vh @ Rq.T) + A_WRdW
             dy = sla.cho_solve(S_fact, rhs)
+            # one refinement step against the un-ridged S: near mu -> 0 the
+            # ridge swamps S's small eigenvalues and would freeze pres
+            dy += sla.cho_solve(S_fact, rhs - S @ dy + ridge * dy)
             dZ = Rd - ops.adjoint(dy)
             dZh = Rq.T @ dZ @ Rq
             return dy, dZ, Vh - dZh, dZh
@@ -492,13 +495,6 @@ class OuterBoundResult:
     moment_value: float    # dual (moment-side) objective
     moments: np.ndarray | None
     diagnostics: dict = field(default_factory=dict)
-
-
-def _check_order(n: int, d: int, r: int) -> None:
-    if 2 * r < d:
-        raise ValueError(f"order r={r} cannot represent degree {d}: need 2r >= d")
-    if r > n:
-        raise ValueError("r must be <= n")
 
 
 def _outer_sdp(n: int, k: int, fhat: dict, r: int) -> OuterBoundResult:
@@ -551,7 +547,7 @@ def outer_cube(f: CubePolynomial, r: int) -> OuterBoundResult:
     Monotone nondecreasing in r, equal to the minimum once 2r >= n + deg - 1.
     Raises SolverError if the interior-point method does not converge.
     """
-    _check_order(f.n, f.degree, r)
+    check_order(f.n, r, f.degree)
     return _outer_sdp(f.n, 1, {(0, 0): spectrum(f)}, r)
 
 
@@ -559,7 +555,7 @@ def outer_matrix(F: MatrixPolynomial, r: int) -> OuterBoundResult:
     """Order-r SOS lower bound on min_x lambda_min(F(x)) for a symmetric
     matrix polynomial, via the block Gram over (character, coordinate).
     Raises SolverError if the interior-point method does not converge."""
-    _check_order(F.n, F.degree, r)
+    check_order(F.n, r, F.degree)
     return _outer_sdp(F.n, F.k, F.spectra(), r)
 
 

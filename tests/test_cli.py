@@ -117,6 +117,18 @@ def test_bounds_reports_outer_schur(capsys, r, schur):
     assert (outer["status"], outer["schur"]) == ("optimal", schur)
 
 
+def test_bounds_outer_converges_where_the_ridge_froze_the_residual(capsys):
+    # without a refinement step against the un-ridged Schur complement, the
+    # primal residual of this instance froze at 3.65e-8 as mu -> 0 and the
+    # solve ended with status max_iter
+    code, out, err = run_cli(capsys, "bounds", "--instance", "random:n=9,d=2,seed=157573284",
+                             "--r", "3", "--which", "all", "--quiet")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["outer"]["status"] == "optimal"
+    assert report["sandwich_ok"] is True
+
+
 def test_certify_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "cert.json"
     code, _, err = run_cli(capsys, "certify", "--instance", "random:n=8,d=2,seed=5",

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import re
 
 import pytest
 
@@ -14,7 +15,7 @@ from cubesos.cube_fourier import (
 )
 from cubesos.inner_hierarchy import inner_cube, inner_cube_symmetrized, inner_matrix
 from cubesos.instances import random_matrix_poly, random_poly
-from cubesos.kernel_certifier import certify
+from cubesos.kernel_certifier import certify, choose_kernel
 from cubesos.outer_hierarchy import outer_cube, outer_matrix
 from cubesos.qary import QaryPolynomial
 
@@ -43,6 +44,30 @@ def test_entry_points_enforce_cap(monkeypatch, call):
     monkeypatch.setenv("CUBESOS_MAX_N", "4")
     with pytest.raises(CapExceededError):
         call()
+
+
+ORDER_CALLS = {
+    "inner_cube": lambda r: inner_cube(F, r),
+    "outer_cube": lambda r: outer_cube(F, r),
+    "choose_kernel": lambda r: choose_kernel(F.n, F.degree, r),
+    "certify": lambda r: certify(F, r),
+}
+ORDER_TEXTS = {-1: "r=-1 out of range 0..5", 6: "r=6 out of range 0..5",
+               0: "r=0 too small for degree 2"}
+
+
+# one rule, config.check_order, with one text everywhere; the inner bound
+# exists at every order 0..n, so only the range applies to it
+@pytest.mark.parametrize("name, r", [(name, r) for name in ORDER_CALLS for r in ORDER_TEXTS
+                                     if (name, r) != ("inner_cube", 0)])
+def test_entry_points_check_the_order(name, r):
+    with pytest.raises(ValueError, match=f"^{re.escape(ORDER_TEXTS[r])}$"):
+        ORDER_CALLS[name](r)
+
+
+def test_choose_kernel_checks_the_degree():
+    with pytest.raises(ValueError, match=r"^degree d=6 out of range 0\.\.5$"):
+        choose_kernel(5, 6, 3)
 
 
 def test_qary_enumeration_counts_points(monkeypatch):

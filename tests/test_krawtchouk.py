@@ -86,6 +86,16 @@ def test_recurrence_matches_defining_sum():
                 )
 
 
+@pytest.mark.parametrize("n, q", [(600, 2), (1200, 3)])
+def test_khat_table_is_correctly_rounded_at_large_n(n, q):
+    # each entry is the exact K_k(t) / K_k(0) rounded once, at any n
+    table = kraw_hat_table(n, 6, q)
+    for k in range(7):
+        for t in [*range(0, n + 1, 37), n]:
+            exact = Fraction(kraw_int(n, q, k, t), (q - 1) ** k * math.comb(n, k))
+            assert table[k, t] == float(exact), (k, t)
+
+
 def test_orthogonality_binary_and_qary():
     # Gram of the orthonormal family is the identity to 1e-9
     for q in (2, 3, 4):
@@ -166,12 +176,6 @@ def test_least_root_midrange_near_phi():
     assert abs(least_root(200, 2, 100) / 200 - levenshtein_phi(0.5)) <= 0.02
 
 
-def test_least_root_is_a_sign_change():
-    xi = least_root(14, 2, 5)
-    below, above = kraw_hat_table(14, 5, 2, t=[xi - 1e-6, xi + 1e-6])[5]
-    assert below > 0 > above
-
-
 def _kraw_at(n, q, r, x):
     """K_r(x) from its defining sum, with generalized binomials at a rational x."""
     def binom(y, i):
@@ -179,6 +183,11 @@ def _kraw_at(n, q, r, x):
 
     return sum((-1) ** i * (q - 1) ** (r - i) * binom(x, i) * binom(n - x, r - i)
                for i in range(r + 1))
+
+
+def test_least_root_is_a_sign_change():
+    xi, eps = Fraction(least_root(14, 2, 5)), Fraction(1, 10**6)
+    assert _kraw_at(14, 2, 5, xi - eps) > 0 > _kraw_at(14, 2, 5, xi + eps)
 
 
 def test_least_root_is_at_or_above_the_root():
