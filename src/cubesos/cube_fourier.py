@@ -89,17 +89,6 @@ def mask_to_bitstring(mask: int, n: int) -> str:
     return "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
 
 
-def mask_bitstrings(n: int, start: int, stop: int) -> list[str]:
-    """``mask_to_bitstring(mask, n)`` for every mask in [start, stop), in
-    mask order: the bit table of that range plus ord("0") as UCS-4 code
-    points, viewed as n-character strings."""
-    if n == 0:
-        return [""] * (stop - start)
-    codes = (np.arange(start, stop, dtype="<u4")[:, None] >> np.arange(n, dtype="<u4")) & 1
-    codes += ord("0")
-    return codes.view(f"<U{n}").ravel().tolist()
-
-
 def bitstring_to_mask(s: str) -> int:
     return sum(1 << i for i, ch in enumerate(s) if ch == "1")
 

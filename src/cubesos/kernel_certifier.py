@@ -24,10 +24,13 @@ with ``ValueError``.
 
 ``SosCubeCertificate.json_pieces`` streams the certificate from its arrays:
 the scalar fields through ``json.dumps(..., indent=1)``, then the 2^n weight
-records in mask order, formatted a fixed block at a time (the bitstrings of
-one block of masks, each weight as its shortest round-trip float:
-``float.__repr__``, which is what ``json`` writes for a finite float), so no
-more than one block of text exists at once. Non-finite fields are refused
+records in mask order, one piece per fixed block, so no more than one block
+of text exists at once. Each weight is written as its shortest round-trip
+float, exactly as ``float.__repr__`` writes it (which is what ``json``
+writes for a finite float). ``_RecordText`` formats a batch of records at a
+time in one set of arrays: the bitstrings from a byte table, and the
+weights' digits in exact integer arithmetic, with ``repr`` itself for the
+few values that arithmetic leaves open. Non-finite fields are refused
 before the first piece, so the text is always strict JSON. ``to_json`` is
 the join of the same pieces, and ``to_dict`` parses it back.
 """
@@ -45,7 +48,6 @@ from .cube_fourier import (
     CubePolynomial,
     _argmin_mask,
     fwht,
-    mask_bitstrings,
     mask_to_bitstring,
     mask_to_point,
     point_to_mask,
@@ -146,6 +148,300 @@ def _kernel_sum(spec: KernelSpec, weights: np.ndarray) -> np.ndarray:
     return fwht(fwht(weights) * fwht(U)) / weights.size
 
 
+# One weight record is '  {\n   "y": "' + bits + '",\n   "w": ' + repr(w)
+# + '\n  },\n'; the last record of a certificate ends '\n  }\n'.
+# ``_RecordText`` lays out ``_TEXT_BATCH`` records as the rows of one byte
+# array, every field at a fixed column and padded with zero bytes, and
+# deletes the padding as it turns the rows into text.
+_TEXT_BATCH = 1 << 12
+_HEAD, _MID, _TAIL = b'  {\n   "y": "', b'",\n   "w": ', b"\n  },\n"
+
+# Columns of the weight field: 0-4 hold the "0." and zeros that lead a
+# positional x < 1, digit i of the 17 (i = 0..16) sits at column 5 + 2i and
+# the slot after it at 6 + 2i, which holds the '.' or, after the last digit,
+# the '0' of a whole number's ".0"; 39-42 hold the exponent "e-NN".
+_FIELD = 43
+# Decimal exponents k = floor(log10 x) the integer path formats: 10^(16-k)
+# is 5^q 2^q with q = 16 - k <= 27, so 5^q fits a uint64.
+_K_MIN, _K_MAX = -11, 15
+_POW5 = np.array([5**q for q in range(16 - _K_MIN + 1)], dtype=np.uint64)
+_POW10 = np.array([10**j for j in range(19)], dtype=np.uint64)
+
+
+def _table(rows, dtype) -> np.ndarray:
+    """Equal-length byte strings as words of ``dtype``, for ``np.take``;
+    ``.view(np.uint8)`` on what it takes gives the bytes back."""
+    return np.frombuffer(b"".join(rows), dtype)
+
+
+def _digit_pairs() -> np.ndarray:
+    """The 4 digits of each of 0..9999, each followed by an empty slot.
+    Digit i repeats each of 0..9 10^(3-i) times in turn, so the table is
+    tiled from "0123456789" with no arithmetic on 10^4-element arrays,
+    whose temporaries would stay in the process's heap."""
+    digits = np.frombuffer(b"0123456789", np.uint8)
+    pairs = np.zeros((10000, 8), np.uint8)
+    for i in range(4):
+        pairs[:, 2 * i] = np.tile(np.repeat(digits, 10 ** (3 - i)), 10 ** i)
+    return pairs.view(np.uint64).ravel()
+
+
+_DIGITS4 = _digit_pairs()
+# Word w of the mask over the digit and slot columns 7-38 in row w: column v
+# keeps digits 1..v-1 (byte c of the 32 is digit 1 + c // 2 for even c).
+_SHOWN = np.ascontiguousarray(_table(
+    [bytes(255 if c % 2 == 0 and 1 + c // 2 < v else 0 for c in range(32)) for v in range(18)],
+    np.uint64).reshape(18, 4).T)
+# per k from _K_MIN: columns 0-7 (5-7 are written again after) and 39-42
+_LEAD = _table([(b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"").ljust(8, b"\0")
+                for k in range(_K_MIN, _K_MAX + 1)], np.uint64)
+_EXPONENT = _table([f"e-{-k:02d}".encode() if k < -4 else bytes(4)
+                    for k in range(_K_MIN, _K_MAX + 1)], np.uint32)
+# the 8 bits of a byte as characters, character i being bit i
+_BITS8 = _table([mask_to_bitstring(v, 8).encode() for v in range(256)], np.uint64)
+
+
+class _RecordText:
+    """The weight records of a certificate as text, up to ``rows`` records
+    per ``block``, formatted ``batch`` records at a time in arrays that are
+    allocated once, here, and reused.
+
+    Each weight is written as ``float.__repr__`` writes it: the shortest
+    decimal that reads back to it, the nearest to it among those, laid out
+    by repr's rule. The integer path of ``_write_weights`` computes that
+    exactly for the whole batch (Steele & White; Burger & Dybvig 1996).
+    Every value it does not settle is formatted by ``repr`` itself and
+    counted in ``fallbacks``: zero, a negative, a power-of-two significand
+    (its rounding interval is lopsided), an exact tie, x outside about
+    1e-11 to 1e14 (where 5^q or the shift s would not fit a word), and a
+    k = floor(log10 x) that the float log misjudged.
+    """
+
+    def __init__(self, n: int, rows: int, batch: int):
+        self.n, self.fallbacks = n, 0
+        self._col = len(_HEAD) + n + len(_MID)  # first column of the weight field
+        width = self._col + _FIELD + len(_TAIL)
+        self._out = np.empty(rows * width, np.uint8)
+        self._text = np.zeros((batch, width), np.uint8)
+        for col, const in ((0, _HEAD), (len(_HEAD) + n, _MID), (self._col + _FIELD, _TAIL)):
+            self._text[:, col:col + len(const)] = np.frombuffer(const, np.uint8)
+        self._masks = np.arange(batch, dtype=np.uint64)
+        self._bytes = np.empty((batch, -(-n // 8)), np.uint64)
+        self._bits = np.empty_like(self._bytes)
+        self._u = np.empty((15, batch), np.uint64)
+        self._i = np.empty((4, batch), np.int64)
+        self._b = np.empty((5, batch), bool)
+        self._f = np.empty(batch)
+        self._exp = np.empty(batch, np.uint32)
+        self._dot = np.empty(batch, np.uint8)
+        self._dots = np.arange(batch, dtype=np.int64) * width + self._col + 6
+
+    def block(self, weights: np.ndarray, start: int, stop: int, last: bool) -> str:
+        """Records start..stop-1, each ending ",\\n"; with ``last`` the
+        final one ends "\\n", as the last record of the certificate."""
+        end = 0
+        for lo in range(start, stop, len(self._text)):
+            hi = min(lo + len(self._text), stop)
+            text = self._text[:hi - lo]
+            self._write_bits(lo, hi - lo)
+            self._write_weights(weights[lo:hi])
+            if last and hi == stop:
+                text[-1, -2] = 0
+            part = text.tobytes().translate(None, b"\0")
+            text[-1, -2] = ord(",")
+            self._out[end:end + len(part)] = np.frombuffer(part, np.uint8)
+            end += len(part)
+        return str(self._out[:end].data, "ascii")
+
+    def _write_bits(self, start: int, size: int) -> None:
+        """The bitstrings of masks start..start+size-1, character i bit i."""
+        masks = self._u[0, :size]
+        np.add(self._masks[:size], np.uint64(start), out=masks)
+        idx = self._bytes[:size]
+        for j in range(idx.shape[1]):
+            np.right_shift(masks, np.uint64(8 * j), out=idx[:, j])
+        idx &= np.uint64(255)
+        np.take(_BITS8, idx.view(np.intp), out=self._bits[:size])
+        y = len(_HEAD)
+        self._text[:size, y:y + self.n] = self._bits[:size].view(np.uint8)[:, :self.n]
+
+    def _write_weights(self, x: np.ndarray) -> None:
+        """Write each x[i] into the weight field of text row i, padded with
+        zero bytes. Every integer step is uint64 or int64 on purpose, so no
+        mix of the two is promoted to float64."""
+        size, U = len(x), np.uint64
+        m, P, lo, hi, F, R, A, B, a, b, p, c, t1, t2, t3 = self._u[:, :size]
+        k, q, s, J = self._i[:, :size]
+        ok, tb, up, eq, nz = self._b[:, :size]
+        # x = m 2^(E - 1075), with m the 53-bit significand and E the biased
+        # exponent (a set sign bit makes E >= 2048). With k = floor(log10 x)
+        # and q = 16 - k, x 10^q = V / 2^s, V = m 5^q and s = 1075 - E - q.
+        bits = x.view(U)
+        f = self._f[:size]
+        np.maximum(x, 5e-324, out=f)
+        np.log10(f, out=f)
+        np.floor(f, out=f)
+        np.copyto(k, f, casting="unsafe")
+        np.subtract(16, k, out=q)
+        np.right_shift(bits, U(52), out=t1)
+        np.subtract(1075, t1.view(np.int64), out=s)
+        s -= q
+        # 0 <= q <= 27 and 2 <= s <= 61, each as one unsigned comparison
+        np.less_equal(q.view(U), U(16 - _K_MIN), out=ok)
+        np.subtract(s, 2, out=J)
+        np.less_equal(J.view(U), U(59), out=tb); ok &= tb
+        np.bitwise_and(bits, U((1 << 52) - 1), out=m)
+        np.not_equal(m, 0, out=tb); ok &= tb
+        np.bitwise_or(m, U(1 << 52), out=m)
+        np.maximum(s, 2, out=s)
+        np.minimum(s, 61, out=s)
+        su = s.view(U)
+        np.take(_POW5, q, out=P, mode="clip")
+        # V = hi 2^64 + lo, from 32-bit halves: m < 2^53 and P < 2^63, so
+        # the middle sum mh pl + ml ph stays below 2^64
+        np.right_shift(m, U(32), out=t1)
+        np.bitwise_and(P, U(0xFFFFFFFF), out=t2)
+        np.multiply(t1, t2, out=t3)
+        np.bitwise_and(m, U(0xFFFFFFFF), out=lo)
+        np.multiply(lo, t2, out=t2)
+        np.right_shift(P, U(32), out=hi)
+        np.multiply(lo, hi, out=lo)
+        t3 += lo
+        np.multiply(t1, hi, out=hi)
+        np.left_shift(t3, U(32), out=lo)
+        lo += t2
+        np.less(lo, t2, out=tb)
+        np.right_shift(t3, U(32), out=t3)
+        hi += t3
+        hi += tb
+        # F = V >> s is the 17-digit integer part of x 10^q, R = V mod 2^s
+        np.subtract(U(64), su, out=t1)
+        np.left_shift(hi, t1, out=F)
+        np.right_shift(lo, su, out=t1)
+        F |= t1
+        np.left_shift(U(1), su, out=R)
+        R -= U(1)
+        R &= lo
+        np.subtract(F, U(10**16), out=t1)
+        np.less(t1, U(9 * 10**16), out=tb); ok &= tb
+        # Half an ulp of x is P / 2^(s+1) in these units, so the integers
+        # that read back as x are A..B, A = F + ceil((2R - P) / 2^(s+1)) and
+        # B = F + floor((2R + P) / 2^(s+1)); P is odd, so neither end is an
+        # integer and no end point needs repr's round-half-even reading.
+        np.add(su, U(1), out=t3)
+        np.add(R, R, out=t2)
+        np.subtract(P, t2, out=A)
+        np.right_shift(A.view(np.int64), t3.view(np.int64), out=A.view(np.int64))
+        np.subtract(F, A, out=A)
+        np.add(P, t2, out=B)
+        np.right_shift(B, t3, out=B)
+        B += F
+        # J = the largest j such that a multiple of 10^j lies in A..B, the
+        # number of j >= 1 at which (A - 1) // 10^j and B // 10^j differ.
+        # Few rows reach j = 3, so from there the loop runs on those alone.
+        np.subtract(A, U(1), out=a)
+        np.copyto(b, B)
+        J[...] = 0
+        for _ in range(2):
+            np.floor_divide(a, U(10), out=a)
+            np.floor_divide(b, U(10), out=b)
+            np.not_equal(a, b, out=tb)
+            tb &= ok
+            J += tb
+        rows = np.flatnonzero(tb)
+        a2, b2 = a[rows], b[rows]
+        while rows.size:
+            a2 //= U(10)
+            b2 //= U(10)
+            more = a2 != b2
+            rows, a2, b2 = rows[more], a2[more], b2[more]
+            J[rows] += 1
+        # D = c 10^J: x 10^q / 10^J rounded to nearest (2 (F mod 10^J) plus
+        # the top bit of R against 10^J, the rest of R breaking the tie).
+        # A..B holds the integers within half an ulp on both sides of x
+        # 10^q, so the multiple of 10^J nearest to it lies in A..B too.
+        np.take(_POW10, J, out=p, mode="clip")
+        np.floor_divide(F, p, out=c)
+        np.multiply(c, p, out=t1)
+        np.subtract(F, t1, out=t1)
+        t1 += t1
+        np.subtract(su, U(1), out=t3)
+        np.right_shift(R, t3, out=t2)
+        t1 += t2
+        np.left_shift(t2, t3, out=t2)
+        np.subtract(R, t2, out=t2)
+        np.greater(t1, p, out=up)
+        np.equal(t1, p, out=eq)
+        np.not_equal(t2, 0, out=nz)
+        np.logical_and(eq, nz, out=tb); up |= tb
+        np.logical_not(eq, out=eq); eq |= nz; ok &= eq
+        c += up
+        D = t1
+        np.multiply(c, p, out=D)
+        # A round up to 10^17 is the one digit 1 at exponent k + 1. At
+        # q = 1, s >= 2 needs x < 2^50, so this happens only at k <= 14.
+        np.equal(D, U(10**17), out=tb)
+        np.copyto(D, U(10**16), where=tb)
+        np.copyto(J, 16, where=tb)
+        k += tb
+        # The 17 digits of D: d0 = D // 10^16, then four chunks of four, in
+        # rows m..hi; their text goes to rows F..B, its mask to rows a..c.
+        chunks, digits, shown = self._u[0:4, :size], self._u[4:8, :size], self._u[8:12, :size]
+        np.floor_divide(D, U(10**8), out=t2)
+        np.multiply(t2, U(10**8), out=t3)
+        np.subtract(D, t3, out=t3)
+        np.floor_divide(t2, U(10**8), out=c)
+        np.multiply(c, U(10**8), out=a)
+        t2 -= a
+        for half, w in ((t2, 0), (t3, 2)):
+            np.floor_divide(half, U(10**4), out=chunks[w])
+            np.multiply(chunks[w], U(10**4), out=a)
+            np.subtract(half, a, out=chunks[w + 1])
+        # Repr's layout: nd = 17 - J digits, as d0.d1..e-NN below 1e-4, else
+        # positional, where x >= 1 shows max(nd, k + 1) digits (the zeros
+        # of D) and a whole number ends ".0".
+        field = self._text[:size, self._col:self._col + _FIELD]
+        np.subtract(17, J, out=J)
+        np.subtract(k, _K_MIN, out=s)
+        np.take(_LEAD, s, out=t1, mode="clip")
+        field[:, 0:8].view(U)[:, 0] = t1
+        np.take(_EXPONENT, s, out=self._exp[:size], mode="clip")
+        field[:, 39:43].view(np.uint32)[:, 0] = self._exp[:size]
+        np.add(c, U(ord("0")), out=field[:, 5], casting="unsafe")
+        np.add(k, 1, out=q)
+        np.maximum(q, J, out=q)
+        np.take(_DIGITS4, chunks.view(np.intp), out=digits)
+        np.take(_SHOWN, q, axis=1, out=shown, mode="clip")
+        digits &= shown
+        for w in range(4):
+            field[:, 7 + 8 * w:15 + 8 * w].view(U)[:, 0] = digits[w]
+        # '.' in the slot after digit max(k, 0): x >= 1, or the exponent
+        # form with more than one digit
+        np.greater_equal(k, 0, out=up)
+        np.less(k, -4, out=eq)
+        np.greater(J, 1, out=nz)
+        eq &= nz
+        up |= eq
+        np.multiply(up, np.uint8(ord(".")), out=self._dot[:size])
+        np.maximum(k, 0, out=s)
+        np.minimum(s, _K_MAX, out=s)
+        s += s
+        s += self._dots[:size]
+        self._text.reshape(-1)[s] = self._dot[:size]
+        # the '0' of ".0": x >= 1 with nd <= k + 1
+        np.greater_equal(k, 0, out=up)
+        np.subtract(J, k, out=s)
+        np.less_equal(s, 1, out=eq)
+        up &= eq
+        np.multiply(up, np.uint8(ord("0")), out=field[:, 38])
+        rest = np.flatnonzero(~ok)
+        for i in rest.tolist():
+            text = repr(float(x[i])).encode()
+            field[i] = 0
+            field[i, :len(text)] = np.frombuffer(text, np.uint8)
+        self.fallbacks += len(rest)
+
+
 @dataclass(frozen=True)
 class SosCubeCertificate:
     """A weighted sum-of-squares identity h + delta = sum_y w_y u^2(d(., y)).
@@ -212,13 +508,13 @@ class SosCubeCertificate:
         return self._pieces(head, tail)
 
     def _pieces(self, head: str, tail: str):
-        n, size = self.n, self.weights.size
+        size = self.weights.size
         yield head + '"weights": [\n'
+        records = _RecordText(self.n, min(_RECORD_BLOCK, size), min(_TEXT_BATCH, size))
+        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         for start in range(0, size, _RECORD_BLOCK):
             stop = min(start + _RECORD_BLOCK, size)
-            records = zip(mask_bitstrings(n, start, stop), self.weights[start:stop].tolist())
-            block = ",\n".join(f'  {{\n   "y": "{y}",\n   "w": {w!r}\n  }}' for y, w in records)
-            yield block + (",\n" if stop < size else "\n")
+            yield records.block(weights, start, stop, stop == size)
         yield " ]" + tail + "\n"
 
     def to_json(self) -> str:

@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubesos.cube_fourier import (
     CubePolynomial,
@@ -259,7 +263,7 @@ def _json_of_records(cert):
 
 
 @pytest.mark.parametrize("tight", [False, True])
-@pytest.mark.parametrize("n, r", [(0, 0), (1, 1), (2, 1), (5, 3), (9, 4)])
+@pytest.mark.parametrize("n, r", [(0, 0), (1, 1), (2, 1), (5, 3), (9, 4), (12, 4), (14, 5)])
 def test_to_json_matches_record_by_record_json(n, r, tight):
     f = CubePolynomial.constant(0, 2.0) if n == 0 else random_poly(n, min(2, n), seed=n)
     cert = certify(f, r, tight=tight)
@@ -278,6 +282,109 @@ def test_json_pieces_span_blocks_and_end_on_a_partial_one(monkeypatch, n, r):
     assert (1 << n) % 3 != 0  # the last block is partial
     assert len(pieces) == 1 + -(-(1 << n) // 3) + 1  # head, every block, tail
     assert "".join(pieces) == _json_of_records(cert) == cert.to_json()
+
+
+@pytest.mark.parametrize("block, batch", [(5, 3), (7, 2), (3, 8)])
+def test_json_pieces_with_text_batches_across_blocks(monkeypatch, block, batch):
+    # the records of a block are formatted batch rows at a time; here a
+    # batch ends inside a block, or is wider than the block
+    from cubesos import kernel_certifier
+
+    monkeypatch.setattr(kernel_certifier, "_RECORD_BLOCK", block)
+    monkeypatch.setattr(kernel_certifier, "_TEXT_BATCH", batch)
+    for tight in (False, True):
+        cert = certify(random_poly(6, 2, seed=6), 3, tight=tight)
+        pieces = list(cert.json_pieces())
+        assert len(pieces) == 1 + -(-64 // block) + 1
+        assert "".join(pieces) == _json_of_records(cert)
+
+
+# ---------------------------------------------------------------------------
+# weight text: the records writer against float.__repr__
+
+
+def _weight_texts(values):
+    """The "w" texts of a records writer over values (n = 0, one block),
+    and the number of values it left to repr."""
+    from cubesos.kernel_certifier import _RecordText
+
+    x = np.array(values, dtype=np.float64)
+    records = _RecordText(0, x.size, 64)
+    text = records.block(x, 0, x.size, True)
+    return re.findall(r'"w": (.*)\n', text), records.fallbacks
+
+
+def _assert_reprs(values):
+    texts, _ = _weight_texts(values)
+    assert texts == [repr(float(v)) for v in values]
+
+
+def _ulps(x, k):
+    """x and its k neighbours below and above, within [0, max float]."""
+    out = [x]
+    for direction in (0.0, math.inf):
+        y = x
+        for _ in range(k):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return [v for v in out if math.isfinite(v)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=80))
+@example([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, 1.0, 0.5])
+def test_weight_text_is_float_repr(values):
+    _assert_reprs(values)
+
+
+def test_weight_text_of_powers_of_two_and_ten():
+    _assert_reprs([v for e in range(-80, 61) for v in _ulps(2.0**e, 3)])
+    _assert_reprs([v for e in range(-20, 21) for v in _ulps(float(f"1e{e}"), 3)])
+
+
+def test_weight_text_of_exact_decimal_midpoints():
+    # odd multiples of 2^-t end in the digit 5 when written out exactly
+    _assert_reprs([j * 2.0**-t for t in range(1, 64) for j in range(1, 200, 2)])
+    _assert_reprs([j * 2.0**-18 for j in range(2**17 + 1, 2**17 + 4000, 2)])
+
+
+def test_weight_text_of_short_decimals():
+    rng = np.random.default_rng(12)
+    values = rng.random(3000) * 10.0 ** rng.integers(-12, 16, 3000)
+    _assert_reprs([round(float(v), int(d)) for v, d in zip(values, rng.integers(0, 17, 3000))])
+
+
+def test_weight_text_across_the_layout_switches_and_the_exponent_window():
+    # exponent form below 1e-4 and from 1e16; the integer path formats
+    # k = floor(log10 x) in -11..15 and hands the rest to repr
+    edges = [1e-4, 1e16, 1.0, 10.0, 1e-11, 1e-12, 1e15, 1e14, 9.5e15, 9.5e-12, 0.5e-11]
+    _assert_reprs([v for x in edges for v in _ulps(x, 3)])
+    _assert_reprs([9.999999999999999e-5, 9999999999999998.0, 0.00010000000000000002,
+                   1.0000000000000002e16, 123456789012345.67, 4503599627370495.5])
+
+
+def test_weight_text_takes_the_integer_path_on_ordinary_values():
+    rng = np.random.default_rng(5)
+    small = rng.random(5000) * 3e-5
+    texts, fallbacks = _weight_texts(small)
+    assert texts == [repr(float(v)) for v in small] and fallbacks == 0
+    # above about 1e10 an ulp is a short decimal, and some values lie
+    # exactly half-way between two candidates: those are left to repr
+    wide = 10.0 ** rng.uniform(-10, 13, 5000)
+    texts, fallbacks = _weight_texts(wide)
+    assert texts == [repr(float(v)) for v in wide] and fallbacks <= 5
+
+
+@pytest.mark.parametrize("tight", [False, True])
+@pytest.mark.parametrize("n", [12, 13, 14, 15, 16])
+def test_weight_text_of_certificates_is_nearly_all_integer_path(n, tight):
+    from cubesos.kernel_certifier import _RecordText
+
+    weights = certify(random_poly(n, 2, seed=n), n // 3, tight=tight).weights
+    records = _RecordText(n, weights.size, 4096)
+    records.block(weights, 0, weights.size, True)
+    assert records.fallbacks <= 0.001 * weights.size
 
 
 def test_to_json_refuses_non_finite_weights():
