@@ -2,7 +2,8 @@
 
 Builds the cycle C_n max-cut polynomial, computes brute-force, inner and
 outer values, then emits and verifies an explicit weighted sum-of-squares
-identity for f - f_min + delta.
+identity for f - f_min + delta. Exits 1, naming the failed check, if the
+outer Gram matrix or the certificate does not verify.
 
 Usage: python scripts/certificate_demo.py [--n 8] [--r 4]
 """
@@ -15,7 +16,7 @@ import numpy as np
 from cubesos.cube_fourier import brute_force_min
 from cubesos.inner_hierarchy import inner_cube
 from cubesos.instances import maxcut_instance
-from cubesos.kernel_certifier import certify
+from cubesos.kernel_certifier import RESIDUAL_TOL, certify
 from cubesos.outer_hierarchy import outer_cube, verify_sos_certificate
 
 
@@ -46,7 +47,15 @@ def main() -> int:
           f"residual = {check['max_residual']:.2e}, "
           f"min weight = {check['min_weight']:.2e}")
     print(f"hence the order-{r} bound is >= {fmin - cert.delta_original:.6f}")
-    return 0
+
+    failed = [name for name, ok in [
+        ("outer Gram certificate", ver.ok),
+        ("certificate residual", check["max_residual"] <= RESIDUAL_TOL),
+        ("certificate weights", check["min_weight"] >= 0.0),
+    ] if not ok]
+    for name in failed:
+        print(f"check failed: {name}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

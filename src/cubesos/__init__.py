@@ -19,10 +19,7 @@ _EXPORTS = {
         "GammaTable", "build_gamma_table", "c_d", "chebyshev_coeffs", "gamma_d",
         "rho_finite", "rho_infinity", "solve_lp",
     ],
-    "inner_hierarchy": [
-        "InnerBoundResult", "inner_cube", "inner_cube_symmetrized",
-        "inner_matrix",
-    ],
+    "inner_hierarchy": ["InnerBoundResult", "inner_cube", "inner_matrix"],
     "instances": ["maxcut_instance", "random_poly", "random_matrix_poly",
                   "stable_set_instance"],
     "kernel_certifier": [
@@ -35,7 +32,6 @@ _EXPORTS = {
     "outer_hierarchy": [
         "OuterBoundResult", "outer_cube", "outer_matrix", "verify_sos_certificate",
     ],
-    "qary": ["QaryPolynomial", "qary_brute_min"],
 }
 
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

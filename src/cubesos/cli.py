@@ -180,7 +180,7 @@ def cmd_sweep(args) -> str:
                                     args.r_max),
                     ["n", "q", "r", "xi", "xi_over_n", "phi_q(r/n)"])
     if args.mode == "phi":
-        from .qary import phi_q_sweep
+        from .krawtchouk import phi_q_sweep
 
         ns = _numbers(args.n or "")
         return _csv(phi_q_sweep(_numbers(args.q or "2,3,4,5"), ns, args.t_points),

@@ -53,8 +53,8 @@ class LpSolution:
     value: float | None
 
 
-def solve_lp(c, A, b, sense: str = "max") -> LpSolution:
-    """Optimize c.x subject to A x <= b, x >= 0.
+def solve_lp(c, A, b) -> LpSolution:
+    """Maximize c.x subject to A x <= b, x >= 0.
 
     Dense-tableau two-phase simplex. Pivots follow Dantzig's rule until the
     objective stalls, then switch permanently to Bland's rule, which
@@ -66,12 +66,6 @@ def solve_lp(c, A, b, sense: str = "max") -> LpSolution:
     b = np.asarray(b, dtype=np.float64).ravel()
     c = np.asarray(c, dtype=np.float64).ravel()
     m, nvars = A.shape
-    if sense == "min":
-        inner = solve_lp(-c, A, b, "max")
-        value = None if inner.value is None else -inner.value
-        return LpSolution(inner.status, inner.x, value)
-    if sense != "max":
-        raise ValueError("sense must be 'max' or 'min'")
 
     # rows with negative rhs get negated and an artificial variable
     neg = b < 0
@@ -224,7 +218,7 @@ def rho_finite(n: int, d: int, k: int, q: int = 2) -> RhoResult:
     c = np.zeros(2 * (d + 1))
     c[k] = 1.0
     c[d + 1 + k] = -1.0
-    sol = solve_lp(c, A, b, "max")
+    sol = solve_lp(c, A, b)
     if sol.status != "optimal":  # cannot happen: 0 is feasible, region bounded
         raise SolverError(f"rho LP unexpectedly {sol.status}")
     lam = sol.x[: d + 1] - sol.x[d + 1:]
@@ -250,7 +244,7 @@ def rho_infinity_grid(d: int, k: int, q: int = 2, grid_points: int = 10001) -> f
     A = np.vstack([At, -At])
     b = np.concatenate([ek, -ek])
     c = -np.ones(At.shape[1])
-    sol = solve_lp(c, A, b, "max")
+    sol = solve_lp(c, A, b)
     if sol.status != "optimal":
         raise SolverError(f"grid LP unexpectedly {sol.status}")
     return -sol.value

@@ -20,7 +20,9 @@ the product A v once, by one cost rule, and builds only that one:
 
 On the integer grid [0:n] the basis is the w-orthonormal Krawtchouk family,
 whose multiplication matrix entries are exact finite sums over the grid; that
-matrix is always formed and solved by eigh.
+matrix is always formed and solved by eigh. ``inner_univariate_values`` takes
+values on [0:n] and a ``DiscreteMeasure(n, q)``; at q > 2 it is the q-ary
+bound.
 
 The value reported is the Rayleigh quotient v^T A v / v^T v of the computed
 eigenvector v, on the product the solve ran on, not the eigenvalue. By
@@ -45,7 +47,6 @@ from .cube_fourier import (
     masks_up_to_weight,
     popcount_table,
     spectrum,
-    value_table,
 )
 from .krawtchouk import DiscreteMeasure, orthonormal_table
 
@@ -53,9 +54,7 @@ __all__ = [
     "InnerBoundResult",
     "inner_univariate_values",
     "inner_cube",
-    "inner_cube_symmetrized",
     "inner_matrix",
-    "symmetrize_to_univariate",
 ]
 
 
@@ -270,24 +269,6 @@ def inner_cube(f: CubePolynomial, r: int) -> InnerBoundResult:
     """
     check_order(f.n, r)
     return _cube_bound(f.n, 1, {(0, 0): spectrum(f)}, r)
-
-
-def symmetrize_to_univariate(f: CubePolynomial) -> np.ndarray:
-    """Values F(0..n) of the coordinate-permutation average of f, which
-    depends on x only through its Hamming weight."""
-    vals = value_table(f)
-    pc = popcount_table(f.n)
-    sums = np.bincount(pc, weights=vals, minlength=f.n + 1)
-    counts = np.bincount(pc, minlength=f.n + 1)
-    return sums / counts
-
-
-def inner_cube_symmetrized(f: CubePolynomial, r: int) -> InnerBoundResult:
-    """Inner bound restricted to permutation-invariant densities: the
-    univariate bound of the symmetrized profile F on [0:n]. Always at least
-    as large as inner_cube(f, r)."""
-    F = symmetrize_to_univariate(f)
-    return inner_univariate_values(F, DiscreteMeasure(f.n, 2), r)
 
 
 def inner_matrix(F: MatrixPolynomial, r: int) -> InnerBoundResult:

@@ -20,6 +20,10 @@ The tables are exact at every n: the integer values K_k(t) come from the
 unnormalized three-term recurrence, and each is divided once by the integer
 norm K_k(0). Python's int / int division is correctly rounded at any size,
 so every entry of `kraw_hat_table` is the correctly rounded Khat_k(t).
+
+Two sweeps compare xi/n against the extremal-root curve phi_q:
+`root_sweep_rows` steps r at fixed n, and `phi_q_sweep` steps t = r/n on a
+grid of [0, (q-1)/q].
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "kraw_step_bound_check",
     "StepBoundReport",
     "root_sweep_rows",
+    "phi_q_sweep",
 ]
 
 
@@ -242,3 +247,19 @@ def root_sweep_rows(ns, qs, r_max=None):
                     "xi_over_n": xi / n,
                     "phi_q(r/n)": levenshtein_phi(r / n, q),
                 }
+
+
+def phi_q_sweep(q_list, n_list=(), t_points: int = 200):
+    """Rows of the extremal-root curve phi_q on a t grid, with measured
+    xi_{round(tn)}/n columns for each requested n (monotone convergence as n
+    grows)."""
+    for q in q_list:
+        if q < 2:
+            raise ValueError("q must be >= 2")
+        hi = (q - 1) / q
+        for t in np.linspace(0.0, hi, t_points):
+            row = {"q": q, "t": float(t), "phi_q": levenshtein_phi(float(t), q)}
+            for n in n_list:
+                r = max(1, round(t * n))
+                row[f"xi_over_n[n={n}]"] = least_root(n, q, r) / n
+            yield row

@@ -287,7 +287,7 @@ class _XorConstraints:
             step = max(1, _PAIR_CHUNK_BYTES // (8 * kN * (2 * L + 2 * kN)))
             batches += [(rows[lo:lo + step], I[lo:lo + step], J[lo:lo + step])
                         for lo in range(0, rows.size, step)]
-        most = max(chunk.size for chunk, _, _ in batches)
+        most = max((chunk.size for chunk, _, _ in batches), default=0)  # m = 0: no rows
         index = (row + (ne + 1) * np.arange(most)[:, None]).ravel()
         return batches, index
 

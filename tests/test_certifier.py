@@ -479,3 +479,34 @@ def test_error_sweep_runs_each_cell_once():
     # at n = 8, r/n = 0.2 and 0.3 both round to r = 2
     rows = list(error_sweep(2, [8], [0.2, 0.3], samples=1))
     assert [(row["n"], row["r"]) for row in rows] == [(8, 2)]
+
+
+@pytest.mark.parametrize("failure, name", [
+    ("gram", "outer Gram certificate"),
+    ("residual", "certificate residual"),
+    ("weights", "certificate weights"),
+])
+def test_certificate_demo_exits_1_on_a_failed_check(monkeypatch, capsys, failure, name):
+    import importlib.util
+    import pathlib
+
+    from cubesos.kernel_certifier import SosCubeCertificate
+    from cubesos.outer_hierarchy import SosVerification
+
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "certificate_demo.py"
+    spec = importlib.util.spec_from_file_location("certificate_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.setattr("sys.argv", ["certificate_demo.py", "--n", "4", "--r", "2"])
+    assert demo.main() == 0
+    if failure == "gram":
+        monkeypatch.setattr(demo, "verify_sos_certificate",
+                            lambda res, f: SosVerification(1.0, -1.0, False, False))
+    else:
+        verify = SosCubeCertificate.verify
+        bad = {"residual": ("max_residual", 1.0), "weights": ("min_weight", -1.0)}[failure]
+        monkeypatch.setattr(SosCubeCertificate, "verify",
+                            lambda self, f: {**verify(self, f), bad[0]: bad[1]})
+    capsys.readouterr()
+    assert demo.main() == 1
+    assert capsys.readouterr().err == f"check failed: {name}\n"

@@ -114,23 +114,17 @@ def test_rho_finite_qary():
 
 
 def test_lp_simple_box():
-    sol = solve_lp([1.0], [[1.0]], [1.0], "max")
+    sol = solve_lp([1.0], [[1.0]], [1.0])
     assert sol.status == "optimal" and sol.value == pytest.approx(1.0)
 
 
-def test_lp_min_sense():
-    sol = solve_lp([1.0, 2.0], [[-1.0, 0.0], [0.0, -1.0]], [-1.0, -2.0], "min")
-    assert sol.status == "optimal"
-    assert sol.value == pytest.approx(5.0)  # x >= (1, 2) forced by constraints
-
-
 def test_lp_unbounded():
-    sol = solve_lp([1.0], [[-1.0]], [0.0], "max")
+    sol = solve_lp([1.0], [[-1.0]], [0.0])
     assert sol.status == "unbounded"
 
 
 def test_lp_infeasible():
-    sol = solve_lp([1.0], [[1.0], [-1.0]], [1.0, -2.0], "max")
+    sol = solve_lp([1.0], [[1.0], [-1.0]], [1.0, -2.0])
     assert sol.status == "infeasible"
 
 
@@ -138,7 +132,7 @@ def test_lp_degenerate_tie_terminates():
     # several identical rows force degenerate pivots; Bland's rule terminates
     A = [[1.0, 1.0]] * 4 + [[1.0, 0.0]]
     b = [1.0] * 4 + [0.5]
-    sol = solve_lp([1.0, 1.0], A, b, "max")
+    sol = solve_lp([1.0, 1.0], A, b)
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(1.0)
 
@@ -148,7 +142,7 @@ def test_lp_objective_matches_substitution():
     A = rng.uniform(0, 1, (6, 3))
     b = rng.uniform(1, 2, 6)
     c = rng.uniform(-1, 1, 3)
-    sol = solve_lp(c, A, b, "max")
+    sol = solve_lp(c, A, b)
     assert sol.status == "optimal"
     assert np.all(A @ sol.x <= b + 1e-9)
     assert np.all(sol.x >= -1e-12)

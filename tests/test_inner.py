@@ -19,10 +19,8 @@ from cubesos.cube_fourier import (
 from cubesos.inner_hierarchy import (
     _block_matrix,
     inner_cube,
-    inner_cube_symmetrized,
     inner_matrix,
     inner_univariate_values,
-    symmetrize_to_univariate,
 )
 from cubesos.instances import maxcut_instance, random_matrix_poly, random_poly
 from cubesos.krawtchouk import DiscreteMeasure, least_root
@@ -109,7 +107,6 @@ def test_cube_constant():
 def test_cube_zero_polynomial():
     f = CubePolynomial(5, {})
     assert inner_cube(f, 2).value == pytest.approx(0.0, abs=1e-14)
-    assert inner_cube_symmetrized(f, 2).value == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cube_order_zero_is_average():
@@ -128,36 +125,6 @@ def test_cube_upper_bounds_minimum():
         f = random_poly(8, 3, seed=seed)
         fmin, _ = brute_force_min(f)
         assert inner_cube(f, 2).value >= fmin - 1e-8
-
-
-# ---------------------------------------------------------------------------
-# symmetrized
-
-
-def test_symmetrized_weight_profile():
-    F = symmetrize_to_univariate(weight_poly(6))
-    assert np.allclose(F, np.arange(7.0))
-
-
-def test_symmetrized_equals_univariate_for_invariant_input():
-    n, r = 8, 3
-    res = inner_cube_symmetrized(weight_poly(n), r)
-    assert res.value == pytest.approx(least_root(n, 2, r + 1), abs=1e-9)
-
-
-def test_symmetrized_constant():
-    f = CubePolynomial.constant(5, 1.75)
-    assert inner_cube_symmetrized(f, 2).value == pytest.approx(1.75, abs=1e-12)
-
-
-def test_symmetrized_dominates_inner():
-    for seed in range(5):
-        f = random_poly(8, 3, seed=100 + seed)
-        fmin, _ = brute_force_min(f)
-        v_in = inner_cube(f, 2).value
-        v_sym = inner_cube_symmetrized(f, 2).value
-        assert fmin <= v_in + 1e-9
-        assert v_in <= v_sym + 1e-8
 
 
 # ---------------------------------------------------------------------------

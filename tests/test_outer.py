@@ -72,10 +72,10 @@ def test_sdp_diagonal_reduces_to_lp():
     a = rng.uniform(0.5, 1.5, N)
     sol = solve_dense(np.diag(c), [np.diag(a)], [3.0])
     assert sol.status == "optimal"
-    # LP: min c.x s.t. a.x = 3, x >= 0
-    lp = solve_lp(c, np.vstack([a, -a]), np.array([3.0, -3.0]), "min")
+    # LP: min c.x s.t. a.x = 3, x >= 0, as -max(-c).x
+    lp = solve_lp(-c, np.vstack([a, -a]), np.array([3.0, -3.0]))
     assert lp.status == "optimal"
-    assert sol.primal_obj == pytest.approx(lp.value, abs=1e-6)
+    assert sol.primal_obj == pytest.approx(-lp.value, abs=1e-6)
 
 
 def test_sdp_max_iter_is_not_reported_optimal(monkeypatch):
