@@ -85,6 +85,21 @@ def masks_up_to_weight(n: int, r: int) -> np.ndarray:
     return np.concatenate(levels)
 
 
+def xor_rows(masks: np.ndarray, classes: np.ndarray, k: int) -> np.ndarray:
+    """The class index of a k x k block matrix over the characters ``masks``:
+    entry ((i, a), (j, b)) gets beta * e + c, where beta numbers the block
+    (min(i, j), max(i, j)) in row-major order of the upper triangle, e is
+    ``classes.size`` and c the position of a XOR b in ``classes``, which
+    must hold every such XOR. A kN x kN int64 array; no 2^n array is built."""
+    N, e = masks.size, classes.size
+    sorter = np.argsort(classes)
+    cls = sorter[np.searchsorted(classes, np.bitwise_xor.outer(masks, masks), sorter=sorter)]
+    i, j = np.triu_indices(k)
+    block = np.empty((k, k), dtype=np.int64)
+    block[i, j] = block[j, i] = np.arange(i.size)
+    return (block[:, None, :, None] * e + cls[None, :, None, :]).reshape(k * N, k * N)
+
+
 def mask_to_bitstring(mask: int, n: int) -> str:
     return "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
 

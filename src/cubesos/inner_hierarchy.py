@@ -9,7 +9,9 @@ convolution by fhat restricted to those characters. ``_cube_bound`` picks
 the product A v once, by one cost rule, and builds only that one:
 
 - the formed matrix, solved by eigh, below a size switch (the cube of the
-  size against the cheaper of the other two products' costs);
+  size against the cheaper of the other two products' costs): fhat over the
+  classes of weight <= 2r, read through ``cube_fourier.xor_rows``, the
+  class index of the outer bound's constraint map;
 - above it, Lanczos (ARPACK) on the cheaper of
   - the sparse XOR gather: row a of a block reads fhat only on its support S
     at weights <= 2r, at the columns a XOR c of weight <= r, so A is one CSR
@@ -47,6 +49,7 @@ from .cube_fourier import (
     masks_up_to_weight,
     popcount_table,
     spectrum,
+    xor_rows,
 )
 from .krawtchouk import DiscreteMeasure, orthonormal_table
 
@@ -147,22 +150,6 @@ def inner_univariate_values(
     return _result((table * (gv * measure.weights)) @ table.T, r + 1, r)
 
 
-def _block_matrix(masks: np.ndarray, k: int, spectra: dict) -> np.ndarray:
-    """A[(i,a),(j,b)] = fhat_ij(a XOR b) over the given characters, from the
-    upper-triangle spectra; block (j, i) repeats block (i, j), which is
-    symmetric."""
-    xor = np.bitwise_xor.outer(masks, masks)
-    N = masks.size
-    A = np.zeros((k * N, k * N))
-    for (i, j), fhat in spectra.items():
-        block = A[i * N:(i + 1) * N, j * N:(j + 1) * N]
-        # every index is in range; "clip" writes in place, unbuffered
-        np.take(fhat, xor, out=block, mode="clip")
-        if i != j:
-            A[j * N:(j + 1) * N, i * N:(i + 1) * N] = block
-    return A
-
-
 def _gather_block(pos: np.ndarray, masks: np.ndarray, support: np.ndarray,
                   fhat: np.ndarray) -> tuple:
     """CSR arrays (data, indices, indptr) of one block of the gather: row a
@@ -253,7 +240,10 @@ def _cube_bound(n: int, k: int, spectra: dict, r: int) -> InnerBoundResult:
     if not any(s.size for s in supports.values()):
         product, A = "zero", None
     elif size ** 3 <= _DENSE_RATIO * (cheaper + _PRODUCT_OVERHEAD):
-        product, A = "dense", _block_matrix(masks, k, spectra)
+        # every a XOR b lies in the classes of weight <= 2r
+        classes = masks_up_to_weight(n, 2 * r)
+        values = np.concatenate([spectra[i, j][classes] for i in range(k) for j in range(i, k)])
+        product, A = "dense", values[xor_rows(masks, classes, k)]
     elif cheaper < transform_cost:
         product, A = "gather", _gather_matrix(n, masks, k, spectra, supports)
     else:

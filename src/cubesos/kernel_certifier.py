@@ -24,13 +24,13 @@ with ``ValueError``.
 
 ``SosCubeCertificate.json_pieces`` streams the certificate from its arrays:
 the scalar fields through ``json.dumps(..., indent=1)``, then the 2^n weight
-records in mask order, one piece per fixed block, so no more than one block
+records in mask order, one piece per fixed batch, so no more than one batch
 of text exists at once. Each weight is written as its shortest round-trip
 float, exactly as ``float.__repr__`` writes it (which is what ``json``
-writes for a finite float). ``_RecordText`` formats a batch of records at a
-time in one set of arrays: the bitstrings from a byte table, and the
-weights' digits in exact integer arithmetic, with ``repr`` itself for the
-few values that arithmetic leaves open. Non-finite fields are refused
+writes for a finite float). ``_RecordText`` formats one batch of records in
+one set of arrays: the bitstrings from a byte table, and the weights'
+digits in exact integer arithmetic, with ``repr`` itself for the few values
+that arithmetic leaves open. Non-finite fields are refused
 before the first piece, so the text is always strict JSON. ``to_json`` is
 the join of the same pieces, and ``to_dict`` parses it back.
 """
@@ -69,11 +69,6 @@ __all__ = [
     "error_sweep",
 ]
 
-
-# Weight records formatted per piece of ``SosCubeCertificate.json_pieces``:
-# about 1.1 MB of text at n = 20, so writing a certificate holds one block,
-# not 2^n records.
-_RECORD_BLOCK = 1 << 14
 
 # Largest pointwise residual |sum_y w_y u^2(d(x, y)) - (h + delta)| that
 # counts as a verified certificate; the test suite checks against the same.
@@ -152,7 +147,9 @@ def _kernel_sum(spec: KernelSpec, weights: np.ndarray) -> np.ndarray:
 # + '\n  },\n'; the last record of a certificate ends '\n  }\n'.
 # ``_RecordText`` lays out ``_TEXT_BATCH`` records as the rows of one byte
 # array, every field at a fixed column and padded with zero bytes, and
-# deletes the padding as it turns the rows into text.
+# deletes the padding as it turns the rows into text: one piece of
+# ``SosCubeCertificate.json_pieces``, about 290 kB at n = 20, so writing a
+# certificate holds one batch of text, not 2^n records.
 _TEXT_BATCH = 1 << 12
 _HEAD, _MID, _TAIL = b'  {\n   "y": "', b'",\n   "w": ', b"\n  },\n"
 
@@ -202,9 +199,9 @@ _BITS8 = _table([mask_to_bitstring(v, 8).encode() for v in range(256)], np.uint6
 
 
 class _RecordText:
-    """The weight records of a certificate as text, up to ``rows`` records
-    per ``block``, formatted ``batch`` records at a time in arrays that are
-    allocated once, here, and reused.
+    """The weight records of a certificate as text, up to ``batch`` records
+    per ``block``, formatted in arrays that are allocated once, here, and
+    reused.
 
     Each weight is written as ``float.__repr__`` writes it: the shortest
     decimal that reads back to it, the nearest to it among those, laid out
@@ -217,11 +214,10 @@ class _RecordText:
     k = floor(log10 x) that the float log misjudged.
     """
 
-    def __init__(self, n: int, rows: int, batch: int):
+    def __init__(self, n: int, batch: int):
         self.n, self.fallbacks = n, 0
         self._col = len(_HEAD) + n + len(_MID)  # first column of the weight field
         width = self._col + _FIELD + len(_TAIL)
-        self._out = np.empty(rows * width, np.uint8)
         self._text = np.zeros((batch, width), np.uint8)
         for col, const in ((0, _HEAD), (len(_HEAD) + n, _MID), (self._col + _FIELD, _TAIL)):
             self._text[:, col:col + len(const)] = np.frombuffer(const, np.uint8)
@@ -236,22 +232,18 @@ class _RecordText:
         self._dot = np.empty(batch, np.uint8)
         self._dots = np.arange(batch, dtype=np.int64) * width + self._col + 6
 
-    def block(self, weights: np.ndarray, start: int, stop: int, last: bool) -> str:
-        """Records start..stop-1, each ending ",\\n"; with ``last`` the
-        final one ends "\\n", as the last record of the certificate."""
-        end = 0
-        for lo in range(start, stop, len(self._text)):
-            hi = min(lo + len(self._text), stop)
-            text = self._text[:hi - lo]
-            self._write_bits(lo, hi - lo)
-            self._write_weights(weights[lo:hi])
-            if last and hi == stop:
-                text[-1, -2] = 0
-            part = text.tobytes().translate(None, b"\0")
-            text[-1, -2] = ord(",")
-            self._out[end:end + len(part)] = np.frombuffer(part, np.uint8)
-            end += len(part)
-        return str(self._out[:end].data, "ascii")
+    def block(self, x: np.ndarray, start: int, last: bool) -> str:
+        """The records of masks start, start + 1, .. with weights x, each
+        ending ",\\n"; with ``last`` the final one ends "\\n", as the last
+        record of the certificate."""
+        text = self._text[:len(x)]
+        self._write_bits(start, len(x))
+        self._write_weights(x)
+        if last:
+            text[-1, -2] = 0
+        part = text.tobytes().translate(None, b"\0")
+        text[-1, -2] = ord(",")
+        return str(part, "ascii")
 
     def _write_bits(self, start: int, size: int) -> None:
         """The bitstrings of masks start..start+size-1, character i bit i."""
@@ -486,7 +478,7 @@ class SosCubeCertificate:
     def json_pieces(self):
         """The certificate as JSON text in ``json.dumps(..., indent=1)``
         layout, newline-terminated, as an iterator of pieces: the head, one
-        piece per block of ``_RECORD_BLOCK`` weight records, and the tail.
+        piece per batch of ``_TEXT_BATCH`` weight records, and the tail.
 
         Every field is checked for finiteness here, before the first piece
         exists, so a non-finite field raises ValueError and nothing is
@@ -510,11 +502,11 @@ class SosCubeCertificate:
     def _pieces(self, head: str, tail: str):
         size = self.weights.size
         yield head + '"weights": [\n'
-        records = _RecordText(self.n, min(_RECORD_BLOCK, size), min(_TEXT_BATCH, size))
+        records = _RecordText(self.n, min(_TEXT_BATCH, size))
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        for start in range(0, size, _RECORD_BLOCK):
-            stop = min(start + _RECORD_BLOCK, size)
-            yield records.block(weights, start, stop, stop == size)
+        for start in range(0, size, _TEXT_BATCH):
+            stop = min(start + _TEXT_BATCH, size)
+            yield records.block(weights[start:stop], start, stop == size)
         yield " ]" + tail + "\n"
 
     def to_json(self) -> str:

@@ -21,7 +21,8 @@ The constraint map aggregates matrix entries by the XOR of their character
 indices, so each constraint matrix is a 0/1 partial permutation a -> a XOR c
 (Fujisawa, Kojima & Nakata 1997 form the Schur complement of such sparse
 constraints from their nonzeros). The map and its adjoint read one
-precomputed constraint row per Gram entry and touch no 2^n array. The
+precomputed row index per Gram entry (``cube_fourier.xor_rows``, which the
+inner bound's formed matrix reads too) and touch no 2^n array. The
 interior-point Schur complement is then formed one of two ways, picked once
 per solve by a cost rule: row A' is the constraint map applied to W A' W,
 the one product W[:, I] @ W[J, :] over the index pairs of A' (no 2^n
@@ -50,6 +51,7 @@ from .cube_fourier import (
     masks_up_to_weight,
     spectrum,
     value_table,
+    xor_rows,
 )
 
 __all__ = [
@@ -159,17 +161,17 @@ class _XorConstraints:
     (c, i, j), i <= j, reads <A, X> = b where A holds the 0/1 indicator E_c of
     the positions (a, b) with a XOR b = c in blocks (i, j) and (j, i), with
     weight 1/2 on each off-diagonal block. Diagonal blocks carry the classes
-    c != 0. For k > 1 the k - 1 trace rows tr X_ii - tr X_00 follow (E_0 is
-    the identity). k = 1 is the scalar Gram problem.
+    c != 0, and the k - 1 trace rows tr X_ii - tr X_00 follow (E_0 is the
+    identity). k = 1 is the scalar Gram problem.
 
     The map is worked on over extended rows b * e + c: block b of
-    ``blocks``, and index c of the class in ``_ext`` (e of them). ``_row``
-    holds, for each entry (x, y) of the kN x kN Gram, the extended row it
-    feeds: that of block (min(i, j), max(i, j)) and of the class of its two
-    masks, or the dropped slot nb * e when the class is not a row (class 0
-    at k = 1, the diagonal). ``_weight`` is 1 on diagonal-block rows and 1/2
-    on off-diagonal ones. So ``apply`` is one class sum over ``_row`` and
-    ``adjoint`` one gather from it; neither touches a 2^n array.
+    ``blocks`` and index c of every class (e of them), class 0 included.
+    ``_row`` (``cube_fourier.xor_rows``) holds, for each entry of the kN x kN
+    Gram, the extended row it feeds, and ``_weight`` is 1 on diagonal-block
+    rows and 1/2 on off-diagonal ones. So ``apply`` is one class sum over
+    ``_row`` and ``adjoint`` one gather from it; neither touches a 2^n array.
+    ``_restrict`` then drops the class-0 rows of the diagonal blocks and
+    forms the trace rows from them; at k = 1 there are none.
 
     The Schur entry <A, W A' W> is formed by one of two products, picked once
     per solve by a cost rule and named by ``schur_product``:
@@ -187,56 +189,38 @@ class _XorConstraints:
 
     def __init__(self, n: int, masks: np.ndarray, classes: np.ndarray, k: int):
         self.n = n
-        self.k = k
         self.masks = masks
+        self.classes = classes
         self.blocks = [(i, j) for i in range(k) for j in range(i, k)]
-        # Every block is worked on over the same extended rows; for k > 1 the
-        # class-0 rows of the diagonal blocks are kept there to form the trace
-        # rows, then dropped by _restrict.
-        self._ext = classes if k > 1 else classes[1:]
-        e = self._ext.size
-        self.m = e
-        if k > 1:
-            self._zero = np.array([b * e for b, (i, j) in enumerate(self.blocks) if i == j])
-            self._keep = np.setdiff1d(np.arange(len(self.blocks) * e), self._zero)
-            self.m = self._keep.size + k - 1
-        size, N, nb = 1 << n, masks.size, len(self.blocks)
-        block = np.empty((k, k), dtype=np.int64)
-        for b, (i, j) in enumerate(self.blocks):
-            block[i, j] = block[j, i] = b
-        # class index of each pair of masks by a search of the sorted classes;
-        # a class that is not a row (class 0 at k = 1) goes to the dropped slot
-        xor = np.bitwise_xor.outer(masks, masks)
-        sorter = np.argsort(self._ext)
-        cls = np.append(sorter, e)[np.searchsorted(self._ext, xor, sorter=sorter)]
-        kept = np.append(self._ext, -1)[cls] == xor
-        self._row = np.where(kept[None, :, None, :],
-                             block[:, None, :, None] * e + cls[None, :, None, :],
-                             nb * e).reshape(k * N, k * N)
+        size, N, nb, e = 1 << n, masks.size, len(self.blocks), classes.size
+        # constraint row t reads extended row _source[t]: every row but the
+        # class-0 rows of the diagonal blocks, then those of blocks (i, i),
+        # i > 0, less that of block (0, 0) (the trace rows, from _kept on)
+        zero = np.array([b * e for b, (i, j) in enumerate(self.blocks) if i == j])
+        self._source = np.concatenate([np.setdiff1d(np.arange(nb * e), zero), zero[1:]])
+        self._zero, self._kept = zero[0], nb * e - k
+        self.m = self._source.size
+        self._row = xor_rows(masks, classes, k)
         self._weight = np.repeat([1.0 if i == j else 0.5 for i, j in self.blocks], e)
-        # pairs: each extended row class-sums one kN x kN product;
+        # pairs: each constraint row class-sums one kN x kN product;
         # transforms: n-bit transforms of N + 2^n rows per block and of
         # 2^n + e rows per block pair
-        pairs = nb * e * (k * N) ** 2
+        pairs = self.m * (k * N) ** 2
         transforms = n * size * (nb * (N + size) + nb * (nb + 1) // 2 * (size + e))
         self.schur_product = "pairs" if _PAIR_RATIO * pairs <= transforms else "transforms"
 
     def _restrict(self, v: np.ndarray) -> np.ndarray:
         """Extended rows (axis 0) -> constraint rows: drop the class-0 rows of
         the diagonal blocks and append their differences to block (0, 0)."""
-        if self.k == 1:
-            return v
-        return np.concatenate([v[self._keep], v[self._zero[1:]] - v[self._zero[0]]])
+        out = v[self._source]
+        out[self._kept:] -= v[self._zero]
+        return out
 
     def _extend(self, y: np.ndarray) -> np.ndarray:
         """Transpose of _restrict."""
-        if self.k == 1:
-            return y
-        mr = self._keep.size
-        out = np.zeros(len(self.blocks) * self._ext.size)
-        out[self._keep] = y[:mr]
-        out[self._zero[1:]] += y[mr:]
-        out[self._zero[0]] -= y[mr:].sum()
+        out = np.zeros(self._weight.size)
+        out[self._source] = y
+        out[self._zero] -= y[self._kept:].sum()
         return out
 
     def _slice(self, i: int) -> slice:
@@ -246,21 +230,21 @@ class _XorConstraints:
     def gather(self, per_block) -> np.ndarray:
         """Constraint rows of per-block class sums (arrays of length 2^n, in
         the order of ``blocks``); with Fourier coefficients this is b."""
-        return self._restrict(np.concatenate([v[self._ext] for v in per_block]))
+        return self._restrict(np.concatenate([v[self.classes] for v in per_block]))
 
     def _class_sums(self, X: np.ndarray, index: np.ndarray) -> np.ndarray:
         """<A, X_p> on every extended row of p stacked kN x kN matrices, by one
-        bincount over ``index``: ``_row`` repeated, copy p offset by p (ne + 1)."""
+        bincount over ``index``: ``_row`` repeated, copy p offset by p ne."""
         ne = self._weight.size
         p = X.size // self._row.size
-        sums = np.bincount(index[:X.size], weights=X.ravel(), minlength=p * (ne + 1))
-        return sums.reshape(p, ne + 1)[:, :-1] * self._weight
+        sums = np.bincount(index[:X.size], weights=X.ravel(), minlength=p * ne)
+        return sums.reshape(p, ne) * self._weight
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return self._restrict(self._class_sums(X, self._row.ravel())[0])
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return np.append(self._extend(y) * self._weight, 0.0)[self._row]
+        return (self._extend(y) * self._weight)[self._row]
 
     def schur(self, W: np.ndarray) -> np.ndarray:
         if self.schur_product == "pairs":
@@ -279,7 +263,7 @@ class _XorConstraints:
         # every Gram entry grouped by its row, in raster order within a row
         order = np.argsort(row, kind="stable")
         first = np.searchsorted(row[order], np.arange(ne))
-        count = np.bincount(row, minlength=ne + 1)[:ne]
+        count = np.bincount(row, minlength=ne)
         batches = []
         for L in np.unique(count):
             rows = np.flatnonzero(count == L)
@@ -287,8 +271,8 @@ class _XorConstraints:
             step = max(1, _PAIR_CHUNK_BYTES // (8 * kN * (2 * L + 2 * kN)))
             batches += [(rows[lo:lo + step], I[lo:lo + step], J[lo:lo + step])
                         for lo in range(0, rows.size, step)]
-        most = max((chunk.size for chunk, _, _ in batches), default=0)  # m = 0: no rows
-        index = (row + (ne + 1) * np.arange(most)[:, None]).ravel()
+        most = max(chunk.size for chunk, _, _ in batches)
+        index = (row + ne * np.arange(most)[:, None]).ravel()
         return batches, index
 
     def _schur_pairs(self, W: np.ndarray) -> np.ndarray:
@@ -300,7 +284,12 @@ class _XorConstraints:
             # W is symmetric: W[:, I] is W[I, :] transposed
             M = np.matmul(W[I].transpose(0, 2, 1), W[J])
             S[rows] = self._class_sums(M, index) * self._weight[rows, None]
-        return self._restrict(self._restrict(S).T)
+        # restricted one axis at a time, each dropping the array before it,
+        # and handed over as the transpose of the rows formed here, in
+        # Fortran order: the order of S's memory sets how the solver's
+        # S @ dy sums, and with it the last bits of every iterate
+        S = self._restrict(S.T).T
+        return self._restrict(S).T
 
     def _schur_transforms(self, W: np.ndarray) -> np.ndarray:
         """Schur complement from the 2-D Walsh-Hadamard spectra of the
@@ -339,13 +328,17 @@ class _XorConstraints:
                 else:
                     acc = sum(spectrum(q, s) * spectrum(p, t)
                               for p, q in sides(i, j) for s, t in sides(i2, j2))
-                half = _kron_transform(_HADAMARD, acc)[self._ext]
+                half = _kron_transform(_HADAMARD, acc)[self.classes]
                 del acc
-                block = _kron_transform(_HADAMARD, half)[self._ext]
+                block = _kron_transform(_HADAMARD, half)[self.classes]
+                del half
                 block *= (0.5 if i != j else 1.0) * (0.5 if i2 != j2 else 1.0) / (float(size) * size)
                 rows[a][b], rows[b][a] = block, block.T
         S = rows[0][0] if nb == 1 else np.block(rows)
-        return self._restrict(self._restrict(S).T)
+        # restricted as in _schur_pairs, rows first and in C order
+        del rows, block
+        S = self._restrict(S)
+        return self._restrict(S.T)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +486,8 @@ class OuterBoundResult:
     order: int
     basis: np.ndarray      # character masks indexing the Gram matrix
     moment_value: float    # dual (moment-side) objective
+    # scalar input: moments[i] = y_c for c = masks_up_to_weight(n, 2r)[i],
+    # y_0 = 1; None for matrix input
     moments: np.ndarray | None
     diagnostics: dict = field(default_factory=dict)
 
@@ -507,8 +502,7 @@ def _outer_sdp(n: int, k: int, fhat: dict, r: int) -> OuterBoundResult:
     not depend on the scale. Every input thus reaches the IPM at the same scale, even
     coefficients near the float range."""
     masks = masks_up_to_weight(n, r)
-    classes = masks_up_to_weight(n, 2 * r)
-    ops = _XorConstraints(n, masks, classes, k)
+    ops = _XorConstraints(n, masks, masks_up_to_weight(n, 2 * r), k)
     b = ops.gather([fhat[block] for block in ops.blocks])
     scale = float(np.max(np.abs(b), initial=0.0)) or 1.0
     b = b / scale
@@ -517,18 +511,13 @@ def _outer_sdp(n: int, k: int, fhat: dict, r: int) -> OuterBoundResult:
         raise SolverError(f"SDP did not converge: status={sol.status}, "
                           f"gap={sol.rel_gap:.2e}, pres={sol.primal_res:.2e}")
     trace_f0 = sum(fhat[i, i][0] for i in range(k))
-    moments = None
-    if k == 1:
-        moments = np.zeros(1 << n)
-        moments[0] = 1.0
-        moments[classes[1:]] = -sol.y
     return OuterBoundResult(
         value=float((trace_f0 - scale * sol.primal_obj) / k),
         gram=sol.X * scale,
         order=r,
         basis=masks,
         moment_value=float((trace_f0 - scale * sol.dual_obj) / k),
-        moments=moments,
+        moments=np.append(1.0, -sol.y) if k == 1 else None,
         diagnostics={
             "status": sol.status,
             "iterations": sol.iterations,
@@ -573,7 +562,13 @@ class SosVerification:
 
 def verify_sos_certificate(result: OuterBoundResult, f: CubePolynomial) -> SosVerification:
     """Check the Gram reconstruction sum_{a,b} G[a,b] chi_{a XOR b} = f - value
-    on every cube point to 1e-6, and positive semidefiniteness of G to 1e-8."""
+    on every cube point to 1e-6, and positive semidefiniteness of G to 1e-8.
+    Scalar input only: raises ValueError unless G is N x N for a basis of N
+    characters (a matrix result's Gram is kN x kN)."""
+    N = result.basis.size
+    if result.gram.shape != (N, N):
+        raise ValueError(f"Gram matrix of shape {result.gram.shape} does not match "
+                         f"the basis of {N} characters: the check takes scalar input only")
     fvals = value_table(f)
     coeffs = np.zeros(fvals.size)
     xor_flat = np.bitwise_xor.outer(result.basis, result.basis).ravel()

@@ -276,26 +276,25 @@ def test_to_json_matches_record_by_record_json(n, r, tight):
 def test_json_pieces_span_blocks_and_end_on_a_partial_one(monkeypatch, n, r):
     from cubesos import kernel_certifier
 
-    monkeypatch.setattr(kernel_certifier, "_RECORD_BLOCK", 3)
+    monkeypatch.setattr(kernel_certifier, "_TEXT_BATCH", 3)
     cert = certify(random_poly(n, 2, seed=n), r)
     pieces = list(cert.json_pieces())
-    assert (1 << n) % 3 != 0  # the last block is partial
-    assert len(pieces) == 1 + -(-(1 << n) // 3) + 1  # head, every block, tail
+    assert (1 << n) % 3 != 0  # the last batch is partial
+    assert len(pieces) == 1 + -(-(1 << n) // 3) + 1  # head, every batch, tail
     assert "".join(pieces) == _json_of_records(cert) == cert.to_json()
 
 
-@pytest.mark.parametrize("block, batch", [(5, 3), (7, 2), (3, 8)])
-def test_json_pieces_with_text_batches_across_blocks(monkeypatch, block, batch):
-    # the records of a block are formatted batch rows at a time; here a
-    # batch ends inside a block, or is wider than the block
+@pytest.mark.parametrize("batch", [3, 5, 7, 64, 100])
+def test_json_pieces_with_text_batches_of_every_fit(monkeypatch, batch):
+    # 2^6 records in batches that leave a partial last one, fill the
+    # certificate exactly or are wider than it
     from cubesos import kernel_certifier
 
-    monkeypatch.setattr(kernel_certifier, "_RECORD_BLOCK", block)
     monkeypatch.setattr(kernel_certifier, "_TEXT_BATCH", batch)
     for tight in (False, True):
         cert = certify(random_poly(6, 2, seed=6), 3, tight=tight)
         pieces = list(cert.json_pieces())
-        assert len(pieces) == 1 + -(-64 // block) + 1
+        assert len(pieces) == 1 + -(-64 // batch) + 1
         assert "".join(pieces) == _json_of_records(cert)
 
 
@@ -304,13 +303,14 @@ def test_json_pieces_with_text_batches_across_blocks(monkeypatch, block, batch):
 
 
 def _weight_texts(values):
-    """The "w" texts of a records writer over values (n = 0, one block),
-    and the number of values it left to repr."""
+    """The "w" texts of a records writer over values (n = 0, blocks of 64
+    records), and the number of values it left to repr."""
     from cubesos.kernel_certifier import _RecordText
 
     x = np.array(values, dtype=np.float64)
-    records = _RecordText(0, x.size, 64)
-    text = records.block(x, 0, x.size, True)
+    records = _RecordText(0, 64)
+    text = "".join(records.block(x[lo:lo + 64], lo, lo + 64 >= x.size)
+                   for lo in range(0, x.size, 64))
     return re.findall(r'"w": (.*)\n', text), records.fallbacks
 
 
@@ -382,8 +382,9 @@ def test_weight_text_of_certificates_is_nearly_all_integer_path(n, tight):
     from cubesos.kernel_certifier import _RecordText
 
     weights = certify(random_poly(n, 2, seed=n), n // 3, tight=tight).weights
-    records = _RecordText(n, weights.size, 4096)
-    records.block(weights, 0, weights.size, True)
+    records = _RecordText(n, 4096)
+    for lo in range(0, weights.size, 4096):
+        records.block(weights[lo:lo + 4096], lo, lo + 4096 >= weights.size)
     assert records.fallbacks <= 0.001 * weights.size
 
 

@@ -17,7 +17,6 @@ from cubesos.cube_fourier import (
     value_table,
 )
 from cubesos.inner_hierarchy import (
-    _block_matrix,
     inner_cube,
     inner_matrix,
     inner_univariate_values,
@@ -213,6 +212,19 @@ def lanczos_calls(monkeypatch):
     return calls
 
 
+def _block_matrix(masks, k, spectra):
+    """Referee of the formed product: A[(i,a),(j,b)] = fhat_ij(a XOR b), one
+    np.take from each 2^n spectrum; block (j, i) repeats block (i, j), which
+    is symmetric."""
+    xor = np.bitwise_xor.outer(masks, masks)
+    N = masks.size
+    A = np.zeros((k * N, k * N))
+    for (i, j), fhat in spectra.items():
+        A[i * N:(i + 1) * N, j * N:(j + 1) * N] = np.take(fhat, xor)
+        A[j * N:(j + 1) * N, i * N:(i + 1) * N] = np.take(fhat, xor)
+    return A
+
+
 def _dense_smallest(n, k, spectra, r):
     return np.linalg.eigvalsh(_block_matrix(masks_up_to_weight(n, r), k, spectra))[0]
 
@@ -372,10 +384,18 @@ def test_three_products_match_dense_reference(monkeypatch, lanczos_calls, gather
     solve, spectra = _operator_input(k)
     monkeypatch.setattr(inner_hierarchy, "_DENSE_RATIO", dense_ratio)
     monkeypatch.setattr(inner_hierarchy, "_GATHER_RATIO", gather_ratio)
+    solved = []
+    eigenpair = inner_hierarchy._smallest_eigenpair
+    monkeypatch.setattr(inner_hierarchy, "_smallest_eigenpair",
+                        lambda A: solved.append(A) or eigenpair(A))
     res = solve()
     size = res.diagnostics["matrix_size"]
+    assert res.diagnostics["product"] == product
     assert lanczos_calls == ([] if product == "dense" else [size])
     assert gather_builds == ([size] if product == "gather" else [])
+    if product == "dense":
+        # the formed matrix is the referee's, entry for entry
+        assert np.array_equal(solved[0], _block_matrix(masks_up_to_weight(9, 3), k, spectra))
     expect = _dense_smallest(9, k, spectra, 3)
     _assert_close(res.diagnostics["eigenvalue"], expect)
     _assert_close(res.value, expect)

@@ -7,6 +7,8 @@ from cubesos.cube_fourier import (
     MatrixPolynomial,
     brute_force_min,
     masks_up_to_weight,
+    point_to_mask,
+    value_table,
 )
 from cubesos.gamma_constants import solve_lp
 from cubesos.inner_hierarchy import inner_cube
@@ -160,11 +162,16 @@ def test_xor_backend_matches_dense(monkeypatch, n, k, r):
     assert rel(xor.adjoint(y), dense.adjoint(y)) <= 1e-12
 
 
-@pytest.mark.parametrize("n,r,product", [(12, 2, "pairs"), (9, 3, "transforms")])
-def test_schur_cost_rule(n, r, product):
+@pytest.mark.parametrize("n,r,k,product", [
+    (12, 2, 1, "pairs"), (9, 3, 1, "transforms"), (9, 2, 1, "pairs"),
+    (5, 2, 2, "transforms"), (4, 2, 3, "transforms"),
+], ids=["12-2-pairs", "9-3-transforms", "9-2-pairs", "5-2-k2-transforms", "4-2-k3-transforms"])
+def test_schur_cost_rule(n, r, k, product):
     # the pairs' gather beats 4^n transforms at r = 2; at (9, 3), N = 130
-    # and the transforms are about three times faster
-    ops = _XorConstraints(n, masks_up_to_weight(n, r), masks_up_to_weight(n, 2 * r), 1)
+    # and the transforms are about three times faster; at the benchmark's
+    # matrix shapes the cube has 2^5 and 2^4 points, so the transforms are
+    # cheap against kN = 32 and 33 Gram rows
+    ops = _XorConstraints(n, masks_up_to_weight(n, r), masks_up_to_weight(n, 2 * r), k)
     assert ops.schur_product == product
 
 
@@ -250,6 +257,23 @@ def test_outer_moments_normalized():
     assert res.moments[0] == 1.0
 
 
+@pytest.mark.parametrize("n, r, seed", [(5, 3, 5), (6, 4, 8)])
+def test_outer_moments_are_the_minimizer_characters_at_an_exact_order(n, r, seed):
+    # 2r >= n + deg - 1 makes the bound exact, and with one minimizer x*,
+    # well apart from the next value, the moments are those of the point
+    # mass at x*: moments[i] = chi_c(x*) for c = masks_up_to_weight(n, 2r)[i]
+    f = random_poly(n, 2, seed=seed)
+    vals = np.sort(value_table(f))
+    assert vals[1] - vals[0] >= 0.1
+    res = outer_cube(f, r)
+    xmask = point_to_mask(brute_force_min(f)[1])
+    classes = masks_up_to_weight(n, 2 * r)
+    chi = np.array([(-1.0) ** bin(int(c) & xmask).count("1") for c in classes])
+    assert res.moments.shape == classes.shape
+    assert res.moments[0] == 1.0
+    assert np.max(np.abs(res.moments - chi)) <= 1e-6
+
+
 def test_outer_r_too_small():
     f = random_poly(5, 3, seed=1)
     with pytest.raises(ValueError):
@@ -286,6 +310,14 @@ def test_verify_certificate_detects_bad_gram():
                           res.moment_value, res.moments, res.diagnostics)
     ver = verify_sos_certificate(bad, f)
     assert not ver.psd
+
+
+def test_verify_certificate_refuses_a_matrix_gram():
+    # a k x k input's Gram is kN x kN over N characters
+    F = random_matrix_poly(4, 2, 2, seed=15)
+    res = outer_matrix(F, 2)
+    with pytest.raises(ValueError, match=r"shape \(22, 22\) does not match the basis of 11 characters"):
+        verify_sos_certificate(res, F.entry(0, 0))
 
 
 def test_verify_zero_polynomial():
