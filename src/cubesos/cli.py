@@ -135,7 +135,9 @@ def cmd_bounds(args) -> str:
         outer = {"r": args.r, "value": res.value,
                  "status": res.diagnostics["status"],
                  "gap": res.diagnostics["rel_gap"],
-                 "schur": res.diagnostics["schur"]}
+                 "schur": res.diagnostics["schur"],
+                 "blocks": res.diagnostics["blocks"],
+                 "constraints": res.diagnostics["constraints"]}
         if args.gram:
             outer["gram"] = res.gram.tolist()
         report["outer"] = outer

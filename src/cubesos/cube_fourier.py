@@ -149,10 +149,16 @@ _TO_FOURIER = _kron_powers([[1, 0.5], [0, -0.5]])  # monomial -> Fourier coeffic
 _FROM_FOURIER = _kron_powers([[1, 1], [0, -2]])  # inverse of _TO_FOURIER
 
 
-def _kron_transform(powers: tuple, values) -> np.ndarray:
-    """values (length 2^n) transformed by K^{(x)n}, _BLOCK_BITS bits per pass;
-    returns a new array and never writes into values. An (R, 2^n) array has
-    each row transformed and comes back transposed, as (2^n, R)."""
+def _kron_transform(powers: tuple, values, buffers=None) -> np.ndarray:
+    """values (length 2^n) transformed by K^{(x)n}, _BLOCK_BITS bits per pass.
+    An (R, 2^n) array has each row transformed and comes back transposed,
+    as (2^n, R).
+
+    Each pass writes into whichever of two flat float64 buffers does not
+    hold its input, and the result is a view of one of them, so no array is
+    allocated per pass. ``buffers`` passes two of at least values.size to
+    reuse (values that lie in one of them may be overwritten); without it
+    two new ones are made, and values is never written."""
     a = np.asarray(values, dtype=np.float64)
     size = a.shape[-1]
     if size & (size - 1):
@@ -160,13 +166,23 @@ def _kron_transform(powers: tuple, values) -> np.ndarray:
     n = size.bit_length() - 1
     out_shape = (size, a.shape[0]) if a.ndim == 2 else (-1,)
     a = a.reshape(-1)
+    if n == 0:
+        return a.copy().reshape(out_shape)
+    if buffers is None:
+        buffers = [np.empty(a.size) for _ in range(2)]
     for done in range(0, n, _BLOCK_BITS):
         b = min(_BLOCK_BITS, n - done)
         # transform the b lowest bits and rotate them to the top (one GEMM);
         # after n bits in all the bit order is back where it started, or for
         # R rows has the row index below the transformed bits
-        a = (powers[b] @ a.reshape(-1, 1 << b).T).reshape(-1)
-    return (a if n > 0 else a.copy()).reshape(out_shape)
+        out = _spare(buffers, a)[:a.size].reshape(1 << b, -1)
+        a = np.matmul(powers[b], a.reshape(-1, 1 << b).T, out=out).reshape(-1)
+    return a.reshape(out_shape)
+
+
+def _spare(buffers, a: np.ndarray) -> np.ndarray:
+    """The one of two buffers that does not hold a."""
+    return buffers[int(np.may_share_memory(a, buffers[0]))]
 
 
 def fwht(values: np.ndarray) -> np.ndarray:

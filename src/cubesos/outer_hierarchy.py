@@ -30,11 +30,22 @@ array), or the XOR cross-correlation of the blocks of the scaling matrix
 through Walsh-Hadamard transforms that touch only the basis rows on the way
 in and the constraint classes on the way out. One such backend serves
 scalar and matrix input; ``diagnostics["schur"]`` names the pick.
+
+The interior-point method works on a list of diagonal Gram blocks. Scalar
+input is split by its sign symmetry: G[a, b] -> (-1)^{s.(a XOR b)} G[a, b]
+keeps the problem for every s orthogonal to H, the GF(2) span of the
+support of fhat, so an optimal Gram is block-diagonal over the cosets of H
+among the basis characters, and only the classes in H constrain it
+(Gatermann & Parrilo 2004). Max-cut's fhat lives on the even masks and
+splits in two; input with linear terms, and matrix input, is one block.
+``diagnostics["blocks"]`` lists the block sizes and
+``diagnostics["constraints"]`` the number of constraints solved.
 """
 
 from __future__ import annotations
 
 import importlib
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,6 +58,7 @@ from .cube_fourier import (
     CubePolynomial,
     MatrixPolynomial,
     _kron_transform,
+    _spare,
     fwht,
     masks_up_to_weight,
     spectrum,
@@ -110,9 +122,9 @@ _PAIR_CHUNK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class SdpSolution:
-    X: np.ndarray
+    X: list  # the diagonal blocks of the primal Gram
     y: np.ndarray
-    Z: np.ndarray
+    Z: list
     primal_obj: float
     dual_obj: float
     gap: float
@@ -128,24 +140,27 @@ class SdpSolution:
 
 
 class _DenseConstraints:
-    """Explicit list of symmetric constraint matrices."""
+    """Explicit list of symmetric constraint matrices on a one-block Gram
+    (matrices pass as one-element lists, as to ``_XorConstraints``)."""
 
     def __init__(self, mats):
         self.mats = [np.asarray(M, dtype=np.float64) for M in mats]
         self.m = len(self.mats)
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
+    def apply(self, X: list) -> np.ndarray:
+        (X,) = X
         return np.array([float(np.tensordot(M, X)) for M in self.mats])
 
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
+    def adjoint(self, y: np.ndarray) -> list:
         N = self.mats[0].shape[0]
         out = np.zeros((N, N))
         for yi, M in zip(y, self.mats):
             if yi != 0.0:
                 out += yi * M
-        return out
+        return [out]
 
-    def schur(self, W: np.ndarray) -> np.ndarray:
+    def schur(self, W: list) -> np.ndarray:
+        (W,) = W
         mids = [W @ M @ W for M in self.mats]
         S = np.empty((self.m, self.m))
         for i in range(self.m):
@@ -164,63 +179,96 @@ class _XorConstraints:
     c != 0, and the k - 1 trace rows tr X_ii - tr X_00 follow (E_0 is the
     identity). k = 1 is the scalar Gram problem.
 
-    The map is worked on over extended rows b * e + c: block b of
-    ``blocks`` and index c of every class (e of them), class 0 included.
-    ``_row`` (``cube_fourier.xor_rows``) holds, for each entry of the kN x kN
-    Gram, the extended row it feeds, and ``_weight`` is 1 on diagonal-block
-    rows and 1/2 on off-diagonal ones. So ``apply`` is one class sum over
-    ``_row`` and ``adjoint`` one gather from it; neither touches a 2^n array.
-    ``_restrict`` then drops the class-0 rows of the diagonal blocks and
-    forms the trace rows from them; at k = 1 there are none.
+    Sign cosets (scalar input only): given ``span``, the reduced echelon
+    basis of a subspace H of F_2^n that holds the support of f's spectrum,
+    the Gram is solved block-diagonal over the cosets of H among the basis
+    masks (``cosets``, in the order of their reduced representatives, H
+    itself first), and only the classes in H are kept (``classes``, at the
+    positions ``kept`` of the classes given). That loses nothing: flipping
+    G[a, b] by (-1)^{s.(a XOR b)} for s orthogonal to H keeps the problem,
+    and the average over those s is an optimal G that is 0 unless
+    a XOR b is in H (Gatermann & Parrilo 2004). Without ``span`` H is
+    everything and the Gram is one block.
 
-    The Schur entry <A, W A' W> is formed by one of two products, picked once
-    per solve by a cost rule and named by ``schur_product``:
+    The map is worked on over extended rows b * e + c: block b of
+    ``blocks`` and index c of every kept class (e of them), class 0
+    included. ``_rows`` (``cube_fourier.xor_rows``, one per coset) holds, for
+    each entry of a coset's Gram block, the extended row it feeds, and
+    ``_weight`` is 1 on diagonal-block rows and 1/2 on off-diagonal ones. So
+    ``apply`` is one class sum over ``_rows`` per coset and ``adjoint`` one
+    gather from them; neither touches a 2^n array. ``_restrict`` then drops
+    the class-0 rows of the diagonal blocks and forms the trace rows from
+    them; at k = 1 there are none. Gram matrices and their Schur arguments
+    pass as lists, one array per coset.
+
+    The Schur entry <A, W A' W> is a sum over cosets, formed by one of two
+    products, picked once per solve by a cost rule and named by
+    ``schur_product``:
 
     - ``pairs``: E_c' is a partial permutation a -> a XOR c', so W A' W is
       the one product W[:, I] @ W[J, :] over the index pairs (I, J) of A',
       and row A' of the Schur complement is ``apply`` of it: one class sum
-      over ``_row`` for a chunk of products at once. No 2^n array; about
-      (kN)^4 multiply-adds and (kN)^2 summed entries per row.
+      over ``_rows`` for a chunk of products at once. No 2^n array; about
+      (kN)^4 multiply-adds and (kN)^2 summed entries per row and coset.
     - ``transforms``: the entry of blocks (p, q) and (s, t) is the XOR
-      cross-correlation of the zero-padded W_qs and W_pt on F_2^{2n} at
-      shift (c, c'), through Walsh-Hadamard transforms that read only the N
-      rows of W and write only the rows of the classes.
+      cross-correlation of the zero-padded W_qs and W_pt at shift (c, c'),
+      through Walsh-Hadamard transforms on the 2^h x 2^h grid of quotient
+      coordinates (the bits of a mask at the h pivot columns of ``span``),
+      which is linear and one-to-one on each coset. The transforms read only
+      the rows of W and write only the rows of the classes, and the squared
+      spectra of all cosets are summed before the one transform back.
     """
 
-    def __init__(self, n: int, masks: np.ndarray, classes: np.ndarray, k: int):
-        self.n = n
+    def __init__(self, n: int, masks: np.ndarray, classes: np.ndarray, k: int,
+                 span: np.ndarray | None = None):
+        if span is None:
+            span = np.left_shift(1, np.arange(n, dtype=np.int64))
+        elif k > 1:
+            raise ValueError("only scalar input splits into sign cosets")
         self.masks = masks
-        self.classes = classes
+        self.h = span.size
+        rep, grid = _quotient(masks, span)
+        _, coset = np.unique(rep, return_inverse=True)
+        order = np.argsort(coset, kind="stable")
+        self.cosets = np.split(order, np.cumsum(np.bincount(coset))[:-1])
+        self._grid = [grid[idx] for idx in self.cosets]
+        rep, grid = _quotient(classes, span)
+        self.kept = np.flatnonzero(rep == 0)
+        self.classes = classes[self.kept]
+        self._class_grid = grid[self.kept]
         self.blocks = [(i, j) for i in range(k) for j in range(i, k)]
-        size, N, nb, e = 1 << n, masks.size, len(self.blocks), classes.size
+        self.sizes = [k * idx.size for idx in self.cosets]
+        nb, e = len(self.blocks), self.classes.size
         # constraint row t reads extended row _source[t]: every row but the
         # class-0 rows of the diagonal blocks, then those of blocks (i, i),
-        # i > 0, less that of block (0, 0) (the trace rows, from _kept on)
+        # i > 0, less that of block (0, 0) (the trace rows, from _trace on)
         zero = np.array([b * e for b, (i, j) in enumerate(self.blocks) if i == j])
         self._source = np.concatenate([np.setdiff1d(np.arange(nb * e), zero), zero[1:]])
-        self._zero, self._kept = zero[0], nb * e - k
+        self._zero, self._trace = zero[0], nb * e - k
         self.m = self._source.size
-        self._row = xor_rows(masks, classes, k)
+        self._rows = [xor_rows(masks[idx], self.classes, k) for idx in self.cosets]
         self._weight = np.repeat([1.0 if i == j else 0.5 for i, j in self.blocks], e)
-        # pairs: each constraint row class-sums one kN x kN product;
-        # transforms: n-bit transforms of N + 2^n rows per block and of
-        # 2^n + e rows per block pair
-        pairs = self.m * (k * N) ** 2
-        transforms = n * size * (nb * (N + size) + nb * (nb + 1) // 2 * (size + e))
+        # pairs: each constraint row class-sums one product per coset;
+        # transforms: h-bit transforms of N_coset + 2^h rows per block and
+        # coset, and of 2^h + e rows per block pair
+        size = 1 << self.h
+        pairs = self.m * sum(s * s for s in self.sizes)
+        transforms = self.h * size * (nb * sum(idx.size + size for idx in self.cosets)
+                                      + nb * (nb + 1) // 2 * (size + e))
         self.schur_product = "pairs" if _PAIR_RATIO * pairs <= transforms else "transforms"
 
     def _restrict(self, v: np.ndarray) -> np.ndarray:
         """Extended rows (axis 0) -> constraint rows: drop the class-0 rows of
         the diagonal blocks and append their differences to block (0, 0)."""
         out = v[self._source]
-        out[self._kept:] -= v[self._zero]
+        out[self._trace:] -= v[self._zero]
         return out
 
     def _extend(self, y: np.ndarray) -> np.ndarray:
         """Transpose of _restrict."""
         out = np.zeros(self._weight.size)
         out[self._source] = y
-        out[self._zero] -= y[self._kept:].sum()
+        out[self._zero] -= y[self._trace:].sum()
         return out
 
     def _slice(self, i: int) -> slice:
@@ -232,58 +280,87 @@ class _XorConstraints:
         the order of ``blocks``); with Fourier coefficients this is b."""
         return self._restrict(np.concatenate([v[self.classes] for v in per_block]))
 
+    def assemble(self, X: list) -> np.ndarray:
+        """The Gram matrix over ``masks`` of per-coset blocks, 0 across cosets."""
+        if len(X) == 1:
+            return X[0]
+        out = np.zeros((self.masks.size, self.masks.size))
+        for idx, block in zip(self.cosets, X):
+            out[np.ix_(idx, idx)] = block
+        return out
+
     def _class_sums(self, X: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """<A, X_p> on every extended row of p stacked kN x kN matrices, by one
-        bincount over ``index``: ``_row`` repeated, copy p offset by p ne."""
+        """<A, X_p> on every extended row of p stacked square matrices of one
+        coset, by one bincount over ``index``: its ``_rows`` entry repeated,
+        copy p offset by p ne."""
         ne = self._weight.size
-        p = X.size // self._row.size
+        p = X.size // X.shape[-1] ** 2
         sums = np.bincount(index[:X.size], weights=X.ravel(), minlength=p * ne)
         return sums.reshape(p, ne) * self._weight
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return self._restrict(self._class_sums(X, self._row.ravel())[0])
+    def apply(self, X: list) -> np.ndarray:
+        sums = self._class_sums(X[0], self._rows[0].ravel())[0]
+        for row, block in zip(self._rows[1:], X[1:]):
+            sums += self._class_sums(block, row.ravel())[0]
+        return self._restrict(sums)
 
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return (self._extend(y) * self._weight)[self._row]
+    def adjoint(self, y: np.ndarray) -> list:
+        ext = self._extend(y) * self._weight
+        return [ext[row] for row in self._rows]
 
-    def schur(self, W: np.ndarray) -> np.ndarray:
+    def schur(self, W: list) -> np.ndarray:
         if self.schur_product == "pairs":
             return self._schur_pairs(W)
         return self._schur_transforms(W)
 
     @cached_property
-    def _pair_plan(self):
-        """The chunks (rows, I, J) of the pair Schur and its class-sum index.
-        A chunk holds extended rows whose A' has L index pairs (both
-        orientations off the diagonal), I and J of shape (rows, L), so
-        W A' W = _weight[row] * W[:, I] @ W[J, :], and as many rows as fit
-        _PAIR_CHUNK_BYTES with their products, operands and index."""
-        row = self._row.ravel()
-        kN, ne = self._row.shape[0], self._weight.size
-        # every Gram entry grouped by its row, in raster order within a row
-        order = np.argsort(row, kind="stable")
-        first = np.searchsorted(row[order], np.arange(ne))
-        count = np.bincount(row, minlength=ne)
-        batches = []
-        for L in np.unique(count):
-            rows = np.flatnonzero(count == L)
-            I, J = np.divmod(order[first[rows, None] + np.arange(L)], kN)
-            step = max(1, _PAIR_CHUNK_BYTES // (8 * kN * (2 * L + 2 * kN)))
-            batches += [(rows[lo:lo + step], I[lo:lo + step], J[lo:lo + step])
-                        for lo in range(0, rows.size, step)]
-        most = max(chunk.size for chunk, _, _ in batches)
-        index = (row + ne * np.arange(most)[:, None]).ravel()
-        return batches, index
+    def _pair_plans(self):
+        """Per coset, the chunks (rows, I, J) of the pair Schur and its
+        class-sum index. A chunk holds extended rows whose A' has L index
+        pairs in the coset's block (both orientations off the diagonal), I
+        and J of shape (rows, L), so W A' W = _weight[row] * W[:, I] @ W[J, :],
+        and as many rows as fit _PAIR_CHUNK_BYTES with their products,
+        operands and index."""
+        ne = self._weight.size
+        plans = []
+        for rows2d in self._rows:
+            row, kN = rows2d.ravel(), rows2d.shape[0]
+            # every Gram entry grouped by its row, in raster order within a row
+            order = np.argsort(row, kind="stable")
+            first = np.searchsorted(row[order], np.arange(ne))
+            count = np.bincount(row, minlength=ne)
+            batches = []
+            for L in np.unique(count[count > 0]):
+                rows = np.flatnonzero(count == L)
+                I, J = np.divmod(order[first[rows, None] + np.arange(L)], kN)
+                step = max(1, _PAIR_CHUNK_BYTES // (8 * kN * (2 * L + 2 * kN)))
+                batches += [(rows[lo:lo + step], I[lo:lo + step], J[lo:lo + step])
+                            for lo in range(0, rows.size, step)]
+            most = max(chunk.size for chunk, _, _ in batches)
+            plans.append((batches, (row + ne * np.arange(most)[:, None]).ravel()))
+        return plans
 
-    def _schur_pairs(self, W: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _unwritten(self) -> np.ndarray:
+        """The extended rows no entry of the first coset's block feeds."""
+        count = np.bincount(self._rows[0].ravel(), minlength=self._weight.size)
+        return np.flatnonzero(count == 0)
+
+    def _schur_pairs(self, W: list) -> np.ndarray:
         """Schur complement whose row A' is ``apply`` of W A' W, a chunk of
-        products W[:, I] @ W[J, :] at a time."""
-        batches, index = self._pair_plan
+        products W[:, I] @ W[J, :] at a time, summed over cosets: the first
+        coset's rows are written, the others' added."""
         S = np.empty((self._weight.size, self._weight.size))
-        for rows, I, J in batches:
-            # W is symmetric: W[:, I] is W[I, :] transposed
-            M = np.matmul(W[I].transpose(0, 2, 1), W[J])
-            S[rows] = self._class_sums(M, index) * self._weight[rows, None]
+        S[self._unwritten] = 0.0
+        for c, (block, (batches, index)) in enumerate(zip(W, self._pair_plans)):
+            for rows, I, J in batches:
+                # W is symmetric: W[:, I] is W[I, :] transposed
+                M = np.matmul(block[I].transpose(0, 2, 1), block[J])
+                sums = self._class_sums(M, index) * self._weight[rows, None]
+                if c:
+                    S[rows] += sums
+                else:
+                    S[rows] = sums
         # restricted one axis at a time, each dropping the array before it,
         # and handed over as the transpose of the rows formed here, in
         # Fortran order: the order of S's memory sets how the solver's
@@ -291,22 +368,73 @@ class _XorConstraints:
         S = self._restrict(S.T).T
         return self._restrict(S).T
 
-    def _schur_transforms(self, W: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _buffers(self) -> list:
+        """Two flat arrays of one 2^h x 2^h grid each, reused by every pass
+        of every transform in the solve."""
+        size = 1 << self.h
+        return [np.empty(size * size) for _ in range(2)]
+
+    @cached_property
+    def _sum(self) -> np.ndarray:
+        """The squared spectra of the cosets, summed (more than one coset)."""
+        size = 1 << self.h
+        return np.empty((size, size))
+
+    def _spectrum(self, W: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        """2-D Walsh-Hadamard spectrum of W with its rows and columns placed
+        at ``grid``: the rows transformed along the column bits, then every
+        column along the row bits. A view of one of the buffers."""
+        bufs, size = self._buffers, 1 << self.h
+        padded = bufs[0][:W.shape[0] * size].reshape(-1, size)
+        padded.fill(0.0)
+        padded[:, grid] = W
+        half = _kron_transform(_HADAMARD, padded, bufs)
+        spread = _spare(bufs, half)[:size * size].reshape(size, size)
+        spread.fill(0.0)
+        spread[:, grid] = half
+        return _kron_transform(_HADAMARD, spread, bufs)
+
+    def _back(self, acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """acc transformed back along its columns, cut to the grid rows
+        ``rows`` and those transformed along the other axis: a
+        (2^h, rows.size) view of one of the buffers."""
+        bufs = self._buffers
+        half = _kron_transform(_HADAMARD, acc, bufs)
+        # the indices are in range, and mode="raise" would buffer the output
+        cut = _spare(bufs, half)[:rows.size * half.shape[1]].reshape(rows.size, -1)
+        np.take(half, rows, axis=0, out=cut, mode="clip")
+        return _kron_transform(_HADAMARD, cut, bufs)
+
+    def _schur_transforms(self, W: list) -> np.ndarray:
         """Schur complement from the 2-D Walsh-Hadamard spectra of the
-        zero-padded blocks of W: each block's N rows are transformed along
-        the column bits, then every column along the row bits; a product of
-        spectra is transformed back along one axis, cut to the classes, and
-        only those rows are transformed along the other."""
-        size = 1 << self.n
-        spectra = {}
-        for i, j in self.blocks:
-            padded = np.zeros((self.masks.size, size))
-            padded[:, self.masks] = W[self._slice(i), self._slice(j)]
-            half = np.zeros((size, size))
-            half[:, self.masks] = _kron_transform(_HADAMARD, padded)
-            del padded
-            spectra[i, j] = _kron_transform(_HADAMARD, half)
-            del half
+        zero-padded blocks of W: a product of spectra is transformed back
+        along one axis, cut to the classes, and only those rows are
+        transformed along the other."""
+        size = 1 << self.h
+        scale = 1.0 / (float(size) * size)
+        if len(self.blocks) == 1:
+            acc = None
+            for block, grid in zip(W, self._grid):
+                spec = self._spectrum(block, grid)
+                if acc is None:
+                    # one coset squares its spectrum where it lies
+                    acc = spec if len(W) == 1 else self._sum
+                    np.multiply(spec, spec, out=acc)
+                else:
+                    spec *= spec
+                    acc += spec
+            # both gathers cut straight to the constraint rows (class 0 is
+            # not one), and S comes out in C order: the order of its memory
+            # sets the last bits of the solver's S @ dy, as in _schur_pairs
+            rows = self._class_grid[1:]
+            S = np.take(self._back(acc, rows), rows, axis=0)
+            S *= scale
+            return S
+
+        (grid,) = self._grid
+        spectra = {(i, j): self._spectrum(W[0][self._slice(i), self._slice(j)], grid).copy()
+                   for i, j in self.blocks}
 
         def spectrum(p, q):
             return spectra[p, q] if p <= q else spectra[q, p].T
@@ -328,17 +456,50 @@ class _XorConstraints:
                 else:
                     acc = sum(spectrum(q, s) * spectrum(p, t)
                               for p, q in sides(i, j) for s, t in sides(i2, j2))
-                half = _kron_transform(_HADAMARD, acc)[self.classes]
+                block = np.take(self._back(acc, self._class_grid), self._class_grid, axis=0)
                 del acc
-                block = _kron_transform(_HADAMARD, half)[self.classes]
-                del half
-                block *= (0.5 if i != j else 1.0) * (0.5 if i2 != j2 else 1.0) / (float(size) * size)
+                block *= (0.5 if i != j else 1.0) * (0.5 if i2 != j2 else 1.0) * scale
                 rows[a][b], rows[b][a] = block, block.T
-        S = rows[0][0] if nb == 1 else np.block(rows)
+        S = np.block(rows)
         # restricted as in _schur_pairs, rows first and in C order
         del rows, block
         S = self._restrict(S)
         return self._restrict(S.T)
+
+
+def _span(n: int, support: np.ndarray) -> np.ndarray:
+    """Reduced echelon basis over GF(2) of the span H of the masks in
+    ``support``, sorted: each vector's highest bit is its pivot column, which
+    no other vector has set. The elimination stops once the rank reaches n,
+    where the basis is the n unit masks."""
+    rest = np.asarray(support, dtype=np.int64)
+    basis = []
+    while len(basis) < n:
+        rest = rest[rest != 0]
+        if not rest.size:
+            break
+        # rest is reduced by every vector so far, and so is v
+        v = int(rest[0])
+        p = v.bit_length() - 1
+        basis = [u ^ v if u >> p & 1 else u for u in basis]
+        basis.append(v)
+        rest = rest ^ (v * ((rest >> p) & 1))
+    return np.sort(np.array(basis, dtype=np.int64))
+
+
+def _quotient(masks: np.ndarray, span: np.ndarray) -> tuple:
+    """(rep, grid) of each mask for the reduced echelon basis ``span`` of H:
+    rep is the mask reduced by the basis, 0 at every pivot column, the same
+    for every mask of a coset of H; grid holds the mask's bits at the pivot
+    columns (bit i at the pivot of span[i]). The mask is rep XOR the basis
+    vectors its grid bits pick, so grid is one-to-one on each coset, and as
+    a bit selection it is linear."""
+    rep, grid = masks.copy(), np.zeros_like(masks)
+    for i, v in enumerate(span.tolist()):
+        bit = (masks >> (v.bit_length() - 1)) & 1
+        rep ^= v * bit
+        grid |= bit << i
+    return rep, grid
 
 
 # ---------------------------------------------------------------------------
@@ -356,27 +517,43 @@ def _max_step(D_scaled: np.ndarray) -> float:
     return -1.0 / lo
 
 
-def _solve_ipm(C, ops, b) -> SdpSolution:
-    N = C.shape[0]
+def _dot(A: list, B: list) -> float:
+    """<A, B> of two block-diagonal matrices given as lists of blocks."""
+    return sum(float(np.tensordot(a, b)) for a, b in zip(A, B))
+
+
+def _norm(A: list) -> float:
+    """Frobenius norm of a block-diagonal matrix given as a list of blocks."""
+    return math.hypot(*(np.linalg.norm(a) for a in A))
+
+
+def _solve_ipm(C: list, ops, b) -> SdpSolution:
+    """min <C, X> subject to ops.apply(X) = b over block-diagonal X >= 0,
+    with C, X and Z lists of the diagonal blocks. The scaling, its
+    eigendecomposition and the step lengths run per block (a step is the
+    shortest over blocks); residuals, gap and mu sum over blocks, and ops
+    sums the one Schur complement over them."""
+    N = sum(c.shape[0] for c in C)
     m = b.size
     normb = 1.0 + np.linalg.norm(b)
-    normC = 1.0 + np.linalg.norm(C)
+    normC = 1.0 + _norm(C)
 
     eta = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
-    X = eta * np.eye(N)
-    Z = max(1.0, float(np.max(np.abs(C)))) * np.eye(N)
+    X = [eta * np.eye(c.shape[0]) for c in C]
+    zeta = max(1.0, max(float(np.max(np.abs(c))) for c in C))
+    Z = [zeta * np.eye(c.shape[0]) for c in C]
     y = np.zeros(m)
 
     def measure(X, y, Z):
         """Residuals, objectives and the optimality test at an iterate."""
         rp = b - ops.apply(X)
-        Rd = C - Z - ops.adjoint(y)
-        pobj = float(np.tensordot(C, X))
+        Rd = [c - z - a for c, z, a in zip(C, Z, ops.adjoint(y))]
+        pobj = _dot(C, X)
         dobj = float(b @ y)
-        gap = float(np.tensordot(X, Z))
+        gap = _dot(X, Z)
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
         pres = float(np.linalg.norm(rp) / normb)
-        dres = float(np.linalg.norm(Rd) / normC)
+        dres = float(_norm(Rd) / normC)
         optimal = pres <= _TOL_FEAS and dres <= _TOL_FEAS and rel_gap <= _TOL_GAP
         return rp, Rd, (pobj, dobj, gap, rel_gap, pres, dres), optimal
 
@@ -389,25 +566,25 @@ def _solve_ipm(C, ops, b) -> SdpSolution:
         if optimal:
             status = "optimal"
             break
-        if np.linalg.norm(y) > 1e13 * normb or np.trace(X) > 1e13 * N * eta:
+        if np.linalg.norm(y) > 1e13 * normb or sum(np.trace(x) for x in X) > 1e13 * N * eta:
             status = "infeasible_detected"
             break
 
         try:
-            Lz = np.linalg.cholesky(Z)
-            M = Lz.T @ X @ Lz
-            s, Q = np.linalg.eigh(M)
-            if s[0] <= 0:
+            Lz = [np.linalg.cholesky(z) for z in Z]
+            s, Q = zip(*(np.linalg.eigh(L.T @ x @ L) for L, x in zip(Lz, X)))
+            if min(sk[0] for sk in s) <= 0:
                 raise np.linalg.LinAlgError("scaled matrix not PD")
         except np.linalg.LinAlgError:
             break  # numerical boundary; report best status below
 
-        mu = float(s.sum()) / N
-        d = np.sqrt(s)
+        mu = sum(float(sk.sum()) for sk in s) / N
+        d = [np.sqrt(sk) for sk in s]
         # R maps the scaled space back: R D R^T = X, R^{-T} D R^{-1} = Z with
         # D = diag(d), and W = R R^T
-        Rq = sla.solve_triangular(Lz, Q, trans="T", lower=True) * (s ** 0.25)
-        W = Rq @ Rq.T
+        Rq = [sla.solve_triangular(L, q, trans="T", lower=True) * (sk ** 0.25)
+              for L, q, sk in zip(Lz, Q, s)]
+        W = [r @ r.T for r in Rq]
         S = ops.schur(W)
         # tiny ridge for safety at the central-path tail, set on S's own
         # diagonal (S + ridge I without two more m x m arrays)
@@ -423,49 +600,56 @@ def _solve_ipm(C, ops, b) -> SdpSolution:
         else:
             break
 
-        A_WRdW = ops.apply(W @ Rd @ W)
-        denom = d[:, None] + d[None, :]
+        A_WRdW = ops.apply([w @ rd @ w for w, rd in zip(W, Rd)])
+        denom = [dk[:, None] + dk[None, :] for dk in d]
 
-        def direction(sigma_mu: float, cc: np.ndarray | None):
+        def direction(sigma_mu: float, cc: list | None):
             """dy, dZ and the scaled steps R^-1 dX R^-T, R^T dZ R; since
             dX = V - W dZ W, the first is Vh minus the second."""
-            Vh = -np.diag(d * d)
-            if sigma_mu:
-                Vh += sigma_mu * np.eye(N)
-            if cc is not None:
-                Vh -= cc
-            Vh *= 2.0 / denom
-            rhs = rp - ops.apply(Rq @ Vh @ Rq.T) + A_WRdW
+            Vh = []
+            for i, dk in enumerate(d):
+                v = -np.diag(dk * dk)
+                if sigma_mu:
+                    v += sigma_mu * np.eye(dk.size)
+                if cc is not None:
+                    v -= cc[i]
+                v *= 2.0 / denom[i]
+                Vh.append(v)
+            rhs = rp - ops.apply([r @ v @ r.T for r, v in zip(Rq, Vh)]) + A_WRdW
             dy = sla.cho_solve(S_fact, rhs)
             # one refinement step against the un-ridged S: near mu -> 0 the
             # ridge swamps S's small eigenvalues and would freeze pres
             dy += sla.cho_solve(S_fact, rhs - S @ dy + ridge * dy)
-            dZ = Rd - ops.adjoint(dy)
-            dZh = Rq.T @ dZ @ Rq
-            return dy, dZ, Vh - dZh, dZh
+            dZ = [rd - a for rd, a in zip(Rd, ops.adjoint(dy))]
+            dZh = [r.T @ dz @ r for r, dz in zip(Rq, dZ)]
+            return dy, dZ, [v - dzh for v, dzh in zip(Vh, dZh)], dZh
+
+        def max_step(dH):
+            return min(_max_step(dh / sc) for dh, sc in zip(dH, scale))
 
         # predictor; step lengths live in the scaled space where both X and Z
         # look like D: max alpha with I + alpha D^{-1/2} M D^{-1/2} >= 0
-        scale = np.sqrt(np.outer(d, d))
+        scale = [np.sqrt(np.outer(dk, dk)) for dk in d]
         _, _, dXh, dZh = direction(0.0, None)
-        ap = min(1.0, _max_step(dXh / scale))
-        ad = min(1.0, _max_step(dZh / scale))
+        ap = min(1.0, max_step(dXh))
+        ad = min(1.0, max_step(dZh))
         # <X + ap dX, Z + ad dZ> = <D + ap dXh, D + ad dZh>
-        D = np.diag(d)
-        mu_aff = float(np.tensordot(D + ap * dXh, D + ad * dZh)) / N
+        D = [np.diag(dk) for dk in d]
+        mu_aff = _dot([Dk + ap * x for Dk, x in zip(D, dXh)],
+                      [Dk + ad * z for Dk, z in zip(D, dZh)]) / N
         sigma = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
         # corrector
-        cc = dXh @ dZh
-        cc = 0.5 * (cc + cc.T)
+        cc = [x @ z for x, z in zip(dXh, dZh)]
+        cc = [0.5 * (c + c.T) for c in cc]
         dy, dZ, dXh, dZh = direction(sigma * mu, cc)
-        ap = min(1.0, _STEP_DAMPING * _max_step(dXh / scale))
-        ad = min(1.0, _STEP_DAMPING * _max_step(dZh / scale))
+        ap = min(1.0, _STEP_DAMPING * max_step(dXh))
+        ad = min(1.0, _STEP_DAMPING * max_step(dZh))
         if ap < 1e-10 and ad < 1e-10:
             break  # stalled
-        X = X + ap * (Rq @ dXh @ Rq.T)
+        X = [x + ap * (r @ dxh @ r.T) for x, r, dxh in zip(X, Rq, dXh)]
         y = y + ad * dy
-        Z = Z + ad * dZ
+        Z = [z + ad * dz for z, dz in zip(Z, dZ)]
     else:
         # every break leaves the iterate measured at the loop head; after the
         # last step it has not been measured yet
@@ -482,12 +666,13 @@ def _solve_ipm(C, ops, b) -> SdpSolution:
 @dataclass(frozen=True)
 class OuterBoundResult:
     value: float           # certified from the Gram side
-    gram: np.ndarray
+    gram: np.ndarray       # over the basis; 0 across sign cosets
     order: int
     basis: np.ndarray      # character masks indexing the Gram matrix
     moment_value: float    # dual (moment-side) objective
     # scalar input: moments[i] = y_c for c = masks_up_to_weight(n, 2r)[i],
-    # y_0 = 1; None for matrix input
+    # y_0 = 1, and 0 off the span of the support of fhat (the symmetric
+    # optimum's moments vanish there); None for matrix input
     moments: np.ndarray | None
     diagnostics: dict = field(default_factory=dict)
 
@@ -502,22 +687,30 @@ def _outer_sdp(n: int, k: int, fhat: dict, r: int) -> OuterBoundResult:
     not depend on the scale. Every input thus reaches the IPM at the same scale, even
     coefficients near the float range."""
     masks = masks_up_to_weight(n, r)
-    ops = _XorConstraints(n, masks, masks_up_to_weight(n, 2 * r), k)
+    classes = masks_up_to_weight(n, 2 * r)
+    # scalar input splits over the sign cosets of the span of f's support
+    span = _span(n, np.flatnonzero(fhat[0, 0])) if k == 1 else None
+    ops = _XorConstraints(n, masks, classes, k, span)
     b = ops.gather([fhat[block] for block in ops.blocks])
     scale = float(np.max(np.abs(b), initial=0.0)) or 1.0
     b = b / scale
-    sol = _solve_ipm(np.eye(k * masks.size), ops, b)
+    sol = _solve_ipm([np.eye(size) for size in ops.sizes], ops, b)
     if sol.status != "optimal":
         raise SolverError(f"SDP did not converge: status={sol.status}, "
                           f"gap={sol.rel_gap:.2e}, pres={sol.primal_res:.2e}")
     trace_f0 = sum(fhat[i, i][0] for i in range(k))
+    moments = None
+    if k == 1:
+        # the symmetric optimum's moments vanish on classes outside the span
+        moments = np.zeros(classes.size)
+        moments[ops.kept] = np.append(1.0, -sol.y)
     return OuterBoundResult(
         value=float((trace_f0 - scale * sol.primal_obj) / k),
-        gram=sol.X * scale,
+        gram=ops.assemble(sol.X) * scale,
         order=r,
         basis=masks,
         moment_value=float((trace_f0 - scale * sol.dual_obj) / k),
-        moments=np.append(1.0, -sol.y) if k == 1 else None,
+        moments=moments,
         diagnostics={
             "status": sol.status,
             "iterations": sol.iterations,
@@ -526,6 +719,8 @@ def _outer_sdp(n: int, k: int, fhat: dict, r: int) -> OuterBoundResult:
             "dual_res": sol.dual_res,
             "k": k,
             "schur": ops.schur_product,
+            "blocks": ops.sizes,
+            "constraints": ops.m,
         },
     )
 

@@ -52,6 +52,9 @@ def test_bounds_maxcut(capsys, k2_file):
     assert report["outer"]["value"] == pytest.approx(-1.0, abs=1e-6)
     assert report["inner"]["value"] >= -1.0 - 1e-9
     assert report["sandwich_ok"] is True
+    # f_hat lives on the masks 0 and 11, so the Gram over {0, 01, 10, 11}
+    # splits into {0, 11} and {01, 10}, and class 11 is the one constraint
+    assert (report["outer"]["blocks"], report["outer"]["constraints"]) == ([2, 2], 1)
 
 
 def test_bounds_which_subset(capsys, k2_file):
@@ -115,6 +118,8 @@ def test_bounds_reports_outer_schur(capsys, r, schur):
     assert code == 0
     outer = json.loads(out)["outer"]
     assert (outer["status"], outer["schur"]) == ("optimal", schur)
+    # random input has linear terms: one block, every class a constraint
+    assert (outer["blocks"], outer["constraints"]) == {2: ([46], 255), 3: ([130], 465)}[r]
 
 
 def test_bounds_outer_converges_where_the_ridge_froze_the_residual(capsys):

@@ -8,6 +8,7 @@ from cubesos.cube_fourier import (
     brute_force_min,
     masks_up_to_weight,
     point_to_mask,
+    spectrum,
     value_table,
 )
 from cubesos.gamma_constants import solve_lp
@@ -17,7 +18,9 @@ from cubesos.outer_hierarchy import (
     OuterBoundResult,
     SolverError,
     _DenseConstraints,
+    _quotient,
     _solve_ipm,
+    _span,
     _XorConstraints,
     outer_cube,
     outer_matrix,
@@ -30,7 +33,7 @@ def weight_poly(n):
 
 
 def solve_dense(C, mats, b):
-    return _solve_ipm(np.asarray(C, dtype=np.float64), _DenseConstraints(mats),
+    return _solve_ipm([np.asarray(C, dtype=np.float64)], _DenseConstraints(mats),
                       np.asarray(b, dtype=np.float64))
 
 
@@ -44,8 +47,8 @@ def test_sdp_rank_one_optimum():
     sol = solve_dense(np.eye(2), [E11], [1.0])
     assert sol.status == "optimal"
     assert sol.primal_obj == pytest.approx(1.0, abs=1e-6)
-    assert sol.X[0, 0] == pytest.approx(1.0, abs=1e-6)
-    assert abs(sol.X[0, 1]) <= 1e-6
+    assert sol.X[0][0, 0] == pytest.approx(1.0, abs=1e-6)
+    assert abs(sol.X[0][0, 1]) <= 1e-6
 
 
 def test_sdp_solution_certificates():
@@ -60,7 +63,7 @@ def test_sdp_solution_certificates():
     Craw = rng.standard_normal((N, N))
     sol = solve_dense(Craw + Craw.T + 2 * N * np.eye(N), mats, b)
     assert sol.status == "optimal"
-    assert np.linalg.eigvalsh(sol.X)[0] >= -1e-8
+    assert np.linalg.eigvalsh(sol.X[0])[0] >= -1e-8
     assert sol.primal_res <= 1e-8
     assert sol.rel_gap <= 1e-7
     assert sol.dual_obj <= sol.primal_obj + 1e-6  # weak duality
@@ -145,34 +148,47 @@ def test_xor_backend_matches_dense(monkeypatch, n, k, r):
         return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
     # both Schur products, whichever the cost rule picks
-    S = dense.schur(W)
+    S = dense.schur([W])
     for schur in (xor.schur, xor._schur_pairs, xor._schur_transforms):
-        assert rel(schur(W), S) <= 1e-12
+        assert rel(schur([W]), S) <= 1e-12
     # a chunk budget of 3 to 6 rows (a row has at most kN index pairs): some
     # batch of the pair Schur spans several chunks and ends on a partial one
     kN = k * masks.size
     monkeypatch.setattr(outer_hierarchy, "_PAIR_CHUNK_BYTES", 3 * 8 * kN * 4 * kN)
     small = _XorConstraints(n, masks, classes, k)
     chunks = {}
-    for rows, I, _ in small._pair_plan[0]:
+    for rows, I, _ in small._pair_plans[0][0]:
         chunks.setdefault(I.shape[1], []).append(rows.size)
     assert any(len(sizes) > 1 and sizes[-1] < sizes[0] for sizes in chunks.values())
-    assert rel(small._schur_pairs(W), S) <= 1e-12
-    assert rel(xor.apply(W), dense.apply(W)) <= 1e-12
-    assert rel(xor.adjoint(y), dense.adjoint(y)) <= 1e-12
+    assert rel(small._schur_pairs([W]), S) <= 1e-12
+    assert rel(xor.apply([W]), dense.apply([W])) <= 1e-12
+    assert rel(xor.adjoint(y)[0], dense.adjoint(y)[0]) <= 1e-12
 
 
-@pytest.mark.parametrize("n,r,k,product", [
-    (12, 2, 1, "pairs"), (9, 3, 1, "transforms"), (9, 2, 1, "pairs"),
-    (5, 2, 2, "transforms"), (4, 2, 3, "transforms"),
-], ids=["12-2-pairs", "9-3-transforms", "9-2-pairs", "5-2-k2-transforms", "4-2-k3-transforms"])
-def test_schur_cost_rule(n, r, k, product):
+def even_span(n):
+    """Reduced echelon basis of the even masks, the span of a connected
+    graph's max-cut spectrum."""
+    return _span(n, np.array([3 << i for i in range(n - 1)]))
+
+
+@pytest.mark.parametrize("n,r,k,split,product", [
+    (12, 2, 1, False, "pairs"), (9, 3, 1, False, "transforms"), (9, 2, 1, False, "pairs"),
+    (5, 2, 2, False, "transforms"), (4, 2, 3, False, "transforms"),
+    (9, 3, 1, True, "transforms"), (12, 2, 1, True, "pairs"),
+], ids=["12-2-pairs", "9-3-transforms", "9-2-pairs", "5-2-k2-transforms", "4-2-k3-transforms",
+        "maxcut-9-3-split-transforms", "maxcut-12-2-split-pairs"])
+def test_schur_cost_rule(n, r, k, split, product):
     # the pairs' gather beats 4^n transforms at r = 2; at (9, 3), N = 130
     # and the transforms are about three times faster; at the benchmark's
     # matrix shapes the cube has 2^5 and 2^4 points, so the transforms are
-    # cheap against kN = 32 and 33 Gram rows
-    ops = _XorConstraints(n, masks_up_to_weight(n, r), masks_up_to_weight(n, 2 * r), k)
+    # cheap against kN = 32 and 33 Gram rows. Split over the even masks,
+    # (9, 3) keeps the transforms on a 2^8 grid (blocks of 37 and 93, 246
+    # classes), and (12, 2) the pairs over blocks of 67 and 12
+    ops = _XorConstraints(n, masks_up_to_weight(n, r), masks_up_to_weight(n, 2 * r), k,
+                          even_span(n) if split else None)
     assert ops.schur_product == product
+    if split:
+        assert len(ops.sizes) == 2 and ops.h == n - 1
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -186,14 +202,139 @@ def test_constraint_map_beyond_the_cap(k):
     B = rng.standard_normal((k * (n + 1), k * (n + 1)))
     X, W = B + B.T, B @ B.T
     y = rng.standard_normal(ops.m)
-    Ay = ops.adjoint(y)
-    assert abs(ops.apply(X) @ y - np.tensordot(X, Ay)) <= 1e-12 * np.linalg.norm(X) * np.linalg.norm(Ay)
-    S = ops.schur(W)
+    (Ay,) = ops.adjoint(y)
+    assert abs(ops.apply([X]) @ y - np.tensordot(X, Ay)) <= 1e-12 * np.linalg.norm(X) * np.linalg.norm(Ay)
+    S = ops.schur([W])
     for j in (0, ops.m // 2, ops.m - 1):
         unit = np.zeros(ops.m)
         unit[j] = 1.0
-        column = ops.apply(W @ ops.adjoint(unit) @ W)
+        column = ops.apply([W @ ops.adjoint(unit)[0] @ W])
         assert np.max(np.abs(S[:, j] - column)) <= 1e-12 * np.max(np.abs(column))
+
+
+# ---------------------------------------------------------------------------
+# sign cosets
+
+
+def span_elements(gens):
+    """Every XOR of a subset of gens, by doubling."""
+    H = {0}
+    for g in gens:
+        H |= {h ^ int(g) for h in H}
+    return H
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sign_cosets_partition_the_basis(seed):
+    # a random subspace H of F_2^n, n <= 12: the cosets partition the basis,
+    # two masks share a coset exactly when their XOR is in H, the kept
+    # classes are those in H, and the grid coordinates are one-to-one on each
+    # coset and linear: grid(a XOR c) = grid(a) XOR grid(c) for c in H
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    r = int(rng.integers(1, min(3, n) + 1))
+    gens = rng.integers(0, 1 << n, size=int(rng.integers(0, n + 1)))
+    # sparse generators too, so that H can hold low-weight masks only
+    gens = np.concatenate([gens, [1 << int(i) ^ 1 << int(j) for i, j in rng.integers(0, n, (2, 2))]])
+    span = _span(n, gens)
+    H = span_elements(gens)
+    assert len(H) == 1 << span.size
+    masks, classes = masks_up_to_weight(n, r), masks_up_to_weight(n, 2 * r)
+    ops = _XorConstraints(n, masks, classes, 1, span)
+    assert np.array_equal(np.sort(np.concatenate(ops.cosets)), np.arange(masks.size))
+    assert ops.sizes == [idx.size for idx in ops.cosets]
+    assert ops.cosets[0][0] == 0  # H itself comes first
+    inH = np.array(sorted(H))
+    assert np.array_equal(ops.classes, classes[np.isin(classes, inH)])
+    assert np.array_equal(classes[ops.kept], ops.classes)
+    label = np.empty(masks.size, dtype=np.int64)
+    for g, idx in enumerate(ops.cosets):
+        label[idx] = g
+    same = label[:, None] == label[None, :]
+    assert np.array_equal(np.isin(np.bitwise_xor.outer(masks, masks), inH), same)
+    sample = rng.choice(inH, size=min(inH.size, 8), replace=False)
+    for idx, grid in zip(ops.cosets, ops._grid):
+        assert np.unique(grid).size == grid.size
+        assert grid.max(initial=0) < 1 << span.size
+        for c in sample:
+            moved = _quotient(masks[idx] ^ c, span)[1]
+            assert np.array_equal(moved, grid ^ _quotient(np.array([c]), span)[1][0])
+
+
+@pytest.mark.parametrize("n,r,seed", [(5, 2, 1), (6, 2, 2), (6, 3, 3), (7, 2, 4)])
+def test_split_map_and_schur_match_dense_on_the_classes_of_the_span(n, r, seed):
+    # a block-diagonal W over the cosets of a random H: the quotient
+    # transforms and the per-coset pairs give the dense Schur complement
+    # restricted to the classes in H, and apply and adjoint the dense map's
+    rng = np.random.default_rng(seed)
+    span = _span(n, rng.integers(0, 1 << n, size=n // 2))
+    masks, classes = masks_up_to_weight(n, r), masks_up_to_weight(n, min(2 * r, n))
+    ops = _XorConstraints(n, masks, classes, 1, span)
+    assert len(ops.cosets) > 1
+    dense = _DenseConstraints(block_constraint_matrices(n, 1, masks, classes))
+    rows = ops.kept[1:] - 1  # dense rows are the classes but class 0
+    W = []
+    for size in ops.sizes:
+        B = rng.standard_normal((size, size))
+        W.append(B @ B.T)
+    full = ops.assemble(W)
+    S = dense.schur([full])[np.ix_(rows, rows)]
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    for schur in (ops._schur_transforms, ops._schur_pairs):
+        assert rel(schur(W), S) <= 1e-12
+    assert rel(ops.apply(W), dense.apply([full])[rows]) <= 1e-12
+    y = np.zeros(dense.m)
+    y[rows] = rng.standard_normal(rows.size)
+    # y is 0 off the span, so the dense adjoint is 0 across cosets
+    assert rel(ops.assemble(ops.adjoint(y[rows])), dense.adjoint(y)[0]) <= 1e-12
+
+
+def maxcut_graph(n, seed):
+    """Weighted G(n, 1/2) with integer weights 1..3, as a max-cut polynomial."""
+    rng = np.random.default_rng(seed)
+    W = np.triu(rng.integers(1, 4, (n, n)) * (rng.random((n, n)) < 0.5), 1)
+    return maxcut_instance(W + W.T)
+
+
+@pytest.mark.parametrize("n,r", [(6, 2), (7, 3), (8, 2), (9, 3), (10, 2), (10, 3), (12, 2)])
+def test_split_matches_one_block_on_maxcut(n, r):
+    f = maxcut_graph(n, 100 + n)
+    fmin = brute_force_min(f)[0]
+    res = outer_cube(f, r)
+    assert res.diagnostics["status"] == "optimal"
+    assert len(res.diagnostics["blocks"]) >= 2
+    assert sum(res.diagnostics["blocks"]) == res.basis.size
+    # the same problem as one block, through the solver directly
+    fhat = spectrum(f)
+    masks, classes = masks_up_to_weight(n, r), masks_up_to_weight(n, 2 * r)
+    ops = _XorConstraints(n, masks, classes, 1)
+    b = ops.gather([fhat])
+    scale = float(np.max(np.abs(b)))
+    sol = _solve_ipm([np.eye(masks.size)], ops, b / scale)
+    assert sol.status == "optimal"
+    whole = fhat[0] - scale * sol.primal_obj
+    assert abs(res.value - whole) <= 1e-9 * abs(whole)
+    assert max(res.value, whole) <= fmin + 1e-6
+    # moments vanish off the span (odd classes), the Gram across cosets
+    odd = np.array([bin(int(c)).count("1") % 2 == 1 for c in classes])
+    assert not res.moments[odd].any() and res.moments[0] == 1.0
+    assert res.diagnostics["constraints"] == np.count_nonzero(~odd) - 1
+    assert verify_sos_certificate(res, f).ok
+
+
+def test_constant_splits_into_one_by_one_blocks():
+    # fhat = c e_0 spans H = {0}: every basis mask is its own coset, and no
+    # class but 0 is in H, so no constraint is left
+    res = outer_cube(CubePolynomial.constant(5, -2.5), 2)
+    assert res.diagnostics["status"] == "optimal"
+    assert res.diagnostics["blocks"] == [1] * 16
+    assert res.diagnostics["constraints"] == 0
+    assert res.value == pytest.approx(-2.5, abs=1e-7)
+    assert res.moments[0] == 1.0 and not res.moments[1:].any()
+    assert np.array_equal(res.gram, np.diag(np.diag(res.gram)))
 
 
 def test_outer_pairs_reach():
