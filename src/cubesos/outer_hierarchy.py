@@ -31,15 +31,15 @@ through Walsh-Hadamard transforms that touch only the basis rows on the way
 in and the constraint classes on the way out. One such backend serves
 scalar and matrix input; ``diagnostics["schur"]`` names the pick.
 
-The interior-point method works on a list of diagonal Gram blocks. Scalar
-input is split by its sign symmetry: G[a, b] -> (-1)^{s.(a XOR b)} G[a, b]
-keeps the problem for every s orthogonal to H, the GF(2) span of the
-support of fhat, so an optimal Gram is block-diagonal over the cosets of H
-among the basis characters, and only the classes in H constrain it
-(Gatermann & Parrilo 2004). Max-cut's fhat lives on the even masks and
-splits in two; input with linear terms, and matrix input, is one block.
-``diagnostics["blocks"]`` lists the block sizes and
-``diagnostics["constraints"]`` the number of constraints solved.
+The interior-point method works on a list of diagonal Gram blocks. Every
+input is split by its sign symmetry: with D = diag((-1)^{s.a}) (x) I_k,
+G -> D G D keeps the problem for every s orthogonal to H, the GF(2) span of
+the supports of all the fhat_ij, so an optimal Gram is block-diagonal over
+the cosets of H among the basis characters, and only the classes in H
+constrain it (Gatermann & Parrilo 2004). Max-cut's fhat, and a matrix of
+max-cut entries, lives on the even masks and splits in two; input with
+linear terms is one block. ``diagnostics["blocks"]`` lists the block sizes
+and ``diagnostics["constraints"]`` the number of constraints solved.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class SdpSolution:
     primal_res: float
     dual_res: float
     iterations: int
-    status: str  # optimal | max_iter | infeasible_detected
+    status: str  # optimal | max_iter | infeasible_detected | numerical
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +179,16 @@ class _XorConstraints:
     c != 0, and the k - 1 trace rows tr X_ii - tr X_00 follow (E_0 is the
     identity). k = 1 is the scalar Gram problem.
 
-    Sign cosets (scalar input only): given ``span``, the reduced echelon
-    basis of a subspace H of F_2^n that holds the support of f's spectrum,
-    the Gram is solved block-diagonal over the cosets of H among the basis
-    masks (``cosets``, in the order of their reduced representatives, H
-    itself first), and only the classes in H are kept (``classes``, at the
-    positions ``kept`` of the classes given). That loses nothing: flipping
-    G[a, b] by (-1)^{s.(a XOR b)} for s orthogonal to H keeps the problem,
-    and the average over those s is an optimal G that is 0 unless
-    a XOR b is in H (Gatermann & Parrilo 2004). Without ``span`` H is
-    everything and the Gram is one block.
+    Sign cosets: given ``span``, the reduced echelon basis of a subspace H
+    of F_2^n that holds the support of every entry's spectrum, the Gram is
+    solved block-diagonal over the cosets of H among the basis masks
+    (``cosets``, in the order of their reduced representatives, H itself
+    first; a coset's block has k x k blocks over its masks), and only the
+    classes in H are kept (``classes``, at the positions ``kept`` of the
+    classes given). That loses nothing: flipping G[(i, a), (j, b)] by
+    (-1)^{s.(a XOR b)} for s orthogonal to H keeps the problem, and the
+    average over those s is an optimal G that is 0 unless a XOR b is in H
+    (Gatermann & Parrilo 2004). Without ``span`` H is everything.
 
     The map is worked on over extended rows b * e + c: block b of
     ``blocks`` and index c of every kept class (e of them), class 0
@@ -215,18 +215,16 @@ class _XorConstraints:
       through Walsh-Hadamard transforms on the 2^h x 2^h grid of quotient
       coordinates (the bits of a mask at the h pivot columns of ``span``),
       which is linear and one-to-one on each coset. The transforms read only
-      the rows of W and write only the rows of the classes, and the squared
-      spectra of all cosets are summed before the one transform back.
+      the rows of W and write only the rows of the classes, and each block
+      pair's products of spectra are summed over the cosets before its one
+      transform back.
     """
 
     def __init__(self, n: int, masks: np.ndarray, classes: np.ndarray, k: int,
                  span: np.ndarray | None = None):
         if span is None:
             span = np.left_shift(1, np.arange(n, dtype=np.int64))
-        elif k > 1:
-            raise ValueError("only scalar input splits into sign cosets")
-        self.masks = masks
-        self.h = span.size
+        self.masks, self.k, self.h = masks, k, span.size
         rep, grid = _quotient(masks, span)
         _, coset = np.unique(rep, return_inverse=True)
         order = np.argsort(coset, kind="stable")
@@ -241,11 +239,16 @@ class _XorConstraints:
         nb, e = len(self.blocks), self.classes.size
         # constraint row t reads extended row _source[t]: every row but the
         # class-0 rows of the diagonal blocks, then those of blocks (i, i),
-        # i > 0, less that of block (0, 0) (the trace rows, from _trace on)
+        # i > 0, less row 0, that of block (0, 0) (the trace rows, from _trace on)
         zero = np.array([b * e for b, (i, j) in enumerate(self.blocks) if i == j])
         self._source = np.concatenate([np.setdiff1d(np.arange(nb * e), zero), zero[1:]])
-        self._zero, self._trace = zero[0], nb * e - k
-        self.m = self._source.size
+        self._trace, self.m = nb * e - k, self._source.size
+        # the transforms Schur writes extended row x to row at[x], row 0 (Z_0)
+        # last; per block: those rows, the slice of its constraint rows, and
+        # 1 if its class 0 is read (first) for the trace rows
+        at = np.argsort(np.append(self._source, 0)).reshape(nb, e)
+        self._at = [(p, slice(p[-1] + 1 - e + (i == j), p[-1] + 1), int(i == j and k > 1))
+                    for p, (i, j) in zip(at, self.blocks)]
         self._rows = [xor_rows(masks[idx], self.classes, k) for idx in self.cosets]
         self._weight = np.repeat([1.0 if i == j else 0.5 for i, j in self.blocks], e)
         # pairs: each constraint row class-sums one product per coset;
@@ -261,19 +264,15 @@ class _XorConstraints:
         """Extended rows (axis 0) -> constraint rows: drop the class-0 rows of
         the diagonal blocks and append their differences to block (0, 0)."""
         out = v[self._source]
-        out[self._trace:] -= v[self._zero]
+        out[self._trace:] -= v[0]
         return out
 
     def _extend(self, y: np.ndarray) -> np.ndarray:
         """Transpose of _restrict."""
         out = np.zeros(self._weight.size)
         out[self._source] = y
-        out[self._zero] -= y[self._trace:].sum()
+        out[0] -= y[self._trace:].sum()
         return out
-
-    def _slice(self, i: int) -> slice:
-        N = self.masks.size
-        return slice(i * N, (i + 1) * N)
 
     def gather(self, per_block) -> np.ndarray:
         """Constraint rows of per-block class sums (arrays of length 2^n, in
@@ -281,12 +280,15 @@ class _XorConstraints:
         return self._restrict(np.concatenate([v[self.classes] for v in per_block]))
 
     def assemble(self, X: list) -> np.ndarray:
-        """The Gram matrix over ``masks`` of per-coset blocks, 0 across cosets."""
+        """The Gram matrix over (coordinate, mask) of per-coset blocks, 0
+        across cosets: a coset's row i * N_c + p lands at i * N + idx[p]."""
         if len(X) == 1:
             return X[0]
-        out = np.zeros((self.masks.size, self.masks.size))
+        N = self.masks.size
+        out = np.zeros((self.k * N, self.k * N))
         for idx, block in zip(self.cosets, X):
-            out[np.ix_(idx, idx)] = block
+            rows = (N * np.arange(self.k)[:, None] + idx).ravel()
+            out[np.ix_(rows, rows)] = block
         return out
 
     def _class_sums(self, X: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -376,10 +378,10 @@ class _XorConstraints:
         return [np.empty(size * size) for _ in range(2)]
 
     @cached_property
-    def _sum(self) -> np.ndarray:
-        """The squared spectra of the cosets, summed (more than one coset)."""
-        size = 1 << self.h
-        return np.empty((size, size))
+    def _sums(self) -> np.ndarray:
+        """Per block pair, its products of spectra summed over the cosets."""
+        size, nb = 1 << self.h, len(self.blocks)
+        return np.empty((nb * (nb + 1) // 2, size, size))
 
     def _spectrum(self, W: np.ndarray, grid: np.ndarray) -> np.ndarray:
         """2-D Walsh-Hadamard spectrum of W with its rows and columns placed
@@ -403,68 +405,59 @@ class _XorConstraints:
         half = _kron_transform(_HADAMARD, acc, bufs)
         # the indices are in range, and mode="raise" would buffer the output
         cut = _spare(bufs, half)[:rows.size * half.shape[1]].reshape(rows.size, -1)
-        np.take(half, rows, axis=0, out=cut, mode="clip")
+        half.take(rows, axis=0, out=cut, mode="clip")
         return _kron_transform(_HADAMARD, cut, bufs)
 
     def _schur_transforms(self, W: list) -> np.ndarray:
         """Schur complement from the 2-D Walsh-Hadamard spectra of the
-        zero-padded blocks of W: a product of spectra is transformed back
-        along one axis, cut to the classes, and only those rows are
-        transformed along the other."""
-        size = 1 << self.h
-        scale = 1.0 / (float(size) * size)
-        if len(self.blocks) == 1:
-            acc = None
-            for block, grid in zip(W, self._grid):
-                spec = self._spectrum(block, grid)
-                if acc is None:
-                    # one coset squares its spectrum where it lies
-                    acc = spec if len(W) == 1 else self._sum
-                    np.multiply(spec, spec, out=acc)
-                else:
-                    spec *= spec
-                    acc += spec
-            # both gathers cut straight to the constraint rows (class 0 is
-            # not one), and S comes out in C order: the order of its memory
-            # sets the last bits of the solver's S @ dy, as in _schur_pairs
-            rows = self._class_grid[1:]
-            S = np.take(self._back(acc, rows), rows, axis=0)
-            S *= scale
-            return S
-
-        (grid,) = self._grid
-        spectra = {(i, j): self._spectrum(W[0][self._slice(i), self._slice(j)], grid).copy()
-                   for i, j in self.blocks}
-
-        def spectrum(p, q):
-            return spectra[p, q] if p <= q else spectra[q, p].T
-
-        def sides(i, j):
-            return [(i, j)] if i == j else [(i, j), (j, i)]
-
-        nb = len(self.blocks)
-        rows = [[None] * nb for _ in range(nb)]
-        for a, (i, j) in enumerate(self.blocks):
-            for b in range(a, nb):
-                i2, j2 = self.blocks[b]
-                if a == b == nb - 1:
-                    # the last pair is the last diagonal block with itself:
-                    # square its spectrum in place and free the others
-                    acc = spectra.pop((i, j))
-                    spectra.clear()
-                    acc *= acc
-                else:
-                    acc = sum(spectrum(q, s) * spectrum(p, t)
-                              for p, q in sides(i, j) for s, t in sides(i2, j2))
-                block = np.take(self._back(acc, self._class_grid), self._class_grid, axis=0)
-                del acc
-                block *= (0.5 if i != j else 1.0) * (0.5 if i2 != j2 else 1.0) * scale
-                rows[a][b], rows[b][a] = block, block.T
-        S = np.block(rows)
-        # restricted as in _schur_pairs, rows first and in C order
-        del rows, block
-        S = self._restrict(S)
-        return self._restrict(S.T)
+        zero-padded blocks of W: each block pair's products, summed over the
+        cosets, go back along one axis, are cut to the pair's rows, and only
+        those go back along the other."""
+        nb, last, m, rows = len(self.blocks), len(W) - 1, self.m, self._class_grid
+        # k > 1: S is a view; Z_0, the class-0 row of block (0, 0), is last
+        S = np.empty((m + (self.k > 1),) * 2)
+        for c, (block, grid) in enumerate(zip(W, self._grid)):
+            N = grid.size
+            spectra = {}
+            for i, j in self.blocks:
+                spec = self._spectrum(block[i * N:(i + 1) * N, j * N:(j + 1) * N], grid)
+                # a view of a buffer the next transform reuses
+                spec = spec.copy() if nb > 1 else spec
+                spectra[j, i], spectra[i, j] = spec.T, spec
+            for pair, (a, b) in enumerate((a, b) for a in range(nb) for b in range(a, nb)):
+                (i, j), (i2, j2) = self.blocks[a], self.blocks[b]
+                da, db = int(i == j), int(i2 == j2)
+                terms = [(spectra[q, s], spectra[p, u])
+                         for p, q in [(i, j), (j, i)][da:] for s, u in [(i2, j2), (j2, i2)][db:]]
+                # the first coset of several starts the sum; the last pair
+                # (last diagonal block with itself) is its spectrum's last use
+                out = self._sums[pair] if last and not c else terms[0][0] if a == b == nb - 1 else None
+                acc = np.multiply(*terms[0], out=out)
+                for x, y in terms[1:]:
+                    acc += x * y
+                if c:
+                    acc = np.add(self._sums[pair], acc, out=self._sums[pair])
+                if c < last:
+                    continue
+                (pa, sa, fa), (pb, sb, fb) = self._at[a], self._at[b]
+                back = self._back(acc, rows[db - fb:])
+                # off-diagonal blocks weigh 1/2, and the transforms back 4^-h
+                factor = 0.5 ** (2 * self.h + 2 - da - db)
+                direct = back[:, fb:].take(rows[da:], axis=0, out=S[sa, sb], mode="clip")
+                direct *= factor
+                if fa:
+                    # both ways: at a == b the column is written next
+                    S[pa[0], pb] = S[pb, pa[0]] = back[rows[0]] * factor
+                if fb:
+                    S[sa, pb[0]] = back[rows[da:], 0] * factor
+                if a < b:
+                    S[sb, sa] = direct.T
+                    if fb:
+                        S[pb[0], sa] = S[sa, pb[0]]
+        # trace row i is Z_i - Z_0, on both axes, columns first
+        S[:, self._trace:m] -= S[:, m:]
+        S[self._trace:m] -= S[m:]
+        return S[:m, :m]
 
 
 def _span(n: int, support: np.ndarray) -> np.ndarray:
@@ -576,13 +569,14 @@ def _solve_ipm(C: list, ops, b) -> SdpSolution:
             if min(sk[0] for sk in s) <= 0:
                 raise np.linalg.LinAlgError("scaled matrix not PD")
         except np.linalg.LinAlgError:
-            break  # numerical boundary; report best status below
+            status = "numerical"
+            break
 
         mu = sum(float(sk.sum()) for sk in s) / N
         d = [np.sqrt(sk) for sk in s]
         # R maps the scaled space back: R D R^T = X, R^{-T} D R^{-1} = Z with
         # D = diag(d), and W = R R^T
-        Rq = [sla.solve_triangular(L, q, trans="T", lower=True) * (sk ** 0.25)
+        Rq = [sla.solve_triangular(L, q, trans="T", lower=True, check_finite=False) * (sk ** 0.25)
               for L, q, sk in zip(Lz, Q, s)]
         W = [r @ r.T for r in Rq]
         S = ops.schur(W)
@@ -593,11 +587,12 @@ def _solve_ipm(C: list, ops, b) -> SdpSolution:
         for attempt in range(5):
             np.fill_diagonal(S, diag + ridge)
             try:
-                S_fact = sla.cho_factor(S, lower=True)
+                S_fact = sla.cho_factor(S, lower=True, check_finite=False)
                 break
             except np.linalg.LinAlgError:
                 ridge = max(ridge * 100.0, 1e-12)
         else:
+            status = "numerical"
             break
 
         A_WRdW = ops.apply([w @ rd @ w for w, rd in zip(W, Rd)])
@@ -616,10 +611,13 @@ def _solve_ipm(C: list, ops, b) -> SdpSolution:
                 v *= 2.0 / denom[i]
                 Vh.append(v)
             rhs = rp - ops.apply([r @ v @ r.T for r, v in zip(Rq, Vh)]) + A_WRdW
-            dy = sla.cho_solve(S_fact, rhs)
+            dy = sla.cho_solve(S_fact, rhs, check_finite=False)
             # one refinement step against the un-ridged S: near mu -> 0 the
             # ridge swamps S's small eigenvalues and would freeze pres
-            dy += sla.cho_solve(S_fact, rhs - S @ dy + ridge * dy)
+            dy += sla.cho_solve(S_fact, rhs - S @ dy + ridge * dy, check_finite=False)
+            # the factors are not checked finite: a non-finite S shows here
+            if not np.isfinite(dy).all():
+                raise SolverError(f"interior-point direction {it} is not finite")
             dZ = [rd - a for rd, a in zip(Rd, ops.adjoint(dy))]
             dZh = [r.T @ dz @ r for r, dz in zip(Rq, dZ)]
             return dy, dZ, [v - dzh for v, dzh in zip(Vh, dZh)], dZh
@@ -666,7 +664,7 @@ def _solve_ipm(C: list, ops, b) -> SdpSolution:
 @dataclass(frozen=True)
 class OuterBoundResult:
     value: float           # certified from the Gram side
-    gram: np.ndarray       # over the basis; 0 across sign cosets
+    gram: np.ndarray       # over (coordinate, basis mask); 0 across sign cosets
     order: int
     basis: np.ndarray      # character masks indexing the Gram matrix
     moment_value: float    # dual (moment-side) objective
@@ -688,8 +686,8 @@ def _outer_sdp(n: int, k: int, fhat: dict, r: int) -> OuterBoundResult:
     coefficients near the float range."""
     masks = masks_up_to_weight(n, r)
     classes = masks_up_to_weight(n, 2 * r)
-    # scalar input splits over the sign cosets of the span of f's support
-    span = _span(n, np.flatnonzero(fhat[0, 0])) if k == 1 else None
+    # the Gram splits over the sign cosets of the span of every entry's support
+    span = _span(n, np.concatenate([np.flatnonzero(v) for v in fhat.values()]))
     ops = _XorConstraints(n, masks, classes, k, span)
     b = ops.gather([fhat[block] for block in ops.blocks])
     scale = float(np.max(np.abs(b), initial=0.0)) or 1.0

@@ -174,16 +174,17 @@ def even_span(n):
 @pytest.mark.parametrize("n,r,k,split,product", [
     (12, 2, 1, False, "pairs"), (9, 3, 1, False, "transforms"), (9, 2, 1, False, "pairs"),
     (5, 2, 2, False, "transforms"), (4, 2, 3, False, "transforms"),
-    (9, 3, 1, True, "transforms"), (12, 2, 1, True, "pairs"),
+    (9, 3, 1, True, "transforms"), (12, 2, 1, True, "pairs"), (6, 3, 2, True, "transforms"),
 ], ids=["12-2-pairs", "9-3-transforms", "9-2-pairs", "5-2-k2-transforms", "4-2-k3-transforms",
-        "maxcut-9-3-split-transforms", "maxcut-12-2-split-pairs"])
+        "maxcut-9-3-split-transforms", "maxcut-12-2-split-pairs", "maxcut-6-3-k2-split-transforms"])
 def test_schur_cost_rule(n, r, k, split, product):
     # the pairs' gather beats 4^n transforms at r = 2; at (9, 3), N = 130
     # and the transforms are about three times faster; at the benchmark's
     # matrix shapes the cube has 2^5 and 2^4 points, so the transforms are
     # cheap against kN = 32 and 33 Gram rows. Split over the even masks,
     # (9, 3) keeps the transforms on a 2^8 grid (blocks of 37 and 93, 246
-    # classes), and (12, 2) the pairs over blocks of 67 and 12
+    # classes), (12, 2) the pairs over blocks of 67 and 12, and the 2 x 2
+    # (6, 3) the transforms on a 2^5 grid (blocks of 32 and 52)
     ops = _XorConstraints(n, masks_up_to_weight(n, r), masks_up_to_weight(n, 2 * r), k,
                           even_span(n) if split else None)
     assert ops.schur_product == product
@@ -261,18 +262,27 @@ def test_sign_cosets_partition_the_basis(seed):
             assert np.array_equal(moved, grid ^ _quotient(np.array([c]), span)[1][0])
 
 
-@pytest.mark.parametrize("n,r,seed", [(5, 2, 1), (6, 2, 2), (6, 3, 3), (7, 2, 4)])
-def test_split_map_and_schur_match_dense_on_the_classes_of_the_span(n, r, seed):
+@pytest.mark.parametrize("n,r,k,seed", [(5, 2, 1, 1), (6, 2, 1, 2), (6, 3, 1, 3), (7, 2, 1, 4),
+                                         (5, 2, 2, 5), (6, 3, 2, 6), (4, 2, 3, 7), (5, 2, 3, 8)],
+                         ids=["5-2-1", "6-2-2", "6-3-3", "7-2-4",
+                              "5-2-k2-5", "6-3-k2-6", "4-2-k3-7", "5-2-k3-8"])
+def test_split_map_and_schur_match_dense_on_the_classes_of_the_span(n, r, k, seed):
     # a block-diagonal W over the cosets of a random H: the quotient
     # transforms and the per-coset pairs give the dense Schur complement
-    # restricted to the classes in H, and apply and adjoint the dense map's
+    # restricted to the classes in H and the trace rows, and apply and
+    # adjoint the dense map's
     rng = np.random.default_rng(seed)
     span = _span(n, rng.integers(0, 1 << n, size=n // 2))
     masks, classes = masks_up_to_weight(n, r), masks_up_to_weight(n, min(2 * r, n))
-    ops = _XorConstraints(n, masks, classes, 1, span)
+    ops = _XorConstraints(n, masks, classes, k, span)
     assert len(ops.cosets) > 1
-    dense = _DenseConstraints(block_constraint_matrices(n, 1, masks, classes))
-    rows = ops.kept[1:] - 1  # dense rows are the classes but class 0
+    dense = _DenseConstraints(block_constraint_matrices(n, k, masks, classes))
+    # dense rows: per block the classes (but class 0 on the diagonal), then
+    # the k - 1 trace rows
+    inH = np.isin(np.arange(classes.size), ops.kept)
+    keep = [inH[1:] if i == j else inH for i in range(k) for j in range(i, k)]
+    rows = np.flatnonzero(np.concatenate(keep + [np.ones(k - 1, dtype=bool)]))
+    assert rows.size == ops.m
     W = []
     for size in ops.sizes:
         B = rng.standard_normal((size, size))
@@ -323,6 +333,32 @@ def test_split_matches_one_block_on_maxcut(n, r):
     assert not res.moments[odd].any() and res.moments[0] == 1.0
     assert res.diagnostics["constraints"] == np.count_nonzero(~odd) - 1
     assert verify_sos_certificate(res, f).ok
+
+
+@pytest.mark.parametrize("n,r,k", [(5, 2, 2), (6, 2, 2), (5, 2, 3), (6, 3, 2)])
+def test_split_matches_one_block_on_maxcut_matrices(n, r, k):
+    # max-cut entries have spectra on the even masks, so the k x k block
+    # Gram splits into the even and odd characters
+    F = MatrixPolynomial.from_entries(n, k, {(i, j): maxcut_graph(n, 10 * n + 3 * i + j)
+                                             for i in range(k) for j in range(i, k)})
+    res = outer_matrix(F, r)
+    assert res.diagnostics["status"] == "optimal"
+    assert len(res.diagnostics["blocks"]) >= 2
+    assert sum(res.diagnostics["blocks"]) == k * res.basis.size
+    fhat = F.spectra()
+    masks, classes = masks_up_to_weight(n, r), masks_up_to_weight(n, 2 * r)
+    ops = _XorConstraints(n, masks, classes, k)
+    assert res.diagnostics["constraints"] < ops.m
+    b = ops.gather([fhat[block] for block in ops.blocks])
+    scale = float(np.max(np.abs(b)))
+    sol = _solve_ipm([np.eye(k * masks.size)], ops, b / scale)
+    assert sol.status == "optimal"
+    whole = (sum(fhat[i, i][0] for i in range(k)) - scale * sol.primal_obj) / k
+    assert abs(res.value - whole) <= 1e-9 * abs(whole)
+    assert res.value <= F.min_eigenvalue() + 1e-6
+    # the Gram is 0 across the cosets
+    odd = np.array([bin(int(a)).count("1") % 2 for a in np.tile(masks, k)])
+    assert not res.gram[np.ix_(odd == 1, odd == 0)].any()
 
 
 def test_constant_splits_into_one_by_one_blocks():
@@ -520,6 +556,30 @@ def test_outer_non_finite_iterate_raises(monkeypatch):
     monkeypatch.setattr(_XorConstraints, "apply", lambda self, X: np.full(self.m, np.nan))
     with pytest.raises(SolverError, match="iterate 1 is not finite"):
         outer_cube(random_poly(4, 2, seed=1), 1)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, -1)], ids=["diagonal", "off-diagonal"])
+def test_outer_non_finite_schur_raises(monkeypatch, entry):
+    # the solver's factorizations skip scipy's finiteness check: a NaN in S
+    # still ends in SolverError, not in ValueError
+    schur = _XorConstraints.schur
+
+    def poisoned(self, W):
+        S = schur(self, W)
+        S[entry] = np.nan
+        return S
+
+    monkeypatch.setattr(_XorConstraints, "schur", poisoned)
+    for call in (lambda: outer_cube(random_poly(5, 2, seed=9), 2),
+                 lambda: outer_matrix(random_matrix_poly(4, 2, 2, seed=15), 2)):
+        with pytest.raises(SolverError):
+            call()
+
+
+def test_outer_unfactorable_schur_is_numerical(monkeypatch):
+    monkeypatch.setattr(_XorConstraints, "schur", lambda self, W: -np.eye(self.m))
+    with pytest.raises(SolverError, match=r"status=numerical"):
+        outer_cube(random_poly(5, 2, seed=9), 2)
 
 
 def test_outer_unconverged_raises_with_diagnostics(monkeypatch):
