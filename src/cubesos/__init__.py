@@ -2,9 +2,10 @@
 with Krawtchouk-root error bounds and explicit kernel certificates.
 
 Submodules are imported lazily, and no module imports scipy when it loads:
-the outer interior-point method and the inner Lanczos solve and gather import
-it at their first call. ``certify``, the constants table, brute force, the
-dense inner bound and the Krawtchouk roots run on numpy alone.
+the outer interior-point method and the inner Lanczos solve import
+``scipy.linalg`` at their first call, and the inner gather ``scipy.sparse``.
+``certify``, the constants table, brute force, the dense inner bound and the
+Krawtchouk roots run on numpy alone.
 """
 
 __version__ = "0.1.0"

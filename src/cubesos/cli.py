@@ -127,7 +127,9 @@ def cmd_bounds(args) -> str:
         timings["inner"] = time.perf_counter() - t0
         report["inner"] = {"r": args.r, "value": res.value,
                            "matrix_size": res.diagnostics["matrix_size"],
-                           "product": res.diagnostics["product"]}
+                           "product": res.diagnostics["product"],
+                           "products": res.diagnostics["products"],
+                           "eig_residual": res.diagnostics["eig_residual"]}
     if "outer" in which:
         t0 = time.perf_counter()
         res = outer_cube(f, args.r)

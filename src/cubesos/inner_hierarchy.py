@@ -12,7 +12,8 @@ the product A v once, by one cost rule, and builds only that one:
   size against the cheaper of the other two products' costs): fhat over the
   classes of weight <= 2r, read through ``cube_fourier.xor_rows``, the
   class index of the outer bound's constraint map;
-- above it, Lanczos (ARPACK) on the cheaper of
+- above it, Lanczos (the plain three-term recurrence, ``_lanczos``) on
+  the cheaper of
   - the sparse XOR gather: row a of a block reads fhat only on its support S
     at weights <= 2r, at the columns a XOR c of weight <= r, so A is one CSR
     matrix built from N x |S| lookups (_GATHER_RATIO units per lookup);
@@ -31,7 +32,9 @@ eigenvector v, on the product the solve ran on, not the eigenvalue. By
 Parseval it is the integral of f against the density p^2 / <p, p> of v, and
 every p gives a feasible density, so the value bounds the minimum from above
 even if the eigen-solve is loose. The eigenvalue is kept as
-``diagnostics["eigenvalue"]``, and the product as ``diagnostics["product"]``.
+``diagnostics["eigenvalue"]``, the product as ``diagnostics["product"]``,
+and the number of products A @ v the solve took as ``diagnostics["products"]``
+(0 for eigh and for the zero operator).
 """
 
 from __future__ import annotations
@@ -72,11 +75,14 @@ class InnerBoundResult:
 # The solver switch, at the measured crossover (one BLAS thread). Dense eigh
 # costs about size^3 flops. Lanczos costs some tens of products, each of the
 # cheaper product's cost (in transform units: k n 2^n for k transforms of n
-# passes over 2^n points) plus a fixed overhead in ARPACK and numpy calls
-# worth about _PRODUCT_OVERHEAD units. Dense while
-# size^3 <= _DENSE_RATIO * (that cost + _PRODUCT_OVERHEAD): N = 130 at
-# n = 9 stays dense (3 ms against 6), and N = 299 at n = 12 goes to Lanczos
-# (11 ms against 18).
+# passes over 2^n points) plus a fixed overhead in the recurrence's numpy
+# calls and its tridiagonal Ritz solves worth about _PRODUCT_OVERHEAD units.
+# Dense while size^3 <= _DENSE_RATIO * (that cost + _PRODUCT_OVERHEAD):
+# N = 130 at n = 9 (random, d = 3) stays dense (2.9 ms against 3.3 on the
+# transforms), and N = 299 at n = 12 (random, d = 2) goes to Lanczos (2.7 ms
+# on the gather against 17). At N = 130 a d = 2 spectrum's gather is faster
+# in process (1.7 ms against 3.3), but it would load scipy.sparse, about
+# 150 ms on a cold start, so that shape stays dense too.
 _DENSE_RATIO = 250
 _PRODUCT_OVERHEAD = 40_000
 
@@ -88,26 +94,82 @@ _PRODUCT_OVERHEAD = 40_000
 _GATHER_RATIO = 0.3
 _GATHER_CHUNK = 1 << 15  # lookups per row chunk while the gather is built
 
+# Lanczos stops once the Ritz residual |beta_j s_j| is at most
+# _LANCZOS_TOL eps ||T||. At 4, the largest eig_residual over seeds 1..40 of
+# the inner_eig shapes and random (12, 4) stayed below ARPACK's (7.6e-14
+# against 2.2e-13 on max-cut (16, 4)); at 16 it reached 3.0e-13 there on
+# seeds 1..12.
+_LANCZOS_TOL = 4
+# The Ritz pair of T is taken every _RITZ_EVERY steps: one costs 36-74 us at
+# 20-100 steps, against 127 us for a whole step on random (16, 4), and
+# checking every step saved only 2-3% of the products on those shapes.
+_RITZ_EVERY = 5
+# The basis grows by blocks of _BASIS_ROWS rows, written in place and never
+# copied; the inner_eig solves take 50-115 steps, so one or two blocks.
+_BASIS_ROWS = 64
 
-def _smallest_eigenpair(A) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and a unit eigenvector of the symmetric A: eigh
-    if A is a formed matrix (an ndarray), with the eigenvector copied out of
-    eigh's matrix; else Lanczos (ARPACK eigsh) on the product A @ v."""
-    if isinstance(A, np.ndarray):
-        w, v = np.linalg.eigh(A)
-        return float(w[0]), v[:, 0].copy()
-    # imported here, so that callers with small problems never load it
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+def _lanczos(A) -> tuple[float, np.ndarray, int]:
+    """Smallest eigenvalue, a unit Ritz vector and the number of products
+    A @ v of the plain three-term Lanczos recurrence, which needs only
+    ``A.shape`` and ``A @ v``.
+
+    No restart and no reorthogonalization: the smallest Ritz pair still
+    converges, and converged Ritz pairs are accurate (Paige 1980). Every
+    _RITZ_EVERY steps the smallest eigenpair (theta, s) of the tridiagonal
+    T is taken, and the solve stops once |beta_j s_j| <= _LANCZOS_TOL eps
+    ||T||, for ||T|| a running Gershgorin bound; it stops at once, with no
+    division, when beta_j itself is that small (an invariant subspace, as
+    for a constant f). Raises SolverError after as many steps as A has rows.
+    """
+    from scipy.linalg import eigh_tridiagonal  # at call time, as for the gather
 
     size = A.shape[0]
-    op = LinearOperator(A.shape, matvec=A.__matmul__, dtype=np.float64)
-    # a seeded random start: ones or e_0 can lie in A's kernel, where ARPACK stops
-    v0 = np.random.default_rng(0).standard_normal(size)
-    try:
-        w, v = eigsh(op, k=1, which="SA", tol=0, v0=v0)
-    except ArpackError as exc:  # ArpackNoConvergence included
-        raise SolverError(f"Lanczos eigen-solve of size {size} failed: {exc}") from exc
-    return float(w[0]), v[:, 0]
+    alpha, beta = np.empty(size), np.empty(size)
+    # the basis, row j in block j // _BASIS_ROWS, each row written in place
+    blocks = [np.empty((min(_BASIS_ROWS, size), size))]
+    v = blocks[0][0]
+    # a seeded random start: ones or e_0 can lie in A's kernel
+    v[:] = np.random.default_rng(0).standard_normal(size)
+    v /= np.linalg.norm(v)
+    v_prev, b_prev, norm_T = v, 0.0, 0.0
+    tol = _LANCZOS_TOL * np.finfo(np.float64).eps
+    for j in range(size):
+        w = A @ v
+        w -= b_prev * v_prev
+        a = float(w @ v)
+        w -= a * v
+        b = float(np.linalg.norm(w))
+        alpha[j], beta[j] = a, b
+        norm_T = max(norm_T, abs(a) + b + b_prev)
+        steps = j + 1
+        invariant = b <= tol * norm_T
+        if invariant or steps % _RITZ_EVERY == 0 or steps == size:
+            theta, s = eigh_tridiagonal(alpha[:steps], beta[:j],
+                                        select="i", select_range=(0, 0))
+            if invariant or abs(b * s[-1, 0]) <= tol * norm_T:
+                vec = sum(s[lo:lo + _BASIS_ROWS, 0] @ V[:steps - lo]
+                          for lo, V in zip(range(0, steps, _BASIS_ROWS), blocks))
+                return float(theta[0]), vec / np.linalg.norm(vec), steps
+            if steps == size:
+                break
+        if steps % _BASIS_ROWS == 0:
+            blocks.append(np.empty((min(_BASIS_ROWS, size - steps), size)))
+        v_prev, b_prev = v, b
+        v = np.divide(w, b, out=blocks[-1][steps % _BASIS_ROWS])
+    raise SolverError(f"Lanczos eigen-solve of size {size} did not converge "
+                      f"in {size} steps")
+
+
+def _smallest_eigenpair(A) -> tuple[float, np.ndarray, int]:
+    """Smallest eigenvalue, a unit eigenvector of the symmetric A and the
+    number of products A @ v taken: eigh if A is a formed matrix (an
+    ndarray), with the eigenvector copied out of eigh's matrix and no
+    product; else ``_lanczos`` on the product A @ v."""
+    if isinstance(A, np.ndarray):
+        w, v = np.linalg.eigh(A)
+        return float(w[0]), v[:, 0].copy(), 0
+    return _lanczos(A)
 
 
 def _result(A, size: int, order: int, extra: dict | None = None) -> InnerBoundResult:
@@ -115,18 +177,19 @@ def _result(A, size: int, order: int, extra: dict | None = None) -> InnerBoundRe
     the zero operator."""
     if A is None:
         # every density of degree <= 2r integrates f to 0 (on the cube: f has
-        # no spectrum at weights <= 2r), and Lanczos would break down at its
-        # first product
-        eigenvalue, vec, value, residual = 0.0, np.eye(1, size)[0], 0.0, 0.0
+        # no spectrum at weights <= 2r), so there is nothing to solve
+        eigenvalue, vec, products = 0.0, np.eye(1, size)[0], 0
+        value = residual = 0.0
     else:
-        eigenvalue, vec = _smallest_eigenpair(A)
+        eigenvalue, vec, products = _smallest_eigenpair(A)
         Av = A @ vec
         residual = float(np.linalg.norm(Av - eigenvalue * vec))
         value = float(vec @ Av / (vec @ vec))
     if not (np.isfinite(eigenvalue) and np.isfinite(value)):
         raise SolverError(f"eigenvalue solve failed: eigenvalue={eigenvalue!r}, "
                           f"density integral={value!r}, residual={residual!r}")
-    diag = {"matrix_size": size, "eigenvalue": eigenvalue, "eig_residual": residual}
+    diag = {"matrix_size": size, "eigenvalue": eigenvalue, "eig_residual": residual,
+            "products": products}
     if extra:
         diag.update(extra)
     return InnerBoundResult(value, order, vec, diag)

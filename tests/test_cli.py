@@ -108,6 +108,9 @@ def test_bounds_reports_inner_product(capsys, tmp_path, instance, r, size, produ
     assert code == 0
     inner = json.loads(out)["inner"]
     assert (inner["matrix_size"], inner["product"]) == (size, product)
+    # the solve's work and accuracy: no product for eigh
+    assert (inner["products"] == 0) if product == "dense" else (0 < inner["products"] < size)
+    assert inner["eig_residual"] <= 1e-12 * max(1.0, abs(inner["value"]))
 
 
 @pytest.mark.parametrize("r,schur", [(2, "pairs"), (3, "transforms")])
@@ -409,7 +412,7 @@ def test_inner_solver_failure_exits_3(capsys, monkeypatch):
     from cubesos import inner_hierarchy
 
     monkeypatch.setattr(inner_hierarchy, "_smallest_eigenpair",
-                        lambda A: (float("nan"), np.full(A.shape[0], np.nan)))
+                        lambda A: (float("nan"), np.full(A.shape[0], np.nan), 0))
     code, out, err = run_cli(capsys, "bounds", "--instance", "random:n=6,d=2,seed=1",
                              "--r", "2", "--which", "inner", "--quiet")
     assert code == 3
@@ -454,7 +457,7 @@ def test_outer_bound_of_near_overflow_coefficients(capsys, recwarn, tmp_path):
 
 
 def _nan_eigenpair(A):
-    return float("nan"), np.full(A.shape[0], np.nan)
+    return float("nan"), np.full(A.shape[0], np.nan), 0
 
 
 def _infeasible_lp(*args, **kwargs):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -198,17 +199,15 @@ def test_matrix_upper_bounds_minimum():
 @pytest.fixture
 def lanczos_calls(monkeypatch):
     """Records the size of every Lanczos solve, so a test can tell which
-    path ran; the solver imports eigsh from its module at call time."""
-    import scipy.sparse.linalg
-
+    path ran."""
     calls = []
-    eigsh = scipy.sparse.linalg.eigsh
+    lanczos = inner_hierarchy._lanczos
 
-    def counted(op, *args, **kwargs):
-        calls.append(op.shape[0])
-        return eigsh(op, *args, **kwargs)
+    def counted(A):
+        calls.append(A.shape[0])
+        return lanczos(A)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    monkeypatch.setattr(inner_hierarchy, "_lanczos", counted)
     return calls
 
 
@@ -276,9 +275,13 @@ def test_matrix_free_characters_value():
 
 
 def test_matrix_free_constant(lanczos_calls):
-    # A = c I: Lanczos meets an invariant subspace at its first product
-    res = inner_cube(CubePolynomial.constant(12, -2.5), 4)
+    # A = c I: Lanczos meets an invariant subspace at its first product, and
+    # must stop there without dividing by its zero beta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = inner_cube(CubePolynomial.constant(12, -2.5), 4)
     assert lanczos_calls
+    assert res.diagnostics["products"] == 1
     _assert_close(res.value, -2.5)
 
 
@@ -394,6 +397,10 @@ def test_three_products_match_dense_reference(monkeypatch, lanczos_calls, gather
     assert lanczos_calls == ([] if product == "dense" else [size])
     assert gather_builds == ([size] if product == "gather" else [])
     if product == "dense":
+        assert res.diagnostics["products"] == 0
+    else:
+        assert 0 < res.diagnostics["products"] < size
+    if product == "dense":
         # the formed matrix is the referee's, entry for entry
         assert np.array_equal(solved[0], _block_matrix(masks_up_to_weight(9, 3), k, spectra))
     expect = _dense_smallest(9, k, spectra, 3)
@@ -489,18 +496,14 @@ def test_eigh_eigenvector_is_owned():
 
 
 def test_lanczos_failure_raises_solver_error(monkeypatch):
-    import scipy.sparse.linalg
-
-    def fails(op, *args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fails)
-    with pytest.raises(SolverError, match="Lanczos"):
+    # a stopping tolerance of 0 is not met here: the solve runs to its step cap
+    monkeypatch.setattr(inner_hierarchy, "_LANCZOS_TOL", 0.0)
+    with pytest.raises(SolverError, match="Lanczos eigen-solve of size 794 .* 794 steps"):
         inner_cube(random_poly(12, 2, seed=71), 4)
 
 
 def test_non_finite_eigenpair_raises_solver_error(monkeypatch):
     monkeypatch.setattr(inner_hierarchy, "_smallest_eigenpair",
-                        lambda A: (float("nan"), np.full(A.shape[0], np.nan)))
+                        lambda A: (float("nan"), np.full(A.shape[0], np.nan), 0))
     with pytest.raises(SolverError, match="eigenvalue solve failed"):
         inner_cube(random_poly(5, 2, seed=72), 2)
