@@ -137,6 +137,7 @@ def cmd_bounds(args) -> str:
         outer = {"r": args.r, "value": res.value,
                  "status": res.diagnostics["status"],
                  "gap": res.diagnostics["rel_gap"],
+                 "iterations": res.diagnostics["iterations"],
                  "schur": res.diagnostics["schur"],
                  "blocks": res.diagnostics["blocks"],
                  "constraints": res.diagnostics["constraints"]}

@@ -22,14 +22,16 @@ indices, so each constraint matrix is a 0/1 partial permutation a -> a XOR c
 (Fujisawa, Kojima & Nakata 1997 form the Schur complement of such sparse
 constraints from their nonzeros). The map and its adjoint read one
 precomputed row index per Gram entry (``cube_fourier.xor_rows``, which the
-inner bound's formed matrix reads too) and touch no 2^n array. The
+inner bound's formed matrix reads too, numbered once in constraint order
+with the class-0 row of block (0, 0) last) and touch no 2^n array. The
 interior-point Schur complement is then formed one of two ways, picked once
 per solve by a cost rule: row A' is the constraint map applied to W A' W,
 the one product W[:, I] @ W[J, :] over the index pairs of A' (no 2^n
 array), or the XOR cross-correlation of the blocks of the scaling matrix
 through Walsh-Hadamard transforms that touch only the basis rows on the way
-in and the constraint classes on the way out. One such backend serves
-scalar and matrix input; ``diagnostics["schur"]`` names the pick.
+in and the constraint classes on the way out. Either is formed in the map's
+numbering and made constraint rows by the map's own tail. One such backend
+serves scalar and matrix input; ``diagnostics["schur"]`` names the pick.
 
 The interior-point method works on a list of diagonal Gram blocks. Every
 input is split by its sign symmetry: with D = diag((-1)^{s.a}) (x) I_k,
@@ -190,16 +192,17 @@ class _XorConstraints:
     average over those s is an optimal G that is 0 unless a XOR b is in H
     (Gatermann & Parrilo 2004). Without ``span`` H is everything.
 
-    The map is worked on over extended rows b * e + c: block b of
-    ``blocks`` and index c of every kept class (e of them), class 0
-    included. ``_rows`` (``cube_fourier.xor_rows``, one per coset) holds, for
-    each entry of a coset's Gram block, the extended row it feeds, and
-    ``_weight`` is 1 on diagonal-block rows and 1/2 on off-diagonal ones. So
-    ``apply`` is one class sum over ``_rows`` per coset and ``adjoint`` one
-    gather from them; neither touches a 2^n array. ``_restrict`` then drops
-    the class-0 rows of the diagonal blocks and forms the trace rows from
-    them; at k = 1 there are none. Gram matrices and their Schur arguments
-    pass as lists, one array per coset.
+    The map is numbered once, over m + 1 rows: the constraint rows in the
+    order above, the trace rows (from ``_trace`` on) holding tr X_ii, and
+    last Z_0, the class-0 row of block (0, 0). ``_rows``
+    (``cube_fourier.xor_rows`` in that numbering, one per coset) holds, for
+    each entry of a coset's Gram block, the row it feeds, and ``_weight`` is
+    1 on diagonal-block rows and 1/2 on off-diagonal ones. So ``apply`` is
+    one class sum over ``_rows`` per coset and ``adjoint`` one gather from
+    them; neither touches a 2^n array. One tail, ``_fold``, serves the map
+    and both Schur products: trace row i becomes Z_i - Z_0, and Z_0 is
+    dropped. Gram matrices and their Schur arguments pass as lists, one
+    array per coset.
 
     The Schur entry <A, W A' W> is a sum over cosets, formed by one of two
     products, picked once per solve by a cost rule and named by
@@ -237,20 +240,19 @@ class _XorConstraints:
         self.blocks = [(i, j) for i in range(k) for j in range(i, k)]
         self.sizes = [k * idx.size for idx in self.cosets]
         nb, e = len(self.blocks), self.classes.size
-        # constraint row t reads extended row _source[t]: every row but the
-        # class-0 rows of the diagonal blocks, then those of blocks (i, i),
-        # i > 0, less row 0, that of block (0, 0) (the trace rows, from _trace on)
+        # block b's kept class c is row pos[b * e + c]: the constraint rows in
+        # order, the trace rows Z_1..Z_{k-1} (class 0 of blocks (i, i), i > 0)
+        # from _trace on, and Z_0 last, at row m
         zero = np.array([b * e for b, (i, j) in enumerate(self.blocks) if i == j])
-        self._source = np.concatenate([np.setdiff1d(np.arange(nb * e), zero), zero[1:]])
-        self._trace, self.m = nb * e - k, self._source.size
-        # the transforms Schur writes extended row x to row at[x], row 0 (Z_0)
-        # last; per block: those rows, the slice of its constraint rows, and
-        # 1 if its class 0 is read (first) for the trace rows
-        at = np.argsort(np.append(self._source, 0)).reshape(nb, e)
+        order = np.concatenate([np.setdiff1d(np.arange(nb * e), zero), zero[1:], zero[:1]])
+        pos = np.argsort(order)
+        self._trace, self.m = nb * e - k, nb * e - 1
+        # per block: its rows, the slice of its constraint rows, and 1 if its
+        # class 0 is read (first) for the trace rows
         self._at = [(p, slice(p[-1] + 1 - e + (i == j), p[-1] + 1), int(i == j and k > 1))
-                    for p, (i, j) in zip(at, self.blocks)]
-        self._rows = [xor_rows(masks[idx], self.classes, k) for idx in self.cosets]
-        self._weight = np.repeat([1.0 if i == j else 0.5 for i, j in self.blocks], e)
+                    for p, (i, j) in zip(pos.reshape(nb, e), self.blocks)]
+        self._rows = [pos[xor_rows(masks[idx], self.classes, k)] for idx in self.cosets]
+        self._weight = np.repeat([1.0 if i == j else 0.5 for i, j in self.blocks], e)[order]
         # pairs: each constraint row class-sums one product per coset;
         # transforms: h-bit transforms of N_coset + 2^h rows per block and
         # coset, and of 2^h + e rows per block pair
@@ -260,24 +262,24 @@ class _XorConstraints:
                                       + nb * (nb + 1) // 2 * (size + e))
         self.schur_product = "pairs" if _PAIR_RATIO * pairs <= transforms else "transforms"
 
-    def _restrict(self, v: np.ndarray) -> np.ndarray:
-        """Extended rows (axis 0) -> constraint rows: drop the class-0 rows of
-        the diagonal blocks and append their differences to block (0, 0)."""
-        out = v[self._source]
-        out[self._trace:] -= v[0]
-        return out
-
-    def _extend(self, y: np.ndarray) -> np.ndarray:
-        """Transpose of _restrict."""
-        out = np.zeros(self._weight.size)
-        out[self._source] = y
-        out[0] -= y[self._trace:].sum()
-        return out
+    def _fold(self, v: np.ndarray) -> np.ndarray:
+        """The constraint rows of v over the rows of ``_rows``, on both axes
+        of a matrix, columns first: trace row i becomes Z_i - Z_0 and Z_0 is
+        dropped. In place; a view of v."""
+        t, m = self._trace, self.m
+        if v.ndim == 2:
+            v[:, t:m] -= v[:, m:m + 1]
+            v = v[:, :m]
+        v[t:m] -= v[m:m + 1]
+        return v[:m]
 
     def gather(self, per_block) -> np.ndarray:
         """Constraint rows of per-block class sums (arrays of length 2^n, in
         the order of ``blocks``); with Fourier coefficients this is b."""
-        return self._restrict(np.concatenate([v[self.classes] for v in per_block]))
+        v = np.empty(self.m + 1)
+        for (p, _, _), values in zip(self._at, per_block):
+            v[p] = values[self.classes]
+        return self._fold(v)
 
     def assemble(self, X: list) -> np.ndarray:
         """The Gram matrix over (coordinate, mask) of per-coset blocks, 0
@@ -292,9 +294,9 @@ class _XorConstraints:
         return out
 
     def _class_sums(self, X: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """<A, X_p> on every extended row of p stacked square matrices of one
-        coset, by one bincount over ``index``: its ``_rows`` entry repeated,
-        copy p offset by p ne."""
+        """<A, X_p> on every one of the m + 1 rows, for p stacked square
+        matrices of one coset, by one bincount over ``index``: its ``_rows``
+        entry repeated, copy p offset by p (m + 1)."""
         ne = self._weight.size
         p = X.size // X.shape[-1] ** 2
         sums = np.bincount(index[:X.size], weights=X.ravel(), minlength=p * ne)
@@ -304,10 +306,11 @@ class _XorConstraints:
         sums = self._class_sums(X[0], self._rows[0].ravel())[0]
         for row, block in zip(self._rows[1:], X[1:]):
             sums += self._class_sums(block, row.ravel())[0]
-        return self._restrict(sums)
+        return self._fold(sums)
 
     def adjoint(self, y: np.ndarray) -> list:
-        ext = self._extend(y) * self._weight
+        # the transpose of _fold: Z_0 takes minus every trace row
+        ext = np.append(y, -y[self._trace:].sum()) * self._weight
         return [ext[row] for row in self._rows]
 
     def schur(self, W: list) -> np.ndarray:
@@ -318,7 +321,7 @@ class _XorConstraints:
     @cached_property
     def _pair_plans(self):
         """Per coset, the chunks (rows, I, J) of the pair Schur and its
-        class-sum index. A chunk holds extended rows whose A' has L index
+        class-sum index. A chunk holds the rows whose A' has L index
         pairs in the coset's block (both orientations off the diagonal), I
         and J of shape (rows, L), so W A' W = _weight[row] * W[:, I] @ W[J, :],
         and as many rows as fit _PAIR_CHUNK_BYTES with their products,
@@ -342,33 +345,19 @@ class _XorConstraints:
             plans.append((batches, (row + ne * np.arange(most)[:, None]).ravel()))
         return plans
 
-    @cached_property
-    def _unwritten(self) -> np.ndarray:
-        """The extended rows no entry of the first coset's block feeds."""
-        count = np.bincount(self._rows[0].ravel(), minlength=self._weight.size)
-        return np.flatnonzero(count == 0)
-
     def _schur_pairs(self, W: list) -> np.ndarray:
         """Schur complement whose row A' is ``apply`` of W A' W, a chunk of
-        products W[:, I] @ W[J, :] at a time, summed over cosets: the first
-        coset's rows are written, the others' added."""
-        S = np.empty((self._weight.size, self._weight.size))
-        S[self._unwritten] = 0.0
-        for c, (block, (batches, index)) in enumerate(zip(W, self._pair_plans)):
+        products W[:, I] @ W[J, :] at a time, summed over cosets."""
+        S = np.zeros((self.m + 1,) * 2)
+        for block, (batches, index) in zip(W, self._pair_plans):
             for rows, I, J in batches:
                 # W is symmetric: W[:, I] is W[I, :] transposed
                 M = np.matmul(block[I].transpose(0, 2, 1), block[J])
-                sums = self._class_sums(M, index) * self._weight[rows, None]
-                if c:
-                    S[rows] += sums
-                else:
-                    S[rows] = sums
-        # restricted one axis at a time, each dropping the array before it,
-        # and handed over as the transpose of the rows formed here, in
-        # Fortran order: the order of S's memory sets how the solver's
-        # S @ dy sums, and with it the last bits of every iterate
-        S = self._restrict(S.T).T
-        return self._restrict(S).T
+                S[rows] += self._class_sums(M, index) * self._weight[rows, None]
+        # handed over as the transpose of the rows formed here: the order of
+        # S's memory sets how the solver's S @ dy sums, and with it the last
+        # bits of every iterate
+        return self._fold(S).T
 
     @cached_property
     def _buffers(self) -> list:
@@ -454,10 +443,7 @@ class _XorConstraints:
                     S[sb, sa] = direct.T
                     if fb:
                         S[pb[0], sa] = S[sa, pb[0]]
-        # trace row i is Z_i - Z_0, on both axes, columns first
-        S[:, self._trace:m] -= S[:, m:]
-        S[self._trace:m] -= S[m:]
-        return S[:m, :m]
+        return self._fold(S)
 
 
 def _span(n: int, support: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from cubesos.cube_fourier import write_polynomial_json
 from cubesos.gamma_constants import c_d
 from cubesos.instances import maxcut_instance, random_poly
 from cubesos.krawtchouk import least_root
+from cubesos.outer_hierarchy import _MAX_ITER
 
 
 @pytest.fixture
@@ -121,6 +122,8 @@ def test_bounds_reports_outer_schur(capsys, r, schur):
     assert code == 0
     outer = json.loads(out)["outer"]
     assert (outer["status"], outer["schur"]) == ("optimal", schur)
+    # the interior-point iterations it took, short of the cap
+    assert 0 < outer["iterations"] < _MAX_ITER
     # random input has linear terms: one block, every class a constraint
     assert (outer["blocks"], outer["constraints"]) == {2: ([46], 255), 3: ([130], 465)}[r]
 

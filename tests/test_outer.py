@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,6 +214,25 @@ def test_constraint_map_beyond_the_cap(k):
         unit[j] = 1.0
         column = ops.apply([W @ ops.adjoint(unit)[0] @ W])
         assert np.max(np.abs(S[:, j] - column)) <= 1e-12 * np.max(np.abs(column))
+
+
+def test_pair_schur_peak_is_one_formed_matrix():
+    # random (12, 2) is one block of 79 characters and m = 793 constraints:
+    # the pair Schur forms its m + 1 rows once and hands over a view, so its
+    # peak is that matrix and one chunk of products, with no m x m copy
+    n, r = 12, 2
+    ops = _XorConstraints(n, masks_up_to_weight(n, r), masks_up_to_weight(n, 2 * r), 1)
+    assert (ops.schur_product, ops.m) == ("pairs", 793)
+    B = np.random.default_rng(12).standard_normal((ops.sizes[0],) * 2)
+    W = [B @ B.T]
+    ops.schur(W)  # the chunk plans, kept for the solve
+    tracemalloc.start()
+    try:
+        ops.schur(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * (ops.m + 1) ** 2 + outer_hierarchy._PAIR_CHUNK_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +559,20 @@ def test_outer_matrix_constant():
 def test_outer_matrix_lower_bounds_minimum():
     F = random_matrix_poly(5, 2, 2, seed=14)
     assert outer_matrix(F, 2).value <= F.min_eigenvalue() + 1e-6
+
+
+@pytest.mark.parametrize("n,r,k", [(7, 1, 2), (10, 1, 3), (10, 2, 2)])
+def test_matrix_solve_on_pairs_matches_transforms(monkeypatch, n, r, k):
+    # random matrix input is one block, and these shapes pick the pairs, so
+    # whole solves run the pair Schur's trace rows
+    F = random_matrix_poly(n, 2, k, seed=n + k)
+    res = outer_matrix(F, r)
+    assert (res.diagnostics["schur"], res.diagnostics["status"]) == ("pairs", "optimal")
+    monkeypatch.setattr(outer_hierarchy, "_PAIR_RATIO", math.inf)
+    ref = outer_matrix(F, r)
+    assert (ref.diagnostics["schur"], ref.diagnostics["status"]) == ("transforms", "optimal")
+    assert abs(res.value - ref.value) <= 1e-9 * abs(ref.value)
+    assert res.value <= F.min_eigenvalue() + 1e-6
 
 
 @pytest.mark.parametrize("c", [2.0**-900, 2.0**900])
