@@ -138,13 +138,17 @@ def cmd_bounds(args) -> str:
                  "status": res.diagnostics["status"],
                  "gap": res.diagnostics["rel_gap"],
                  "iterations": res.diagnostics["iterations"],
+                 "orders": res.diagnostics["orders"],
                  "schur": res.diagnostics["schur"],
                  "blocks": res.diagnostics["blocks"],
-                 "constraints": res.diagnostics["constraints"]}
+                 "constraints": res.diagnostics["constraints"],
+                 "point": "".join(str(int(v)) for v in res.point),
+                 "f_point": res.f_point}
         if args.gram:
             outer["gram"] = res.gram.tolist()
         report["outer"] = outer
     lo = report.get("outer", {}).get("value")
+    at = report.get("outer", {}).get("f_point")
     mid = report.get("brute", {}).get("value")
     hi = report.get("inner", {}).get("value")
     checks = []
@@ -154,6 +158,12 @@ def cmd_bounds(args) -> str:
         checks.append(mid <= hi + 1e-8)
     if lo is not None and hi is not None:
         checks.append(lo <= hi + 1e-6)
+    if at is not None:
+        # f_point sums f's terms and brute reads the value table, so at one
+        # point the two can differ in their last bits
+        checks.append(lo <= at + 1e-6)
+        if mid is not None:
+            checks.append(mid <= at + 1e-8)
     report["sandwich_ok"] = all(checks) if checks else None
     for name, dt in timings.items():
         _say(args, f"{name}: {dt:.3f}s")

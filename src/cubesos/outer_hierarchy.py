@@ -42,6 +42,14 @@ constrain it (Gatermann & Parrilo 2004). Max-cut's fhat, and a matrix of
 max-cut entries, lives on the even masks and splits in two; input with
 linear terms is one block. ``diagnostics["blocks"]`` lists the block sizes
 and ``diagnostics["constraints"]`` the number of constraints solved.
+
+Scalar input (``outer_cube``) also returns a point rounded from the moments
+(Henrion & Lasserre 2005) and f there, an upper bound on min f. Because the
+bound is nondecreasing in r and at most min f, a lower order whose value
+reaches f at that point proves the order-r value; ``outer_cube`` tries one
+such order before r and stops there when it does (Nie 2013), and
+``diagnostics["orders"]`` lists the orders solved. ``_outer_sdp`` is the
+direct solve of one order.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from __future__ import annotations
 import importlib
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -61,7 +69,9 @@ from .cube_fourier import (
     MatrixPolynomial,
     _kron_transform,
     _spare,
+    evaluate,
     fwht,
+    mask_to_point,
     masks_up_to_weight,
     spectrum,
     value_table,
@@ -446,24 +456,49 @@ class _XorConstraints:
         return self._fold(S)
 
 
-def _span(n: int, support: np.ndarray) -> np.ndarray:
-    """Reduced echelon basis over GF(2) of the span H of the masks in
-    ``support``, sorted: each vector's highest bit is its pivot column, which
-    no other vector has set. The elimination stops once the rank reaches n,
-    where the basis is the n unit masks."""
-    rest = np.asarray(support, dtype=np.int64)
+def _echelon(n: int, rows: np.ndarray) -> list:
+    """Reduced echelon form over GF(2) of the equations c.x = t, each given
+    as the row c << 1 | t and taken in order: a row whose c depends on the
+    rows kept before it is skipped. Each kept row's highest bit is its pivot
+    column, which no other kept row has set. The elimination stops once the
+    rank reaches n, where every c is a combination of the kept ones."""
+    rest = np.asarray(rows, dtype=np.int64)
     basis = []
     while len(basis) < n:
-        rest = rest[rest != 0]
+        # a row reduced to t alone depends on the kept rows
+        rest = rest[rest > 1]
         if not rest.size:
             break
-        # rest is reduced by every vector so far, and so is v
+        # rest is reduced by every row so far, and so is v
         v = int(rest[0])
         p = v.bit_length() - 1
         basis = [u ^ v if u >> p & 1 else u for u in basis]
         basis.append(v)
         rest = rest ^ (v * ((rest >> p) & 1))
-    return np.sort(np.array(basis, dtype=np.int64))
+    return basis
+
+
+def _span(n: int, support: np.ndarray) -> np.ndarray:
+    """Reduced echelon basis over GF(2) of the span H of the masks in
+    ``support``, sorted: each vector's highest bit is its pivot column, which
+    no other vector has set."""
+    rows = np.asarray(support, dtype=np.int64) << 1
+    return np.sort(np.array(_echelon(n, rows), dtype=np.int64) >> 1)
+
+
+def _round_point(n: int, fhat: np.ndarray, res) -> int:
+    """A point, as a mask, read off the moments y_c of a scalar solve
+    (Henrion & Lasserre 2005): the equations c.x = [y_c < 0] for c on the
+    support of fhat, largest |y_c| first, each skipped when it depends on
+    earlier ones. Their solutions form a coset of the annihilator of the
+    span of the support, on which f is constant; the one returned is 0 off
+    the pivot columns. At a point mass the moments are the characters of
+    the point, and that point is among the solutions."""
+    classes = masks_up_to_weight(n, 2 * res.order)
+    on = np.flatnonzero(fhat[classes])
+    y = res.moments[on]
+    rows = (classes[on] << 1 | (y < 0))[np.argsort(-np.abs(y), kind="stable")]
+    return sum((v & 1) << (v.bit_length() - 2) for v in _echelon(n, rows))
 
 
 def _quotient(masks: np.ndarray, span: np.ndarray) -> tuple:
@@ -651,7 +686,7 @@ def _solve_ipm(C: list, ops, b) -> SdpSolution:
 class OuterBoundResult:
     value: float           # certified from the Gram side
     gram: np.ndarray       # over (coordinate, basis mask); 0 across sign cosets
-    order: int
+    order: int             # the order asked for
     basis: np.ndarray      # character masks indexing the Gram matrix
     moment_value: float    # dual (moment-side) objective
     # scalar input: moments[i] = y_c for c = masks_up_to_weight(n, 2r)[i],
@@ -659,6 +694,10 @@ class OuterBoundResult:
     # optimum's moments vanish there); None for matrix input
     moments: np.ndarray | None
     diagnostics: dict = field(default_factory=dict)
+    # scalar input (outer_cube): a 0/1 point rounded from the moments, and f
+    # there; None otherwise
+    point: np.ndarray | None = None
+    f_point: float | None = None
 
 
 def _outer_sdp(n: int, k: int, fhat: dict, r: int) -> OuterBoundResult:
@@ -710,13 +749,63 @@ def _outer_sdp(n: int, k: int, fhat: dict, r: int) -> OuterBoundResult:
 
 
 def outer_cube(f: CubePolynomial, r: int) -> OuterBoundResult:
-    """The order-r SOS lower bound on min f over {0,1}^n.
+    """The order-r SOS lower bound on min f over {0,1}^n, with a point x
+    rounded from its moments (``point``, and ``f_point`` = f(x)).
 
-    Monotone nondecreasing in r, equal to the minimum once 2r >= n + deg - 1.
-    Raises SolverError if the interior-point method does not converge.
+    Monotone nondecreasing in r, at most min f, and equal to it once
+    2r >= n + deg - 1. So when a lower order r0 already reaches f(x), order
+    r can only give the same number. One lower order, r0 = 1 for affine f
+    and max(2, ceil(deg / 2)) otherwise, is solved first when r0 < r, and
+    its value is returned when it passes the interior-point method's
+    order-r optimality test with this pair: its Gram padded with zeros, an
+    order-r Gram since fhat is 0 on the classes above 2 r0, and the
+    moments chi_c(x) on the span of fhat's support and 0 off it, the
+    average of the point masses on which f equals f(x), exactly feasible at
+    order r (flat truncation of rank one; Nie 2013). Otherwise order r is
+    solved.
+
+    ``order`` is r and ``moments`` are order r's (on an exit, those of the
+    point, with ``moment_value`` = f(x) and the pair's ``rel_gap``);
+    ``basis``, ``gram`` and the diagnostics ``schur``, ``blocks`` and
+    ``constraints`` are those of the last order solved. ``diagnostics["orders"]`` lists every order solved,
+    the returned one last, and ``iterations`` sums their iterations.
+    Raises SolverError if an interior-point solve does not converge.
     """
-    check_order(f.n, r, f.degree)
-    return _outer_sdp(f.n, 1, {(0, 0): spectrum(f)}, r)
+    n, d = f.n, f.degree
+    check_order(n, r, d)
+    fhat = spectrum(f)
+    r0 = 1 if d <= 1 else max(2, -(-d // 2))
+    orders, iterations = [], 0
+    if r0 < r:
+        low = _outer_sdp(n, 1, {(0, 0): fhat}, r0)
+        x = _round_point(n, fhat, low)
+        point = mask_to_point(x, n)
+        fx = evaluate(f, point)
+        orders, iterations = [r0], low.diagnostics["iterations"]
+        # the pair in the solver's units: b / max|b|, where b holds all of
+        # fhat's support but class 0 at every order >= r0
+        scale = float(np.max(np.abs(fhat[1:]), initial=0.0)) or 1.0
+        f0 = float(fhat[0])
+        pobj, dobj = (f0 - low.value) / scale, (f0 - fx) / scale
+        rel_gap = (pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        if rel_gap <= _TOL_GAP:
+            classes = masks_up_to_weight(n, 2 * r)
+            parity = np.zeros_like(classes)
+            for i in range(n):
+                if x >> i & 1:
+                    parity ^= classes >> i
+            in_span = _quotient(classes, _span(n, np.flatnonzero(fhat)))[0] == 0
+            moments = np.where(in_span, 1.0 - 2.0 * (parity & 1), 0.0)
+            # the moments of a point are exactly feasible
+            diagnostics = {**low.diagnostics, "rel_gap": rel_gap, "dual_res": 0.0,
+                           "orders": orders}
+            return replace(low, order=r, moment_value=fx, moments=moments,
+                           diagnostics=diagnostics, point=point, f_point=fx)
+    res = _outer_sdp(n, 1, {(0, 0): fhat}, r)
+    point = mask_to_point(_round_point(n, fhat, res), n)
+    diagnostics = {**res.diagnostics, "orders": orders + [r],
+                   "iterations": iterations + res.diagnostics["iterations"]}
+    return replace(res, diagnostics=diagnostics, point=point, f_point=evaluate(f, point))
 
 
 def outer_matrix(F: MatrixPolynomial, r: int) -> OuterBoundResult:

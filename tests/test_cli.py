@@ -9,11 +9,11 @@ import pytest
 
 from cubesos.cli import main
 from cubesos.config import SolverError
-from cubesos.cube_fourier import write_polynomial_json
+from cubesos.cube_fourier import evaluate, spectrum, write_polynomial_json
 from cubesos.gamma_constants import c_d
 from cubesos.instances import maxcut_instance, random_poly
 from cubesos.krawtchouk import least_root
-from cubesos.outer_hierarchy import _MAX_ITER
+from cubesos.outer_hierarchy import _MAX_ITER, _outer_sdp
 
 
 @pytest.fixture
@@ -116,27 +116,55 @@ def test_bounds_reports_inner_product(capsys, tmp_path, instance, r, size, produ
 
 @pytest.mark.parametrize("r,schur", [(2, "pairs"), (3, "transforms")])
 def test_bounds_reports_outer_schur(capsys, r, schur):
-    # the two random shapes of the outer_sdp benchmark
+    # the two random shapes of the outer_sdp benchmark; at r = 3 order 2
+    # proves the value, and the report is that solve's
     code, out, _ = run_cli(capsys, "bounds", "--instance", "random:n=9,d=2,seed=1",
                            "--r", str(r), "--which", "outer", "--quiet")
     assert code == 0
     outer = json.loads(out)["outer"]
-    assert (outer["status"], outer["schur"]) == ("optimal", schur)
-    # the interior-point iterations it took, short of the cap
+    assert outer["orders"] == [2]
+    assert (outer["status"], outer["schur"]) == ("optimal", "pairs")
     assert 0 < outer["iterations"] < _MAX_ITER
+    assert (outer["blocks"], outer["constraints"]) == ([46], 255)
+    # the direct order-r solve
+    res = _outer_sdp(9, 1, {(0, 0): spectrum(random_poly(9, 2, seed=1))}, r)
+    diag = res.diagnostics
+    assert (diag["status"], diag["schur"]) == ("optimal", schur)
+    # the interior-point iterations it took, short of the cap
+    assert 0 < diag["iterations"] < _MAX_ITER
     # random input has linear terms: one block, every class a constraint
-    assert (outer["blocks"], outer["constraints"]) == {2: ([46], 255), 3: ([130], 465)}[r]
+    assert (diag["blocks"], diag["constraints"]) == {2: ([46], 255), 3: ([130], 465)}[r]
 
 
 def test_bounds_outer_converges_where_the_ridge_froze_the_residual(capsys):
     # without a refinement step against the un-ridged Schur complement, the
     # primal residual of this instance froze at 3.65e-8 as mu -> 0 and the
-    # solve ended with status max_iter
+    # order-3 solve ended with status max_iter
     code, out, err = run_cli(capsys, "bounds", "--instance", "random:n=9,d=2,seed=157573284",
                              "--r", "3", "--which", "all", "--quiet")
     assert code == 0, err
     report = json.loads(out)
     assert report["outer"]["status"] == "optimal"
+    assert report["sandwich_ok"] is True
+    # the CLI now stops at order 2; the order-3 solve itself still converges
+    res = _outer_sdp(9, 1, {(0, 0): spectrum(random_poly(9, 2, seed=157573284))}, 3)
+    assert res.diagnostics["status"] == "optimal"
+
+
+@pytest.mark.parametrize("n,d,seed,r,orders", [(9, 2, 1, 2, [2]), (9, 3, 2, 3, [2]),
+                                                (8, 1, 3, 3, [1])])
+def test_bounds_reports_outer_point(capsys, n, d, seed, r, orders):
+    code, out, _ = run_cli(capsys, "bounds", "--instance", f"random:n={n},d={d},seed={seed}",
+                           "--r", str(r), "--which", "outer,brute", "--quiet")
+    assert code == 0
+    report = json.loads(out)
+    outer, brute = report["outer"], report["brute"]
+    assert outer["orders"] == orders
+    f = random_poly(n, d, seed)
+    assert outer["f_point"] == evaluate(f, [int(c) for c in outer["point"]])
+    # brute's value comes from the value table: compare f's sums of terms
+    assert outer["f_point"] >= evaluate(f, [int(c) for c in brute["argmin"]])
+    assert outer["value"] <= outer["f_point"] + 1e-6
     assert report["sandwich_ok"] is True
 
 

@@ -9,6 +9,7 @@ from cubesos.cube_fourier import (
     CubePolynomial,
     MatrixPolynomial,
     brute_force_min,
+    evaluate,
     masks_up_to_weight,
     point_to_mask,
     spectrum,
@@ -21,6 +22,7 @@ from cubesos.outer_hierarchy import (
     OuterBoundResult,
     SolverError,
     _DenseConstraints,
+    _outer_sdp,
     _quotient,
     _solve_ipm,
     _span,
@@ -335,12 +337,14 @@ def maxcut_graph(n, seed):
 def test_split_matches_one_block_on_maxcut(n, r):
     f = maxcut_graph(n, 100 + n)
     fmin = brute_force_min(f)[0]
-    res = outer_cube(f, r)
+    # the direct order-r solve: outer_cube stops at order 2 where it proves
+    # the value
+    fhat = spectrum(f)
+    res = _outer_sdp(n, 1, {(0, 0): fhat}, r)
     assert res.diagnostics["status"] == "optimal"
     assert len(res.diagnostics["blocks"]) >= 2
     assert sum(res.diagnostics["blocks"]) == res.basis.size
     # the same problem as one block, through the solver directly
-    fhat = spectrum(f)
     masks, classes = masks_up_to_weight(n, r), masks_up_to_weight(n, 2 * r)
     ops = _XorConstraints(n, masks, classes, 1)
     b = ops.gather([fhat])
@@ -385,8 +389,9 @@ def test_split_matches_one_block_on_maxcut_matrices(n, r, k):
 
 def test_constant_splits_into_one_by_one_blocks():
     # fhat = c e_0 spans H = {0}: every basis mask is its own coset, and no
-    # class but 0 is in H, so no constraint is left
-    res = outer_cube(CubePolynomial.constant(5, -2.5), 2)
+    # class but 0 is in H, so no constraint is left (the direct order-2
+    # solve: outer_cube proves a constant at order 1)
+    res = _outer_sdp(5, 1, {(0, 0): spectrum(CubePolynomial.constant(5, -2.5))}, 2)
     assert res.diagnostics["status"] == "optimal"
     assert res.diagnostics["blocks"] == [1] * 16
     assert res.diagnostics["constraints"] == 0
@@ -471,6 +476,46 @@ def test_outer_moments_are_the_minimizer_characters_at_an_exact_order(n, r, seed
     assert res.moments.shape == classes.shape
     assert res.moments[0] == 1.0
     assert np.max(np.abs(res.moments - chi)) <= 1e-6
+
+
+def knapsack(n):
+    """(|x| - n/2)^2, multilinearized. At odd n its order-r bound is
+    f_min - 1/4 = 0 for every r <= (n - 1)/2 and f_min = 1/4 at (n + 1)/2
+    (Grigoriev 2001; Laurent 2003), so no lower order proves the value."""
+    pairs = [([i + 1, j + 1], 2.0) for i in range(n) for j in range(i + 1, n)]
+    return CubePolynomial.from_terms(n, [([], n * n / 4)] + [([i + 1], 1.0 - n) for i in range(n)]
+                                     + pairs)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_no_exit_below_the_exact_order(n):
+    f = knapsack(n)
+    assert brute_force_min(f)[0] == 0.25
+    for r in range(1, (n + 1) // 2 + 1):
+        res = outer_cube(f, r)
+        # order 2 is tried below every r > 2, and never proves the value
+        assert res.diagnostics["orders"] == [2] * (r > 2) + [r]
+        assert res.value == pytest.approx(0.25 if 2 * r > n else 0.0, abs=1e-7)
+    # the iterations of both solves are counted
+    direct = [_outer_sdp(n, 1, {(0, 0): spectrum(f)}, order) for order in (2, r)]
+    assert res.diagnostics["iterations"] == sum(d.diagnostics["iterations"] for d in direct)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("kind,r", [("random", 2), ("random", 3), ("maxcut", 3)])
+def test_lower_order_matches_the_direct_solve(kind, r, seed):
+    # the scalar shapes of the outer_sdp benchmark: at r = 2 nothing is
+    # tried, and at r = 3 order 2 proves the value
+    f = random_poly(9, 2, seed=seed) if kind == "random" else maxcut_graph(9, seed)
+    res = outer_cube(f, r)
+    direct = _outer_sdp(9, 1, {(0, 0): spectrum(f)}, r)
+    assert res.diagnostics["orders"] == [2]
+    assert res.order == r and res.moments.shape == masks_up_to_weight(9, 2 * r).shape
+    assert abs(res.value - direct.value) <= 1e-7 * abs(direct.value)
+    fmin, argmin = brute_force_min(f)
+    assert res.value <= fmin + 1e-6
+    assert res.f_point == evaluate(f, res.point) >= evaluate(f, argmin)
+    assert verify_sos_certificate(res, f).ok
 
 
 def test_outer_r_too_small():
